@@ -1,46 +1,33 @@
-//! Telemetry hot-path gate: the batched observer seam vs the
-//! per-event path.
+//! Telemetry hot-path gate: the batch-only observer seam.
 //!
-//! This bench prices the PR-7 redesign and *gates* it in CI. Three
-//! measurements, all recorded in `BENCH_fleet.json` at the repo root:
+//! Three measurements, all recorded in `BENCH_fleet.json` at the repo
+//! root:
 //!
-//! 1. **Observer delivery (gated, `batched_speedup >= 5`)** — a
+//! 1. **Observer delivery (recorded, `deliver_batched_meps`)** — a
 //!    synthetic order-of-millions beams/tick stream is encoded into an
-//!    [`EventLog`] once, then delivered to the identical sink stack
-//!    (live status + flight recorder + metrics registry) two ways:
-//!    through the per-event seam — one materialized event, one
-//!    `LiveStatus` write lock, one recorder mutex + clone, one linear
-//!    label-string scan, one registry fold, *per event*, which is
-//!    exactly what the pre-refactor dispatcher paid and what an
-//!    unmigrated [`Observer`] still pays via the compatibility
-//!    replay — and through the batched seam (`observe_batch`: columnar
-//!    folds straight off the rows, one lock acquisition per sink per
-//!    tick). Per-event materialization stands in for the pre-refactor
-//!    log's clone-push, so both sides price the same total work.
-//! 2. **End-to-end emit (recorded, not gated)** — the same stream
-//!    driven through the full pre-refactor pipeline (per-event sink
-//!    dispatch plus the `Vec<TelemetryEvent>` clone-push run log)
-//!    versus the pipeline the dispatcher now runs ([`TickBatch`] row
-//!    encoding, one `observe_batch` per tick, [`EventLog::push_batch`]
-//!    move). This ratio is bounded by raw encode bandwidth, so it is
-//!    recorded for the trajectory rather than gated.
+//!    [`EventLog`] once, then delivered to the full sink stack (live
+//!    status + flight recorder + metrics registry) through
+//!    `observe_batch`: columnar folds straight off the rows, one lock
+//!    acquisition per sink per tick.
+//! 2. **End-to-end emit (recorded, `emit_batched_meps`)** — the same
+//!    stream driven through the pipeline the dispatcher runs
+//!    ([`TickBatch`] row encoding, one `observe_batch` per tick,
+//!    [`EventLog::push_batch`] move). Bounded by raw encode bandwidth.
 //! 3. **Observer-attached scheduler overhead (gated, `<= 5%`)** — the
 //!    real scheduler runs the `observe` bench's fleet workload under
 //!    `NullObserver` and under the full fanned-out stack; the
 //!    wall-clock delta must stay within the ceiling.
 //!
-//! Ratios, not raw rates, are what the CI gate compares: events/sec
-//! varies machine to machine, but the batched/per-event ratio and the
-//! observer overhead are properties of the code. Raw rates are still
-//! recorded for humans.
+//! A ratio, not a raw rate, is what the CI gate compares: events/sec
+//! varies machine to machine, but the observer overhead is a property
+//! of the code. Raw rates are still recorded for humans and for the
+//! trajectory.
 //!
 //! Not a criterion harness: the gate needs `--json <out>` and
 //! `--check <baseline>` arguments (and must tolerate the extra
 //! `--bench` flag cargo passes), so `main` is hand-rolled.
 
-use dedisp_fleet::obs::{
-    Counter, Fanout, FlightRecorder, LiveStatus, MetricsRegistry, RegistryObserver,
-};
+use dedisp_fleet::obs::{Fanout, FlightRecorder, LiveStatus, MetricsRegistry, RegistryObserver};
 use dedisp_fleet::{
     BeamOutcome, BeamRecord, EventLog, HealthCause, HealthEvent, HealthState, NullObserver,
     Observer, ResolvedFleet, Scheduler, ShedReason, ShedRecord, StatusSnapshot, SurveyLoad,
@@ -66,16 +53,13 @@ const SCHED_REPS: usize = 7;
 /// load pushes each run well past that while keeping the bench quick.
 const SCHED_TICKS: usize = 24;
 
-/// Hard floors the redesign promised (ISSUE acceptance criteria).
-const SPEEDUP_FLOOR: f64 = 5.0;
+/// The hard ceiling the batched seam promised.
 const OVERHEAD_CEILING_PCT: f64 = 5.0;
 
-/// Baseline drift tolerances for the CI gate. The overhead slack is
-/// wider than the speedup tolerance because the measured overhead
-/// swings a few points either side of zero run to run — the absolute
-/// ceiling above stays the binding gate; the baseline diff only has to
-/// catch step-change regressions.
-const SPEEDUP_TOLERANCE: f64 = 0.10;
+/// Baseline drift slack for the CI gate, in percentage points. Wide
+/// because the measured overhead swings a few points either side of
+/// zero run to run — the absolute ceiling above stays the binding
+/// gate; the baseline diff only has to catch step-change regressions.
 const OVERHEAD_SLACK_PCT: f64 = 5.0;
 
 /// One tick's worth of synthetic telemetry, shaped like a healthy
@@ -173,43 +157,7 @@ fn synthetic_tick(tick: usize, beams: usize) -> Vec<TelemetryEvent> {
     events
 }
 
-/// One per-event observation through the pre-refactor wiring: the
-/// real [`Fanout`] forwards the event to every sink with one virtual
-/// call each (live status write lock, recorder mutex + clone, registry
-/// fold), preceded by the old linear label-string scan the registry's
-/// kind counters used before the `EventKind`-indexed table. The scan's
-/// increment is left to the registry fold so the counter is bumped
-/// exactly once — scanning *and* incrementing here would overcount the
-/// pre-refactor path by one atomic add.
-fn observe_per_event(
-    fanout: &mut Fanout,
-    kinds: &[(&'static str, Counter)],
-    event: &TelemetryEvent,
-) {
-    black_box(kinds.iter().find(|(k, _)| *k == event.kind()));
-    fanout.observe(event);
-}
-
-/// Drives `stream` through the pre-refactor pipeline: per-event
-/// dispatch into every sink plus the `Vec<TelemetryEvent>` clone-push
-/// run log the old dispatcher kept. Returns the log length (so the
-/// work can't fold).
-fn drive_per_event(
-    stream: &[Vec<TelemetryEvent>],
-    fanout: &mut Fanout,
-    kinds: &[(&'static str, Counter)],
-) -> usize {
-    let mut log: Vec<TelemetryEvent> = Vec::new();
-    for tick in stream {
-        for event in tick {
-            observe_per_event(fanout, kinds, event);
-            log.push(event.clone());
-        }
-    }
-    black_box(log.len())
-}
-
-/// Drives `stream` through the batched path the dispatcher now runs:
+/// Drives `stream` through the path the dispatcher runs:
 /// row-encode into a [`TickBatch`], one `observe_batch` per tick into
 /// the fanned-out stack, one `push_batch` into the [`EventLog`].
 fn drive_batched(stream: &[Vec<TelemetryEvent>], fanout: &mut Fanout) -> usize {
@@ -226,37 +174,6 @@ fn drive_batched(stream: &[Vec<TelemetryEvent>], fanout: &mut Fanout) -> usize {
         log.push_batch(std::mem::take(&mut batch));
     }
     black_box(log.len())
-}
-
-/// The old kind-counter table: label-string keyed, scanned linearly.
-fn string_keyed_kinds(registry: &MetricsRegistry) -> Vec<(&'static str, Counter)> {
-    [
-        "admission",
-        "placed",
-        "beam",
-        "shed",
-        "bounce",
-        "retry",
-        "probe",
-        "health",
-        "rebalance",
-        "capture_arrival",
-        "capture_drop",
-        "capture_degrade",
-        "capture_drain",
-    ]
-    .iter()
-    .map(|&kind| {
-        (
-            kind,
-            registry.counter(
-                "bench_events_total",
-                "pre-refactor kind counters",
-                &[("kind", kind)],
-            ),
-        )
-    })
-    .collect()
 }
 
 /// Min-of-reps wall time for `f`, seconds.
@@ -281,48 +198,29 @@ fn run_watched(fleet: &ResolvedFleet, load: &SurveyLoad, observer: &mut dyn Obse
     run.report.completed
 }
 
-/// Asserts both delivery paths fold to the same operator view before
-/// anything is timed — a wrong fast path must fail the gate loudly,
-/// not post a fast number.
+/// Asserts the encoded stream decodes to what went in and that the
+/// live fold equals the post-run log fold before anything is timed — a
+/// wrong fold must fail the gate loudly, not post a fast number.
 fn self_check(stream: &[Vec<TelemetryEvent>]) {
     let flat: Vec<TelemetryEvent> = stream.iter().flatten().cloned().collect();
-    let registry = MetricsRegistry::new();
-    let live_a = LiveStatus::new(DEVICES);
-    let live_b = LiveStatus::new(DEVICES);
-    {
-        let mut live = live_a.clone();
-        let mut recorder = FlightRecorder::new(1 << 14);
-        let mut metrics = RegistryObserver::new(&registry, DEVICES);
-        let kinds = string_keyed_kinds(&registry);
-        let mut fanout = Fanout::new()
-            .with(&mut metrics)
-            .with(&mut recorder)
-            .with(&mut live);
-        drive_per_event(stream, &mut fanout, &kinds);
-    }
-
-    let mut batch_log = EventLog::new();
+    let live = LiveStatus::new(DEVICES);
+    let mut log = EventLog::new();
     let mut batch = TickBatch::new();
     for tick in stream {
         for event in tick {
             batch.push(event);
         }
-        live_b.fold_batch(&batch);
-        batch_log.push_batch(std::mem::take(&mut batch));
+        live.fold_batch(&batch);
+        log.push_batch(std::mem::take(&mut batch));
     }
     assert_eq!(
-        live_a.snapshot(),
-        live_b.snapshot(),
-        "batched and per-event folds disagree"
-    );
-    assert_eq!(
-        batch_log,
+        log,
         EventLog::from_events(&flat),
         "batched log decodes differently from the flat stream"
     );
     assert_eq!(
-        StatusSnapshot::from_log(DEVICES, &batch_log),
-        live_a.snapshot(),
+        StatusSnapshot::from_log(DEVICES, &log),
+        live.snapshot(),
         "log fold disagrees with the live fold"
     );
 }
@@ -338,23 +236,15 @@ struct Results {
     events_total: usize,
     devices: usize,
     /// Machine-dependent rates (million events/sec), recorded for
-    /// humans; the CI gate compares only the ratios below.
+    /// humans; the CI gate compares only the overhead below.
     ///
-    /// `deliver_*` price the observer seam alone (sink folds over an
-    /// already-encoded log); `emit_*` price the full pipeline
-    /// (encode/clone-push plus delivery plus run log).
-    deliver_per_event_meps: f64,
+    /// `deliver` prices the observer seam alone (sink folds over an
+    /// already-encoded log); `emit` prices the full pipeline (encode
+    /// plus delivery plus run log).
     deliver_batched_meps: f64,
-    emit_per_event_meps: f64,
     emit_batched_meps: f64,
-    /// End-to-end emit pipeline ratio, recorded for the trajectory
-    /// (bounded by encode bandwidth, so not floor-gated).
-    emit_speedup: f64,
     scheduler_null_secs: f64,
     scheduler_full_stack_secs: f64,
-    /// Gated: per-event delivery wall time over batched delivery wall
-    /// time, identical sinks, same encoded stream.
-    batched_speedup: f64,
     /// Gated: full-stack scheduler time over `NullObserver` time.
     observer_overhead_pct: f64,
 }
@@ -367,25 +257,7 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
     let events_total: usize = stream.iter().map(Vec::len).sum();
     self_check(&stream);
 
-    eprintln!(
-        "telemetry-bench: emit per-event path ({events_total} events x {ENCODE_REPS} reps) ..."
-    );
-    let emit_per_event_secs = time_min(ENCODE_REPS, || {
-        let registry = MetricsRegistry::new();
-        let mut live = LiveStatus::new(DEVICES);
-        let mut recorder = FlightRecorder::new(1 << 14);
-        let mut metrics = RegistryObserver::new(&registry, DEVICES);
-        let kinds = string_keyed_kinds(&registry);
-        let mut fanout = Fanout::new()
-            .with(&mut metrics)
-            .with(&mut recorder)
-            .with(&mut live);
-        drive_per_event(&stream, &mut fanout, &kinds)
-    });
-
-    eprintln!(
-        "telemetry-bench: emit batched path ({events_total} events x {ENCODE_REPS} reps) ..."
-    );
+    eprintln!("telemetry-bench: emit ({events_total} events x {ENCODE_REPS} reps) ...");
     let emit_batched_secs = time_min(ENCODE_REPS, || {
         let registry = MetricsRegistry::new();
         let mut live = LiveStatus::new(DEVICES);
@@ -398,9 +270,8 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
         drive_batched(&stream, &mut fanout)
     });
 
-    // The delivery comparison folds the same encoded log through the
-    // same sinks, per-event vs batched — encode once, outside the
-    // timed region.
+    // Delivery folds an already-encoded log — encode once, outside
+    // the timed region.
     let encoded = {
         let mut log = EventLog::new();
         let mut batch = TickBatch::new();
@@ -415,30 +286,7 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
     };
     drop(stream);
 
-    eprintln!(
-        "telemetry-bench: per-event delivery ({events_total} events x {ENCODE_REPS} reps) ..."
-    );
-    let deliver_per_event_secs = time_min(ENCODE_REPS, || {
-        let registry = MetricsRegistry::new();
-        let mut live = LiveStatus::new(DEVICES);
-        let mut recorder = FlightRecorder::new(1 << 14);
-        let mut metrics = RegistryObserver::new(&registry, DEVICES);
-        let kinds = string_keyed_kinds(&registry);
-        let mut fanout = Fanout::new()
-            .with(&mut metrics)
-            .with(&mut recorder)
-            .with(&mut live);
-        let mut n = 0;
-        for batch in encoded.batches() {
-            for event in batch.iter() {
-                observe_per_event(&mut fanout, &kinds, &event);
-                n += 1;
-            }
-        }
-        n
-    });
-
-    eprintln!("telemetry-bench: batched delivery ({events_total} events x {ENCODE_REPS} reps) ...");
+    eprintln!("telemetry-bench: delivery ({events_total} events x {ENCODE_REPS} reps) ...");
     let deliver_batched_secs = time_min(ENCODE_REPS, || {
         let registry = MetricsRegistry::new();
         let mut live = LiveStatus::new(DEVICES);
@@ -465,9 +313,9 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
     let load = SurveyLoad::custom(2000, fleet.beams_capacity() * 9 / 10, SCHED_TICKS);
     let null_secs = time_min(SCHED_REPS, || run_watched(&fleet, &load, &mut NullObserver));
     // Sink construction (metric registration in particular) happens
-    // once, outside the timed region — the gate prices per-event
-    // observation, not setup. State accumulating across reps does not
-    // change the per-event cost.
+    // once, outside the timed region — the gate prices observation,
+    // not setup. State accumulating across reps does not change the
+    // per-batch cost.
     let registry = MetricsRegistry::new();
     let mut live = LiveStatus::new(fleet.len());
     let mut recorder = FlightRecorder::new(1 << 14);
@@ -480,33 +328,23 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
 
     let meps = |secs: f64| events_total as f64 / secs / 1e6;
     Results {
-        schema: "dedisp-bench-telemetry-v1".to_string(),
+        schema: "dedisp-bench-telemetry-v2".to_string(),
         beams_per_tick,
         ticks,
         events_total,
         devices: DEVICES,
-        deliver_per_event_meps: meps(deliver_per_event_secs),
         deliver_batched_meps: meps(deliver_batched_secs),
-        emit_per_event_meps: meps(emit_per_event_secs),
         emit_batched_meps: meps(emit_batched_secs),
-        emit_speedup: emit_per_event_secs / emit_batched_secs,
         scheduler_null_secs: null_secs,
         scheduler_full_stack_secs: full_stack_secs,
-        batched_speedup: deliver_per_event_secs / deliver_batched_secs,
         observer_overhead_pct: (full_stack_secs - null_secs) / null_secs * 100.0,
     }
 }
 
-/// Applies the gate: the acceptance floors always, baseline drift when
+/// Applies the gate: the absolute ceiling always, baseline drift when
 /// a committed baseline is given. Returns the failures.
 fn gate(r: &Results, baseline: Option<&Results>) -> Vec<String> {
     let mut failures = Vec::new();
-    if r.batched_speedup < SPEEDUP_FLOOR {
-        failures.push(format!(
-            "batched_speedup {:.2}x is below the {SPEEDUP_FLOOR:.0}x floor",
-            r.batched_speedup
-        ));
-    }
     if r.observer_overhead_pct > OVERHEAD_CEILING_PCT {
         failures.push(format!(
             "observer_overhead_pct {:.2}% exceeds the {OVERHEAD_CEILING_PCT:.0}% ceiling",
@@ -514,14 +352,6 @@ fn gate(r: &Results, baseline: Option<&Results>) -> Vec<String> {
         ));
     }
     if let Some(base) = baseline {
-        if r.batched_speedup < base.batched_speedup * (1.0 - SPEEDUP_TOLERANCE) {
-            failures.push(format!(
-                "batched_speedup {:.2}x regressed more than {:.0}% below the baseline ({:.2}x)",
-                r.batched_speedup,
-                SPEEDUP_TOLERANCE * 100.0,
-                base.batched_speedup,
-            ));
-        }
         if r.observer_overhead_pct > base.observer_overhead_pct + OVERHEAD_SLACK_PCT {
             failures.push(format!(
                 "observer_overhead_pct {:.2}% exceeds baseline {:.2}% by more than {OVERHEAD_SLACK_PCT:.0} points",
@@ -563,23 +393,13 @@ fn main() -> ExitCode {
         "telemetry hot path: {} events ({} beams/tick x {} ticks)",
         results.events_total, results.beams_per_tick, results.ticks
     );
-    println!("observer delivery (same encoded log, same sinks):");
     println!(
-        "  per-event seam   {:>8.2} M events/s",
-        results.deliver_per_event_meps
+        "observer delivery (encoded log -> sinks):  {:>8.2} M events/s",
+        results.deliver_batched_meps
     );
     println!(
-        "  batched seam     {:>8.2} M events/s  ({:.2}x speedup, floor {:.0}x)",
-        results.deliver_batched_meps, results.batched_speedup, SPEEDUP_FLOOR
-    );
-    println!("end-to-end emit (encode/clone-push + delivery + run log):");
-    println!(
-        "  per-event path   {:>8.2} M events/s",
-        results.emit_per_event_meps
-    );
-    println!(
-        "  batched path     {:>8.2} M events/s  ({:.2}x, recorded, not gated)",
-        results.emit_batched_meps, results.emit_speedup
+        "end-to-end emit (encode + delivery + log): {:>8.2} M events/s",
+        results.emit_batched_meps
     );
     println!(
         "scheduler overhead: null {:.3}s vs full stack {:.3}s -> {:+.2}% (ceiling {:.0}%)",

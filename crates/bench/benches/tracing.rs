@@ -14,9 +14,10 @@
 //!    the ceiling — the same 5% the untraced stack is held to, now
 //!    with spans opening and closing around every tick phase.
 //! 2. **Burn-rate fold throughput (recorded)** — a synthetic
-//!    1M-beams/tick terminal-outcome stream pushed through
-//!    [`BurnRate::fold`]; the per-event cost is one lock and a few
-//!    adds, and the recorded rate documents it.
+//!    1M-beams/tick terminal-outcome stream, encoded one
+//!    [`TickBatch`] per tick, pushed through [`BurnRate::fold_batch`];
+//!    the cost is one lock per batch and a few adds per beam, and the
+//!    recorded rate documents it.
 //! 3. **Span record throughput (recorded)** — raw
 //!    `TraceSink::start`/drop pairs per second, the fixed price every
 //!    phase span pays.
@@ -41,7 +42,7 @@ use dedisp_fleet::obs::{
 };
 use dedisp_fleet::{
     BeamOutcome, BeamRecord, FleetReport, NullObserver, ResolvedFleet, Scheduler, SurveyLoad,
-    TelemetryEvent,
+    TelemetryEvent, TickBatch,
 };
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -127,8 +128,8 @@ struct Results {
     tracing_sched_traced_secs: f64,
     /// Gated: traced full-stack time over `NullObserver` time.
     tracing_overhead_pct: f64,
-    /// Recorded: `BurnRate::fold` throughput, million events/sec, on
-    /// the 1M-beams/tick terminal stream.
+    /// Recorded: `BurnRate::fold_batch` throughput, million events/sec,
+    /// on the 1M-beams/tick terminal stream.
     tracing_burn_fold_meps: f64,
     /// Recorded: raw span start/drop pairs, million ops/sec.
     tracing_span_rate_mops: f64,
@@ -209,16 +210,21 @@ fn measure() -> Results {
     // --- burn-rate fold throughput at 1M beams/tick -------------------
     let events_total = BEAMS_PER_TICK * STREAM_TICKS;
     eprintln!("tracing-bench: burn-rate fold ({events_total} terminal events) ...");
-    let stream: Vec<TelemetryEvent> = (0..events_total)
-        .map(|i| {
-            let at = i as f64 / BEAMS_PER_TICK as f64;
-            terminal(i, at, i % 128 == 127)
+    let stream: Vec<TickBatch> = (0..STREAM_TICKS)
+        .map(|tick| {
+            let mut batch = TickBatch::new();
+            batch.reserve_tick(BEAMS_PER_TICK);
+            for i in tick * BEAMS_PER_TICK..(tick + 1) * BEAMS_PER_TICK {
+                let at = i as f64 / BEAMS_PER_TICK as f64;
+                batch.push(&terminal(i, at, i % 128 == 127));
+            }
+            batch
         })
         .collect();
     let burn_secs = time_min(3, || {
         let slo = BurnRate::new(SloConfig::default());
-        for event in &stream {
-            slo.fold(black_box(event));
+        for batch in &stream {
+            slo.fold_batch(black_box(batch));
         }
         black_box(slo.snapshot().windows.len())
     });

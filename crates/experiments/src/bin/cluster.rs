@@ -38,7 +38,7 @@ use dedisp_fleet::obs::{
 use dedisp_fleet::proc::{serve_stdio, ProcOutcome};
 use dedisp_fleet::{
     ChaosSpec, FleetSpec, Grid, GridFaultPlan, GridObserver, GridReport, GridRun, ProcConfig,
-    ProcGridLedger, ResolvedFleet, ShardBackend, SurveyLoad, TelemetryEvent,
+    ProcGridLedger, ResolvedFleet, ShardBackend, SurveyLoad, TickBatch,
 };
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
@@ -179,8 +179,10 @@ fn summarize_supervision(ledger: &ProcGridLedger) {
 struct Throttle;
 
 impl GridObserver for Throttle {
-    fn observe_grid(&self, _shard: Option<usize>, _event: &TelemetryEvent) {
-        std::thread::sleep(PACE);
+    fn observe_grid_batch(&self, _shard: Option<usize>, batch: &TickBatch) {
+        for _ in 0..batch.len() {
+            std::thread::sleep(PACE);
+        }
     }
 }
 

@@ -26,7 +26,7 @@ use dedisp_fleet::obs::{
 };
 use dedisp_fleet::{
     Grid, GridFaultPlan, GridObserver, GridReport, GridRun, ResolvedFleet, StatusSnapshot,
-    SurveyLoad, TelemetryEvent,
+    SurveyLoad, TickBatch,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,8 +63,10 @@ fn headline(title: &str) {
 struct Throttle;
 
 impl GridObserver for Throttle {
-    fn observe_grid(&self, _shard: Option<usize>, _event: &TelemetryEvent) {
-        std::thread::sleep(PACE);
+    fn observe_grid_batch(&self, _shard: Option<usize>, batch: &TickBatch) {
+        for _ in 0..batch.len() {
+            std::thread::sleep(PACE);
+        }
     }
 }
 

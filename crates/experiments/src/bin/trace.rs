@@ -41,7 +41,7 @@ use dedisp_fleet::proc::{serve_stdio, ProcOutcome};
 use dedisp_fleet::{
     BeamOutcome, BeamRecord, ChaosSpec, FaultPlan, FleetReport, FleetSpec, Grid, GridReport,
     GridRun, ProcConfig, ProcGridLedger, ResolvedFleet, Scheduler, ShardBackend, SurveyLoad,
-    TelemetryEvent,
+    TelemetryEvent, TickBatch,
 };
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
@@ -132,26 +132,29 @@ fn normalized(report: &GridReport) -> GridReport {
     n
 }
 
-/// One terminal beam event at virtual time `at`, missed or clean —
-/// the raw material the SLO scenario feeds the fold.
-fn beam_event(at: f64, missed: bool) -> TelemetryEvent {
-    TelemetryEvent::Beam(BeamRecord {
-        index: 0,
-        tick: 0,
-        beam: 0,
-        outcome: if missed {
-            BeamOutcome::Missed {
-                device: 0,
-                finish: at,
-                kept_trials: 1,
-            }
-        } else {
-            BeamOutcome::Completed {
-                device: 0,
-                finish: at,
-            }
-        },
-    })
+/// `n` terminal beams as one batch, `step` virtual seconds apart from
+/// `start`, all missed or all clean — the raw material the SLO
+/// scenario feeds the fold.
+fn beam_batch(n: usize, start: f64, step: f64, missed: bool) -> TickBatch {
+    let mut batch = TickBatch::new();
+    for i in 0..n {
+        let finish = start + i as f64 * step;
+        batch.push(&TelemetryEvent::Beam(BeamRecord {
+            index: 0,
+            tick: 0,
+            beam: 0,
+            outcome: if missed {
+                BeamOutcome::Missed {
+                    device: 0,
+                    finish,
+                    kept_trials: 1,
+                }
+            } else {
+                BeamOutcome::Completed { device: 0, finish }
+            },
+        }));
+    }
+    batch
 }
 
 /// The machine-readable fingerprint the CI tracing job byte-diffs:
@@ -372,14 +375,12 @@ fn main() {
         &registry,
     );
     // Clean traffic: 200 beams over 10 virtual seconds, all on time.
-    for i in 0..200 {
-        slo.fold(&beam_event(i as f64 * 0.05, false));
-    }
+    slo.fold_batch(&beam_batch(200, 0.0, 0.05, false));
     assert_eq!(slo.state(), SloState::Ok);
     // A deadline-miss burst; record every distinct state on the way up.
     let mut walked = vec![SloState::Ok];
     for i in 0..60 {
-        slo.fold(&beam_event(10.0 + i as f64 * 0.01, true));
+        slo.fold_batch(&beam_batch(1, 10.0 + i as f64 * 0.01, 0.0, true));
         let state = slo.state();
         if walked.last() != Some(&state) {
             walked.push(state);
@@ -397,9 +398,7 @@ fn main() {
     assert!(rendered.contains("fleet_slo_state 2"));
     assert!(rendered.contains("fleet_slo_budget_fraction 0.05"));
     // Recovery: clean traffic slides the burst out of the short window.
-    for i in 0..2000 {
-        slo.fold(&beam_event(11.0 + i as f64 * 0.01, false));
-    }
+    slo.fold_batch(&beam_batch(2000, 11.0, 0.01, false));
     let slo_recovered = slo.snapshot();
     assert_ne!(slo_recovered.state, SloState::Page, "recovery never came");
 

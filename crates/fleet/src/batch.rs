@@ -22,18 +22,16 @@
 //!   ledgers byte-identical across the encoding swap.
 //! * [`EventLog`] — the stream handle run results carry: a sequence
 //!   of sealed batches that iterates, replays, and compares as a flat
-//!   event sequence regardless of how it was fed (per event or per
-//!   batch).
+//!   event sequence regardless of where its batch boundaries fall.
 //!
-//! Sinks consume batches through the batched observer seam
-//! ([`Observer::observe_batch`] / [`GridObserver::observe_grid_batch`]
-//! — default methods that replay a batch as individual events, so
-//! every existing per-event observer keeps working unchanged). The
-//! dispatcher emits *only* batches, flushed at its deterministic tick
-//! boundaries; incremental sinks ([`crate::obs::LiveStatus`],
+//! Sinks consume batches through the one observer seam
+//! ([`Observer::observe_batch`] / [`GridObserver::observe_grid_batch`]).
+//! The dispatcher emits *only* batches, flushed at its deterministic
+//! tick boundaries, so every sink ([`crate::obs::LiveStatus`],
 //! [`crate::obs::FlightRecorder`], [`crate::obs::RegistryObserver`])
-//! override the batch method to pay their lock once per tick instead
-//! of once per beam.
+//! pays its lock once per tick instead of once per beam. A single
+//! event is delivered as a batch of one ([`TickBatch::of`]) — an input
+//! to the same fold, never a second implementation of it.
 //!
 //! Phase spans ([`crate::obs::trace`]) deliberately stay *outside*
 //! this stream: a [`TickBatch`] holds only deterministic scheduling
@@ -277,10 +275,9 @@ pub(crate) struct AlgorithmSwitchRow {
 /// `(kind, row)` preserves exact emission order, so [`get`]/[`iter`]
 /// decode the original [`TelemetryEvent`] values losslessly.
 ///
-/// Batches are the unit of delivery on the batched observer seam
-/// ([`Observer::observe_batch`]): a sink that understands batches
-/// amortizes its per-event costs (locks, dispatch) over the whole
-/// block; one that doesn't gets the compatibility replay for free.
+/// Batches are the unit of delivery on the observer seam
+/// ([`Observer::observe_batch`]): a sink amortizes its per-delivery
+/// costs (locks, dispatch) over the whole block.
 ///
 /// [`push`]: TickBatch::push
 /// [`get`]: TickBatch::get
@@ -320,6 +317,13 @@ impl TickBatch {
     /// An empty batch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A batch of one: how a single event reaches a batch-only sink.
+    pub fn of(event: &TelemetryEvent) -> Self {
+        let mut batch = Self::new();
+        batch.push(event);
+        batch
     }
 
     /// Events encoded in the batch.
@@ -721,17 +725,11 @@ impl TickBatch {
         (0..self.len()).map(|i| self.get(i).expect("index in range"))
     }
 
-    /// Decoded events with their [`EventKind`], in emission order —
-    /// what indexed per-kind consumers (the metrics fold) iterate.
-    pub fn iter_with_kind(&self) -> impl Iterator<Item = (EventKind, TelemetryEvent)> + '_ {
-        (0..self.len()).map(|i| (self.order[i].0, self.get(i).expect("index in range")))
-    }
-
     /// Remaps beam identities in place: `map(local_index)` returns the
     /// `(global_index, global_beam)` pair for a shard-local job index,
     /// or `None` to leave it unchanged.
     ///
-    /// This is the batched form of the grid's per-event re-keying:
+    /// This is the grid's re-keying to global beam identity:
     /// `Placed`/`Bounce`/`Retry` rows take the new index,
     /// `Beam`/`Shed` rows take both the new index and the new
     /// tick-wide beam number. Device indices and everything else pass
@@ -766,17 +764,6 @@ impl TickBatch {
             }
         }
     }
-
-    /// Replays the batch event-by-event through a per-event observer.
-    ///
-    /// This is the compatibility adapter's workhorse: the default
-    /// [`Observer::observe_batch`] calls it, so per-event sinks see
-    /// exactly the stream they always saw.
-    pub fn replay(&self, observer: &mut dyn Observer) {
-        for event in self.iter() {
-            observer.observe(&event);
-        }
-    }
 }
 
 /// The telemetry stream a run carries: a sequence of sealed
@@ -784,8 +771,8 @@ impl TickBatch {
 ///
 /// `EventLog` replaces the raw `Vec<TelemetryEvent>` on run results
 /// ([`crate::FleetRun::log`], [`crate::CaptureRun::log`]). It can be
-/// fed either way — per event ([`EventLog::push`], or as an
-/// [`Observer`]) or per batch ([`EventLog::push_batch`]) — and its
+/// fed either way — per event ([`EventLog::push`]) or per batch
+/// ([`EventLog::push_batch`], or as an [`Observer`]) — and its
 /// iteration, replay, and equality are all defined over the decoded
 /// event sequence, so two logs compare equal exactly when they carry
 /// the same events in the same order, regardless of batch boundaries.
@@ -871,17 +858,14 @@ impl EventLog {
         self.batches().next().and_then(|b| b.get(0))
     }
 
-    /// Materializes the stream as a flat vector. This is the
-    /// compatibility escape hatch behind the deprecated raw-`Vec`
-    /// accessors — prefer [`EventLog::iter`] or [`EventLog::replay`],
-    /// which never build the flat copy.
+    /// Materializes the stream as a flat vector — prefer
+    /// [`EventLog::iter`] or [`EventLog::replay`], which never build
+    /// the flat copy.
     pub fn to_events(&self) -> Vec<TelemetryEvent> {
         self.iter().collect()
     }
 
-    /// Replays the stream through `observer`, batch by batch: batched
-    /// sinks fold each block in one step, per-event sinks get the
-    /// compatibility replay.
+    /// Replays the stream through `observer`, batch by batch.
     pub fn replay(&self, observer: &mut dyn Observer) {
         for batch in self.batches() {
             observer.observe_batch(batch);
@@ -898,10 +882,6 @@ impl PartialEq for EventLog {
 }
 
 impl Observer for EventLog {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.push(event);
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
         self.push_batch(batch.clone());
     }
@@ -1039,7 +1019,7 @@ mod tests {
         for kind in EventKind::ALL {
             assert_eq!(
                 batch.count_kind(kind),
-                batch.iter_with_kind().filter(|&(k, _)| k == kind).count(),
+                batch.iter().filter(|e| EventKind::of(e) == kind).count(),
                 "{}",
                 kind.label()
             );
@@ -1075,26 +1055,6 @@ mod tests {
                 other => assert_eq!(&other, original),
             }
         }
-    }
-
-    #[test]
-    fn the_default_observe_batch_replays_per_event() {
-        // A per-event-only observer sees the decoded stream verbatim
-        // through the compatibility default.
-        struct Collect(Vec<TelemetryEvent>);
-        impl Observer for Collect {
-            fn observe(&mut self, event: &TelemetryEvent) {
-                self.0.push(event.clone());
-            }
-        }
-        let events = sample_events();
-        let mut batch = TickBatch::new();
-        for event in &events {
-            batch.push(event);
-        }
-        let mut collect = Collect(Vec::new());
-        collect.observe_batch(&batch);
-        assert_eq!(collect.0, events);
     }
 
     #[test]
@@ -1134,7 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn a_log_is_an_observer_on_both_seams() {
+    fn a_log_is_an_observer_and_a_single_event_is_a_batch_of_one() {
         let events = sample_events();
         let mut batch = TickBatch::new();
         for event in &events {
@@ -1142,7 +1102,7 @@ mod tests {
         }
         let mut log = EventLog::new();
         log.observe_batch(&batch);
-        log.observe(&events[0]);
+        log.observe_batch(&TickBatch::of(&events[0]));
         let mut expected = events.clone();
         expected.push(events[0].clone());
         assert_eq!(log.to_events(), expected);

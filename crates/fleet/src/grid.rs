@@ -35,7 +35,7 @@ use crate::admission::GridAdmission;
 use crate::batch::TickBatch;
 use crate::descriptor::{FleetError, ResolvedFleet};
 use crate::load::LoadSource;
-use crate::metrics::{BeamOutcome, BeamRecord, FleetReport, ShedReason, ShedRecord};
+use crate::metrics::{BeamOutcome, FleetReport, ShedReason};
 use crate::obs::trace::{SpanKind, TraceSink};
 use crate::proc::{self, ProcConfig, ProcGridLedger, ShardSpec};
 use crate::scheduler::{FleetRun, Scheduler, SchedulerConfig};
@@ -176,16 +176,16 @@ impl<'a> GridSession<'a> {
     }
 
     /// Runs the grid like [`GridSession::run`], forwarding every
-    /// telemetry event to `observer` **live**, as the shard threads
-    /// emit them.
+    /// tick's [`TickBatch`] to `observer` **live**, as the shard
+    /// threads emit them.
     ///
     /// The observer is shared by reference across all shard threads
     /// (hence [`GridObserver`]'s `Sync` bound and `&self` callback);
-    /// each event arrives tagged with its shard and already re-keyed
+    /// each batch arrives tagged with its shard and already re-keyed
     /// to global beam identity through the same [`GlobalBeam`] tables
     /// the post-run [`ShardEvent`] stream uses. The partition layer's
-    /// rebalance decisions are forwarded first, tagged shard-less,
-    /// exactly as they lead the post-run stream. The returned
+    /// rebalance decisions are forwarded first, as one shard-less
+    /// batch, exactly as they lead the post-run stream. The returned
     /// [`GridRun`] is identical to [`GridSession::run`]'s — live
     /// observation never perturbs scheduling.
     ///
@@ -233,17 +233,19 @@ impl<'a> GridSession<'a> {
             .collect();
 
         // The partition layer's rebalance decisions lead the live
-        // stream, exactly as they lead the post-run `events` vec.
+        // stream as one shard-less batch, exactly as they lead the
+        // post-run `events` vec.
+        let mut prelude = TickBatch::new();
         for &(tick, index, from_shard, to_shard) in &rebalances {
-            observer.observe_grid(
-                None,
-                &TelemetryEvent::Rebalance {
-                    tick,
-                    index,
-                    from_shard,
-                    to_shard,
-                },
-            );
+            prelude.push(&TelemetryEvent::Rebalance {
+                tick,
+                index,
+                from_shard,
+                to_shard,
+            });
+        }
+        if !prelude.is_empty() {
+            observer.observe_grid_batch(None, &prelude);
         }
 
         // One real thread per shard; each shard session spawns its own
@@ -366,25 +368,17 @@ impl<'a> GridSession<'a> {
         // The grid's tagged telemetry stream: the partition layer's
         // rebalance decisions first (they predate every placement),
         // then each shard's stream re-keyed to global beam identity.
-        let mut events: Vec<ShardEvent> = rebalances
+        let mut events: Vec<ShardEvent> = prelude
             .iter()
-            .map(|&(tick, index, from_shard, to_shard)| ShardEvent {
-                shard: None,
-                event: TelemetryEvent::Rebalance {
-                    tick,
-                    index,
-                    from_shard,
-                    to_shard,
-                },
-            })
+            .map(|event| ShardEvent { shard: None, event })
             .collect();
         for (shard, (run, shard_load)) in shard_runs.iter().zip(&shard_loads).enumerate() {
             let globals = shard_load.global_beams();
-            for event in run.log.iter() {
-                events.push(ShardEvent {
+            for batch in run.log.batches() {
+                events.extend(rekeyed(batch, &globals).iter().map(|event| ShardEvent {
                     shard: Some(shard),
-                    event: rekey(&event, &globals),
-                });
+                    event,
+                }));
             }
         }
 
@@ -396,7 +390,7 @@ impl<'a> GridSession<'a> {
             &events,
             rehomed,
             supervisor,
-        );
+        )?;
         drop(merge_span);
         Ok(GridRun {
             report,
@@ -408,77 +402,20 @@ impl<'a> GridSession<'a> {
     }
 }
 
-/// Re-keys one shard-local telemetry event to global beam identity via
-/// the shard's [`GlobalBeam`] table (shard-local job index → global
-/// index and tick-wide beam number). Events without a beam identity
-/// pass through unchanged; device indices stay shard-local.
-fn rekey(event: &TelemetryEvent, globals: &[GlobalBeam]) -> TelemetryEvent {
-    let global = |index: usize| globals.get(index).map_or(index, |g| g.index);
-    match *event {
-        TelemetryEvent::Placed {
-            index,
-            device,
-            at,
-            kept_trials,
-            attempt,
-            canary,
-        } => TelemetryEvent::Placed {
-            index: global(index),
-            device,
-            at,
-            kept_trials,
-            attempt,
-            canary,
-        },
-        TelemetryEvent::Bounce {
-            index,
-            device,
-            at,
-            attempt,
-        } => TelemetryEvent::Bounce {
-            index: global(index),
-            device,
-            at,
-            attempt,
-        },
-        TelemetryEvent::Retry { index, at, attempt } => TelemetryEvent::Retry {
-            index: global(index),
-            at,
-            attempt,
-        },
-        TelemetryEvent::Beam(record) => {
-            let g = globals.get(record.index);
-            TelemetryEvent::Beam(BeamRecord {
-                index: g.map_or(record.index, |g| g.index),
-                tick: record.tick,
-                beam: g.map_or(record.beam, |g| g.beam),
-                outcome: record.outcome,
-            })
-        }
-        TelemetryEvent::Shed(ref shed) => {
-            let g = globals.get(shed.index);
-            TelemetryEvent::Shed(ShedRecord {
-                index: g.map_or(shed.index, |g| g.index),
-                tick: shed.tick,
-                beam: g.map_or(shed.beam, |g| g.beam),
-                shed_trials: shed.shed_trials,
-                kept_trials: shed.kept_trials,
-                reason: shed.reason,
-            })
-        }
-        TelemetryEvent::Admission { .. }
-        | TelemetryEvent::Probe { .. }
-        | TelemetryEvent::Health(_)
-        | TelemetryEvent::Rebalance { .. }
-        | TelemetryEvent::AlgorithmSwitch { .. }
-        | TelemetryEvent::Capture(_) => event.clone(),
-    }
+/// Re-keys one shard-local batch to global beam identity via the
+/// shard's [`GlobalBeam`] table (shard-local job index → global index
+/// and tick-wide beam number). Rows without a beam identity pass
+/// through unchanged; device indices stay shard-local.
+fn rekeyed(batch: &TickBatch, globals: &[GlobalBeam]) -> TickBatch {
+    let mut rekeyed = batch.clone();
+    rekeyed.rekey(|index| globals.get(index).map(|g| (g.index, g.beam)));
+    rekeyed
 }
 
 /// The per-shard live-forwarding adapter: a plain [`Observer`] handed
-/// to the shard's scheduler session, re-keying each event through the
-/// shard's [`GlobalBeam`] table and pushing it — shard-tagged — into
-/// the shared [`GridObserver`].
+/// to the shard's scheduler session, re-keying each batch through the
+/// shard's [`GlobalBeam`] table and handing it — shard-tagged — to the
+/// shared [`GridObserver`].
 struct ShardForward<'a> {
     shard: usize,
     globals: Vec<GlobalBeam>,
@@ -486,18 +423,9 @@ struct ShardForward<'a> {
 }
 
 impl Observer for ShardForward<'_> {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.sink
-            .observe_grid(Some(self.shard), &rekey(event, &self.globals));
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
-        // The batched form of the per-event re-keying above: remap the
-        // identity columns once over the whole block, then hand the
-        // shard-tagged batch to the grid sink in one call.
-        let mut rekeyed = batch.clone();
-        rekeyed.rekey(|index| self.globals.get(index).map(|g| (g.index, g.beam)));
-        self.sink.observe_grid_batch(Some(self.shard), &rekeyed);
+        self.sink
+            .observe_grid_batch(Some(self.shard), &rekeyed(batch, &self.globals));
     }
 }
 
@@ -619,6 +547,11 @@ impl GridReport {
     /// Builds the merged report as a fold over the grid's tagged
     /// telemetry stream: beam outcomes drive the counters, shed events
     /// the itemized ledger, both already re-keyed to global identity.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`FleetError`] if a shed event carries no shard tag —
+    /// the itemized ledger names the owning shard of every shed.
     fn build(
         load: &dyn LoadSource,
         policy: RebalancePolicy,
@@ -627,7 +560,7 @@ impl GridReport {
         events: &[ShardEvent],
         rehomed: usize,
         supervisor: Vec<ShardCondition>,
-    ) -> Self {
+    ) -> Result<Self, FleetError> {
         let mut completed = 0;
         let mut degraded = 0;
         let mut deadline_misses = 0;
@@ -658,7 +591,9 @@ impl GridReport {
                 TelemetryEvent::Shed(ref shed) => {
                     total_shed_trials += shed.shed_trials;
                     sheds.push(GridShedRecord {
-                        shard: tagged.shard.expect("shed events come from shards"),
+                        shard: tagged
+                            .shard
+                            .ok_or_else(|| FleetError::new("shed event without a shard tag"))?,
                         index: shed.index,
                         tick: shed.tick,
                         beam: shed.beam,
@@ -673,7 +608,7 @@ impl GridReport {
         // Shard streams arrive shard-by-shard; the global ledger is
         // ordered by global beam index.
         sheds.sort_by_key(|s| s.index);
-        Self {
+        Ok(Self {
             setup: load.setup().to_string(),
             trials: load.trials(),
             ticks: load.ticks(),
@@ -690,7 +625,7 @@ impl GridReport {
             supervisor,
             shards: shard_runs.iter().map(|r| r.report.clone()).collect(),
             makespan,
-        }
+        })
     }
 
     /// Whether the global ledger is conserved *and* agrees with the
@@ -952,14 +887,16 @@ mod tests {
 
     #[test]
     fn live_observers_see_the_rekeyed_stream_without_perturbing_the_run() {
-        use crate::obs::{FlightRecorder, GridFanout, LiveGrid};
+        use crate::obs::{FlightRecorder, GridFanout, GridRegistry, LiveGrid, MetricsRegistry};
         let shards = grid(&[&[0.1, 0.1], &[0.1, 0.1]], 1000);
         let load = SurveyLoad::custom(1000, 10, 4);
         let faults = GridFaultPlan::none().with_shard_flap(0, 0.25, 1.9);
 
         let live = LiveGrid::new(&[2, 2]);
         let recorder = FlightRecorder::new(1 << 16);
-        let sinks: [&dyn GridObserver; 2] = [&live, &recorder];
+        let registry = MetricsRegistry::new();
+        let metrics = GridRegistry::new(&registry, &[2, 2]);
+        let sinks: [&dyn GridObserver; 3] = [&live, &recorder, &metrics];
         let observed = Grid::session(&shards)
             .load(&load)
             .faults(&faults)
@@ -999,6 +936,22 @@ mod tests {
             observed.report.total_shed_trials
         );
         assert_eq!(snapshot.rebalances, observed.report.rehomed);
+        // The rebalance prelude reaches every sink's shard-less arm:
+        // each counts exactly the stream's `Rebalance` events.
+        let rebalances = observed
+            .events
+            .iter()
+            .filter(|e| matches!(e.event, TelemetryEvent::Rebalance { .. }))
+            .count();
+        assert!(rebalances > 0, "the flap re-homes beams");
+        assert_eq!(snapshot.rebalances, rebalances);
+        let counted = registry
+            .counter("fleet_grid_rebalances_total", "", &[])
+            .get();
+        assert_eq!(counted as usize, rebalances);
+        let shardless = recorder.tail(usize::MAX);
+        let shardless = shardless.iter().filter(|r| r.shard.is_none());
+        assert_eq!(shardless.count(), rebalances);
         // Per-shard live folds equal the post-run per-shard folds.
         for (s, post) in observed.status_snapshots().iter().enumerate() {
             let live_shard = live.shard_snapshot(s).unwrap();
@@ -1017,6 +970,37 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn a_shed_without_a_shard_tag_is_an_error_not_a_panic() {
+        use crate::metrics::ShedRecord;
+        let load = SurveyLoad::custom(100, 1, 1);
+        let shed = TelemetryEvent::Shed(ShedRecord {
+            index: 0,
+            tick: 0,
+            beam: 0,
+            shed_trials: 100,
+            kept_trials: 0,
+            reason: ShedReason::NoAliveDevices,
+        });
+        let build = |shard| {
+            GridReport::build(
+                &load,
+                RebalancePolicy::default(),
+                GridAdmission::default(),
+                &[],
+                &[ShardEvent {
+                    shard,
+                    event: shed.clone(),
+                }],
+                0,
+                Vec::new(),
+            )
+        };
+        assert_eq!(build(Some(0)).unwrap().sheds.len(), 1);
+        let err = build(None).unwrap_err();
+        assert!(err.to_string().contains("without a shard tag"));
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //!   bounces, probes, health transitions, terminal outcomes, grid
 //!   rebalances) on one typed stream. On the hot path the stream is
 //!   SoA-encoded: the dispatcher emits [`TickBatch`] blocks at its
-//!   deterministic tick boundaries through the batched observer seam
-//!   ([`Observer::observe_batch`], with a per-event compatibility
-//!   replay as the default), and runs carry the stream as an
+//!   deterministic tick boundaries through the one observer seam
+//!   ([`Observer::observe_batch`]; a single event is a batch of one,
+//!   [`TickBatch::of`]), and runs carry the stream as an
 //!   [`EventLog`]. Reports are folds over it, and a
 //!   [`StatusSnapshot`] — serde round-trippable, derivable from any
 //!   stream prefix — gives operators the queryable point-in-time view

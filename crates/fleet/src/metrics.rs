@@ -15,10 +15,10 @@
 //! [`crate::Observer`] (a [`crate::StatusSnapshot`], a future status
 //! endpoint) sees exactly the facts the report aggregates.
 
-use crate::batch::EventLog;
+use crate::batch::{EventLog, TickBatch};
 use crate::descriptor::ResolvedFleet;
 use crate::load::LoadSource;
-use crate::telemetry::{Observer, TelemetryEvent};
+use crate::telemetry::Observer;
 use serde::{Deserialize, Serialize};
 
 /// Terminal state of one beam-second.
@@ -270,66 +270,62 @@ impl ReportFold {
 }
 
 impl Observer for ReportFold {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        match *event {
-            TelemetryEvent::Beam(record) => match record.outcome {
+    /// Walks the columns that carry report facts. Every counter is
+    /// commutative, the makespan is a running maximum, and each
+    /// ordered ledger (`sheds`, `health_events`, per-device final
+    /// health) lives in a single column whose order is the stream
+    /// order, so no event is decoded. Admission, rebalance,
+    /// algorithm-switch and capture rows never change beam accounting
+    /// — the capture ledger, status snapshot and metrics registry
+    /// track those — so the report's shape (and every pinned
+    /// fingerprint) stays fixed.
+    fn observe_batch(&mut self, batch: &TickBatch) {
+        for record in &batch.beams {
+            let at = match record.outcome {
                 BeamOutcome::Completed { finish, .. } => {
                     self.completed += 1;
-                    self.makespan = self.makespan.max(finish);
+                    finish
                 }
                 BeamOutcome::Degraded { finish, .. } => {
                     self.degraded += 1;
-                    self.makespan = self.makespan.max(finish);
+                    finish
                 }
                 BeamOutcome::Missed { finish, .. } => {
                     self.deadline_misses += 1;
-                    self.makespan = self.makespan.max(finish);
+                    finish
                 }
                 BeamOutcome::ShedWhole { at, .. } => {
                     self.shed_whole += 1;
-                    self.makespan = self.makespan.max(at);
+                    at
                 }
-            },
-            TelemetryEvent::Shed(ref shed) => {
-                self.total_shed_trials += shed.shed_trials;
-                if shed.reason == ShedReason::RetryBudgetExhausted {
-                    self.retry_exhausted += 1;
-                }
-                self.sheds.push(shed.clone());
-            }
-            TelemetryEvent::Bounce { device, .. } => {
-                self.bounced += 1;
-                if let Some(b) = self.device_bounces.get_mut(device) {
-                    *b += 1;
-                }
-            }
-            TelemetryEvent::Retry { .. } => self.retries += 1,
-            TelemetryEvent::Probe { .. } => self.probes += 1,
-            TelemetryEvent::Placed { canary, .. } => {
-                if canary {
-                    self.canaries += 1;
-                }
-            }
-            TelemetryEvent::Health(health) => {
-                if health.to == HealthState::Healthy {
-                    self.recoveries += 1;
-                }
-                if let Some(h) = self.final_health.get_mut(health.device) {
-                    *h = health.to;
-                }
-                self.health_events.push(health);
-            }
-            // Capture events predate scheduling and never change beam
-            // accounting; the capture ledger reconciles them instead.
-            // Algorithm switches change *rates*, not beam accounting —
-            // the status snapshot and metrics registry track them, so
-            // the report's shape (and every pinned fingerprint) stays
-            // fixed.
-            TelemetryEvent::Admission { .. }
-            | TelemetryEvent::Rebalance { .. }
-            | TelemetryEvent::AlgorithmSwitch { .. }
-            | TelemetryEvent::Capture(_) => {}
+            };
+            self.makespan = self.makespan.max(at);
         }
+        for shed in &batch.sheds {
+            self.total_shed_trials += shed.shed_trials;
+            if shed.reason == ShedReason::RetryBudgetExhausted {
+                self.retry_exhausted += 1;
+            }
+        }
+        self.sheds.extend_from_slice(&batch.sheds);
+        self.bounced += batch.bounces.len();
+        for bounce in &batch.bounces {
+            if let Some(b) = self.device_bounces.get_mut(bounce.device as usize) {
+                *b += 1;
+            }
+        }
+        self.retries += batch.retries.len();
+        self.probes += batch.probes.len();
+        self.canaries += batch.placed.iter().filter(|r| r.canary).count();
+        for health in &batch.health {
+            if health.to == HealthState::Healthy {
+                self.recoveries += 1;
+            }
+            if let Some(h) = self.final_health.get_mut(health.device) {
+                *h = health.to;
+            }
+        }
+        self.health_events.extend_from_slice(&batch.health);
     }
 }
 
@@ -450,6 +446,7 @@ pub(crate) struct WorkerStats {
 mod tests {
     use super::*;
     use crate::survey::SurveyLoad;
+    use crate::telemetry::TelemetryEvent;
 
     #[test]
     fn report_json_roundtrip() {
@@ -533,6 +530,30 @@ mod tests {
         assert!((report.makespan - 0.9).abs() < 1e-12);
         let back = FleetReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn report_fold_is_invariant_under_batch_boundaries() {
+        use crate::fault::FaultPlan;
+        use crate::scheduler::Scheduler;
+        // A kill mid-run puts bounces, retries, probes, health
+        // transitions and sheds in the stream beside the beams.
+        let fleet = ResolvedFleet::synthetic(400, &[0.2, 0.2, 0.3]);
+        let load = SurveyLoad::custom(400, 12, 4);
+        let faults = FaultPlan::none().with_kill(1, 0.5);
+        let run = Scheduler::session(&fleet)
+            .load(&load)
+            .faults(&faults)
+            .run()
+            .unwrap();
+        let mut per_tick = ReportFold::new(fleet.len());
+        run.log.replay(&mut per_tick);
+        assert!(per_tick.bounced > 0 && !per_tick.health_events.is_empty());
+        let mut singletons = ReportFold::new(fleet.len());
+        for event in run.log.iter() {
+            singletons.observe_batch(&TickBatch::of(&event));
+        }
+        assert_eq!(singletons, per_tick);
     }
 
     #[test]

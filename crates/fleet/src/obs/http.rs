@@ -650,7 +650,7 @@ mod tests {
     use super::*;
     use crate::obs::{GridStatusSnapshot, RegistryObserver};
     use crate::telemetry::{GridObserver, TelemetryEvent};
-    use crate::StatusSnapshot;
+    use crate::{StatusSnapshot, TickBatch};
 
     fn test_state() -> ObsState {
         let registry = MetricsRegistry::new();
@@ -663,9 +663,10 @@ mod tests {
                 at: device as f64,
                 up: true,
             };
-            observer.fold(&event);
-            recorder.record(Some(0), &event);
-            live.observe_grid(Some(0), &event);
+            let batch = TickBatch::of(&event);
+            observer.fold_batch(&batch);
+            recorder.record_batch(Some(0), &batch);
+            live.observe_grid_batch(Some(0), &batch);
         }
         ObsState::new(registry, recorder, live)
     }

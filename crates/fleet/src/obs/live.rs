@@ -9,7 +9,7 @@
 //! aggregates them into a [`GridStatusSnapshot`] on demand.
 
 use crate::batch::TickBatch;
-use crate::telemetry::{GridObserver, Observer, StatusSnapshot, TelemetryEvent};
+use crate::telemetry::{GridObserver, Observer, StatusSnapshot};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Attach it to a session with [`crate::Session::run_with`] (directly,
 /// or inside a [`Fanout`]); any clone can take [`LiveStatus::snapshot`]
 /// at any moment of the run. Writes are one short `RwLock` write
-/// section per event; readers never block writers for long (a snapshot
+/// section per batch; readers never block writers for long (a snapshot
 /// is a clone under the read lock).
 #[derive(Debug, Clone)]
 pub struct LiveStatus {
@@ -34,13 +34,8 @@ impl LiveStatus {
         }
     }
 
-    /// Folds one event into the live snapshot.
-    pub fn fold(&self, event: &TelemetryEvent) {
-        self.inner.write().observe(event);
-    }
-
-    /// Folds a whole batch under one write section — the incremental
-    /// hot path: one lock acquisition per tick instead of per event.
+    /// Folds a whole batch under one write section: one lock
+    /// acquisition per tick.
     pub fn fold_batch(&self, batch: &TickBatch) {
         self.inner.write().observe_batch(batch);
     }
@@ -52,10 +47,6 @@ impl LiveStatus {
 }
 
 impl Observer for LiveStatus {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.fold(event);
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
         self.fold_batch(batch);
     }
@@ -200,17 +191,6 @@ impl LiveGrid {
 }
 
 impl GridObserver for LiveGrid {
-    fn observe_grid(&self, shard: Option<usize>, event: &TelemetryEvent) {
-        match shard {
-            Some(s) => {
-                if let Some(live) = self.shards.get(s) {
-                    live.fold(event);
-                }
-            }
-            None => self.front.fold(event),
-        }
-    }
-
     fn observe_grid_batch(&self, shard: Option<usize>, batch: &TickBatch) {
         match shard {
             Some(s) => {
@@ -249,15 +229,7 @@ impl<'a> Fanout<'a> {
 }
 
 impl Observer for Fanout<'_> {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        for sink in &mut self.sinks {
-            sink.observe(event);
-        }
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
-        // Forward the batch itself: each sink applies its own batched
-        // fast path (or the compatibility replay) independently.
         for sink in &mut self.sinks {
             sink.observe_batch(batch);
         }
@@ -279,12 +251,6 @@ impl<'a> GridFanout<'a> {
 }
 
 impl GridObserver for GridFanout<'_> {
-    fn observe_grid(&self, shard: Option<usize>, event: &TelemetryEvent) {
-        for sink in self.sinks {
-            sink.observe_grid(shard, event);
-        }
-    }
-
     fn observe_grid_batch(&self, shard: Option<usize>, batch: &TickBatch) {
         for sink in self.sinks {
             sink.observe_grid_batch(shard, batch);
@@ -295,7 +261,7 @@ impl GridObserver for GridFanout<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ResolvedFleet, Scheduler, SurveyLoad};
+    use crate::{ResolvedFleet, Scheduler, SurveyLoad, TelemetryEvent};
 
     #[test]
     fn live_status_equals_the_post_run_fold_and_fanout_feeds_everyone() {
@@ -318,30 +284,23 @@ mod tests {
     #[test]
     fn grid_snapshot_aggregates_shards_and_roundtrips() {
         let grid = LiveGrid::new(&[2, 1]);
-        grid.observe_grid(
-            Some(0),
-            &TelemetryEvent::Probe {
+        let probe = |at| {
+            TickBatch::of(&TelemetryEvent::Probe {
                 device: 0,
-                at: 1.0,
+                at,
                 up: true,
-            },
-        );
-        grid.observe_grid(
-            Some(1),
-            &TelemetryEvent::Probe {
-                device: 0,
-                at: 2.0,
-                up: true,
-            },
-        );
-        grid.observe_grid(
+            })
+        };
+        grid.observe_grid_batch(Some(0), &probe(1.0));
+        grid.observe_grid_batch(Some(1), &probe(2.0));
+        grid.observe_grid_batch(
             None,
-            &TelemetryEvent::Rebalance {
+            &TickBatch::of(&TelemetryEvent::Rebalance {
                 tick: 0,
                 index: 3,
                 from_shard: 0,
                 to_shard: 1,
-            },
+            }),
         );
         let snapshot = grid.snapshot();
         assert_eq!(snapshot.probes, 2);
@@ -352,14 +311,7 @@ mod tests {
         let back = GridStatusSnapshot::from_json(&snapshot.to_json()).unwrap();
         assert_eq!(back, snapshot);
         // Unknown shard tags are dropped, not a panic.
-        grid.observe_grid(
-            Some(9),
-            &TelemetryEvent::Probe {
-                device: 0,
-                at: 3.0,
-                up: true,
-            },
-        );
+        grid.observe_grid_batch(Some(9), &probe(3.0));
         assert_eq!(grid.snapshot().probes, 2);
     }
 }

@@ -13,7 +13,7 @@
 //! format `GET /events` serves and [`FlightRecorder::from_ndjson`]
 //! parses back for post-incident replay.
 
-use crate::batch::TickBatch;
+use crate::batch::{EventLog, TickBatch};
 use crate::telemetry::{GridObserver, Observer, StatusSnapshot, TelemetryEvent};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -74,63 +74,49 @@ impl Recorder {
         shard.map_or(0, |s| s + 1)
     }
 
-    fn record(&mut self, shard: Option<usize>, event: &TelemetryEvent) {
-        self.record_owned(shard, event.clone());
-    }
-
-    /// The allocation-honest path: the event is moved into the ring,
-    /// never cloned. Batch decoding feeds this directly, so a recorded
-    /// event is materialized exactly once.
-    fn record_owned(&mut self, shard: Option<usize>, event: TelemetryEvent) {
-        let slot = Self::slot(shard);
-        if slot >= self.rings.len() {
-            self.rings.resize_with(slot + 1, Ring::default);
-        }
-        let ring = &mut self.rings[slot];
-        if ring.buf.len() == self.capacity {
-            ring.buf.pop_front();
-        }
-        ring.buf.push_back(RecordedEvent {
-            seq: self.next_seq,
-            shard,
-            event,
-        });
-        self.next_seq += 1;
-        self.recorded += 1;
-    }
-
     /// Records a whole batch. Because a ring keeps only the newest
     /// `capacity` events per shard and the entire batch lands in one
     /// ring, any event deeper than `capacity` from the batch's end
     /// would be evicted before the batch finished — so those are never
     /// decoded at all. The sequence stamps and the recorded/dropped
     /// accounting still advance exactly as if every event had been
-    /// pushed and aged out, which keeps `tail`, `recorded`, and
-    /// `dropped` identical to the per-event path.
+    /// pushed and aged out, so `tail`, `recorded`, and `dropped` do
+    /// not depend on where batch boundaries fall. Each kept event is
+    /// decoded straight into the ring: materialized once, never cloned.
     fn record_batch(&mut self, shard: Option<usize>, batch: &TickBatch) {
+        if batch.is_empty() {
+            return;
+        }
+        let slot = Self::slot(shard);
+        if slot >= self.rings.len() {
+            self.rings.resize_with(slot + 1, Ring::default);
+        }
+        let ring = &mut self.rings[slot].buf;
         let skip = batch.len().saturating_sub(self.capacity);
         if skip > 0 {
-            let slot = Self::slot(shard);
-            if slot >= self.rings.len() {
-                self.rings.resize_with(slot + 1, Ring::default);
-            }
-            self.rings[slot].buf.clear();
-            self.next_seq += skip as u64;
-            self.recorded += skip as u64;
+            ring.clear();
         }
         for i in skip..batch.len() {
-            let event = batch.get(i).expect("order index in range");
-            self.record_owned(shard, event);
+            if ring.len() == self.capacity {
+                ring.pop_front();
+            }
+            ring.push_back(RecordedEvent {
+                seq: self.next_seq + i as u64,
+                shard,
+                event: batch.get(i).expect("order index in range"),
+            });
         }
+        self.next_seq += batch.len() as u64;
+        self.recorded += batch.len() as u64;
     }
 }
 
 /// A bounded, thread-shareable flight recorder.
 ///
 /// Cloning shares the ring. Recording takes one short
-/// [`parking_lot::Mutex`] critical section (a clone plus two queue
-/// ops); the buffer holds at most `capacity` events *per shard*, so
-/// memory stays bounded however long a run is.
+/// [`parking_lot::Mutex`] critical section per batch; the buffer holds
+/// at most `capacity` events *per shard*, so memory stays bounded
+/// however long a run is.
 ///
 /// Use it as an [`Observer`] on a single-fleet session (events land in
 /// the shard-less ring) or as a [`GridObserver`] on
@@ -154,14 +140,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one event under a shard tag.
-    pub fn record(&self, shard: Option<usize>, event: &TelemetryEvent) {
-        self.inner.lock().record(shard, event);
-    }
-
     /// Records a whole batch under one lock acquisition, moving each
-    /// decoded event straight into the ring — the batched hot path the
-    /// [`Observer`]/[`GridObserver`] batch seams use. Events that the
+    /// decoded event straight into the ring. Events that the
     /// ring bound would evict before the batch finished are accounted
     /// for (sequence stamps and drop counts advance) but never
     /// decoded, so recording cost is bounded by the ring capacity, not
@@ -311,29 +291,18 @@ impl FlightRecorder {
         shard: Option<usize>,
         devices: usize,
     ) -> StatusSnapshot {
-        let mut snapshot = StatusSnapshot::new(devices);
-        for event in events.iter().filter(|e| e.shard == shard) {
-            snapshot.observe(&event.event);
-        }
-        snapshot
+        let kept = events.iter().filter(|e| e.shard == shard);
+        StatusSnapshot::from_log(devices, &EventLog::from_events(kept.map(|e| &e.event)))
     }
 }
 
 impl Observer for FlightRecorder {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.record(None, event);
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
         self.record_batch(None, batch);
     }
 }
 
 impl GridObserver for FlightRecorder {
-    fn observe_grid(&self, shard: Option<usize>, event: &TelemetryEvent) {
-        self.record(shard, event);
-    }
-
     fn observe_grid_batch(&self, shard: Option<usize>, batch: &TickBatch) {
         self.record_batch(shard, batch);
     }
@@ -343,21 +312,21 @@ impl GridObserver for FlightRecorder {
 mod tests {
     use super::*;
 
-    fn probe(device: usize, at: f64) -> TelemetryEvent {
-        TelemetryEvent::Probe {
+    fn probe(device: usize, at: f64) -> TickBatch {
+        TickBatch::of(&TelemetryEvent::Probe {
             device,
             at,
             up: true,
-        }
+        })
     }
 
     #[test]
     fn ring_is_bounded_per_shard_and_keeps_the_newest() {
         let recorder = FlightRecorder::new(3);
         for i in 0..5 {
-            recorder.record(Some(0), &probe(i, i as f64));
+            recorder.record_batch(Some(0), &probe(i, i as f64));
         }
-        recorder.record(Some(1), &probe(9, 9.0));
+        recorder.record_batch(Some(1), &probe(9, 9.0));
         assert_eq!(recorder.len(), 4, "shard 0 capped at 3, shard 1 holds 1");
         assert_eq!(recorder.recorded(), 6);
         assert_eq!(recorder.dropped(), 2);

@@ -12,8 +12,8 @@
 //! [`RegistryObserver`] is the bridge from the telemetry stream: it
 //! derives the standard fleet metrics (event-kind counters, terminal
 //! outcome counters, per-device queue-depth gauges, the per-tick drain
-//! latency and placement-attempt histograms) purely from
-//! [`TelemetryEvent`]s, so the scheduler/shard/grid hot paths stay
+//! latency and placement-attempt histograms) purely from the
+//! [`TickBatch`] stream, so the scheduler/shard/grid hot paths stay
 //! untouched apart from observer wiring. [`GridRegistry`] fans one of
 //! those out per shard, labelled `shard="<i>"`, behind the live
 //! [`crate::GridObserver`] interface.
@@ -21,7 +21,7 @@
 use crate::batch::{EventKind, TickBatch};
 use crate::capture::{BackpressurePolicy, CaptureDropCause};
 use crate::metrics::{BeamOutcome, FleetReport};
-use crate::telemetry::{CaptureEvent, GridObserver, Observer, TelemetryEvent};
+use crate::telemetry::{CaptureEvent, GridObserver, Observer};
 use manycore_sim::Algorithm;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -394,10 +394,10 @@ struct DeviceCells {
 /// telemetry stream into a [`MetricsRegistry`].
 ///
 /// All handles are registered up front (one write-lock pass at
-/// construction); observing an event is a handful of relaxed atomic
-/// updates. The tick table backing the drain-latency histogram grows
-/// behind a [`parking_lot::RwLock`], written only on `Admission`
-/// events (once per tick).
+/// construction); folding a batch is a handful of relaxed atomic
+/// updates per touched cell. The tick table backing the
+/// drain-latency histogram grows behind a [`parking_lot::RwLock`],
+/// written only on `Admission` events (once per tick).
 ///
 /// Everything derived here folds from the deterministic event stream,
 /// so the rendered metrics of a finished run are as reproducible as
@@ -438,8 +438,8 @@ pub struct RegistryObserver {
 }
 
 /// The `fleet_events_total` label table, in [`EventKind`] discriminant
-/// order — [`RegistryObserver::fold`] indexes the counter vector by
-/// `EventKind::index()`, so this order is load-bearing (pinned by the
+/// order — [`RegistryObserver::fold_batch`] indexes the counter vector
+/// by `EventKind::index()`, so this order is load-bearing (pinned by the
 /// `event_kind_labels_match_the_counter_table` test).
 const EVENT_KINDS: [&str; 14] = [
     "admission",
@@ -688,43 +688,18 @@ impl RegistryObserver {
         }
     }
 
-    fn depth_delta(&self, d: usize, delta: i64) {
-        if let Some(cells) = self.device(d) {
-            let depth = if delta >= 0 {
-                cells.depth.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-            } else {
-                let sub = (-delta) as u64;
-                let before = cells.depth.load(Ordering::Relaxed);
-                let after = before.saturating_sub(sub);
-                cells.depth.store(after, Ordering::Relaxed);
-                after
-            };
-            cells.queue_depth.set(depth as f64);
-            if depth > cells.peak.load(Ordering::Relaxed) {
-                cells.peak.store(depth, Ordering::Relaxed);
-                cells.queue_depth_peak.set(depth as f64);
-            }
-        }
-    }
-
-    /// Folds one event; `&self` because every cell is atomic (this is
-    /// what lets [`GridRegistry`] share per-shard observers across
-    /// threads behind [`GridObserver`]).
-    pub fn fold(&self, event: &TelemetryEvent) {
-        self.fold_kind(EventKind::of(event));
-        self.fold_detail(event);
-    }
-
     /// Folds a whole batch straight off its columns — no event is
-    /// materialized. Per-kind counters add the column lengths;
-    /// commutative details (outcomes, sheds, canaries, recoveries,
-    /// capture counts, histograms) accumulate locally and flush with
-    /// one atomic touch per cell; the order-sensitive queue-depth
-    /// trajectory walks the order table once with local per-device
-    /// state and writes each touched cell back once. The final
-    /// registry state matches folding the same events one at a time,
-    /// except that histogram sums are grouped before the atomic add
-    /// (floating-point rounding can differ in the last ulp).
+    /// materialized; `&self` because every cell is atomic (this is
+    /// what lets [`GridRegistry`] share per-shard observers across
+    /// threads behind [`GridObserver`]). Per-kind counters add the
+    /// column lengths; commutative details (outcomes, sheds, canaries,
+    /// recoveries, capture counts, histograms) accumulate locally and
+    /// flush with one atomic touch per cell; the order-sensitive
+    /// queue-depth trajectory replays `depth_steps` once with local
+    /// per-device state and writes each touched cell back once. The
+    /// final registry state does not depend on where batch boundaries
+    /// fall, except that histogram sums are grouped before the atomic
+    /// add (floating-point rounding can differ in the last ulp).
     pub fn fold_batch(&self, batch: &TickBatch) {
         if batch.is_empty() {
             return;
@@ -740,7 +715,7 @@ impl RegistryObserver {
         // Admission gauges are last-write-wins; the tick table takes
         // one write lock for the whole batch. Admissions precede their
         // tick's beams in the stream, so filling the table before the
-        // beam fold below preserves the per-event drain semantics.
+        // beam fold below gives every beam its own tick's release.
         if let Some(last) = batch.admissions.last() {
             self.tick.set(last.tick as f64);
             self.kept_trials.set(last.kept_trials as f64);
@@ -856,9 +831,8 @@ impl RegistryObserver {
         }
     }
 
-    /// The capture column of a batched fold: counts accumulate
-    /// locally; the ring gauges are last-write-wins with a monotone
-    /// peak, exactly as the per-event fold leaves them.
+    /// The capture column of the fold: counts accumulate locally; the
+    /// ring gauges are last-write-wins with a monotone peak.
     fn fold_captures(&self, captures: &[CaptureEvent]) {
         let mut arrivals = 0u64;
         let mut last_drain = None;
@@ -907,130 +881,6 @@ impl RegistryObserver {
         }
     }
 
-    /// Bumps the `fleet_events_total` counter for `kind`, indexed by
-    /// the dense discriminant (the counter vector is built from
-    /// [`EVENT_KINDS`], which is in [`EventKind`] order).
-    fn fold_kind(&self, kind: EventKind) {
-        if let Some((_, c)) = self.events.get(kind.index()) {
-            c.inc();
-        }
-    }
-
-    /// Everything [`RegistryObserver::fold`] derives beyond the
-    /// per-kind counter.
-    fn fold_detail(&self, event: &TelemetryEvent) {
-        match *event {
-            TelemetryEvent::Admission {
-                tick,
-                release,
-                deadline,
-                kept_trials,
-                shed_tiers,
-                ..
-            } => {
-                self.tick.set(tick as f64);
-                self.kept_trials.set(kept_trials as f64);
-                self.shed_tiers.set(shed_tiers as f64);
-                let mut ticks = self.ticks.write();
-                if tick >= ticks.len() {
-                    ticks.resize(tick + 1, (release, deadline));
-                }
-                ticks[tick] = (release, deadline);
-            }
-            TelemetryEvent::Placed {
-                device,
-                attempt,
-                canary,
-                ..
-            } => {
-                self.attempts.observe(attempt as f64);
-                if canary {
-                    self.canaries.inc();
-                }
-                self.depth_delta(device, 1);
-            }
-            TelemetryEvent::Beam(ref record) => {
-                let (name, finish, device) = match record.outcome {
-                    BeamOutcome::Completed { device, finish } => {
-                        ("completed", Some(finish), Some(device))
-                    }
-                    BeamOutcome::Degraded { device, finish, .. } => {
-                        ("degraded", Some(finish), Some(device))
-                    }
-                    BeamOutcome::Missed { device, finish, .. } => {
-                        ("missed", Some(finish), Some(device))
-                    }
-                    BeamOutcome::ShedWhole { .. } => ("shed_whole", None, None),
-                };
-                if let Some((_, c)) = self.outcomes.iter().find(|(n, _)| *n == name) {
-                    c.inc();
-                }
-                if let Some(finish) = finish {
-                    if let Some(&(release, _)) = self.ticks.read().get(record.tick) {
-                        self.drain.observe(finish - release);
-                    }
-                }
-                if let Some(device) = device {
-                    self.depth_delta(device, -1);
-                }
-            }
-            TelemetryEvent::Shed(ref shed) => {
-                self.shed_trials.add(shed.shed_trials as u64);
-            }
-            TelemetryEvent::Bounce { device, .. } => {
-                if let Some(cells) = self.device(device) {
-                    cells.bounces.inc();
-                }
-                self.depth_delta(device, -1);
-            }
-            TelemetryEvent::Health(health) => {
-                if health.to == crate::metrics::HealthState::Healthy {
-                    self.recoveries.inc();
-                }
-            }
-            TelemetryEvent::Capture(capture) => match capture {
-                CaptureEvent::Arrival { .. } => self.capture_arrivals.inc(),
-                CaptureEvent::Drop { cause, .. } => {
-                    if let Some((_, c)) = self
-                        .capture_drops
-                        .iter()
-                        .find(|(label, _)| *label == cause.label())
-                    {
-                        c.inc();
-                    }
-                }
-                CaptureEvent::Degrade { policy, .. } => {
-                    if let Some((_, c)) = self
-                        .capture_degrades
-                        .iter()
-                        .find(|(label, _)| *label == policy.label())
-                    {
-                        c.inc();
-                    }
-                }
-                CaptureEvent::Drain {
-                    backlog_blocks,
-                    ring_bytes,
-                    ..
-                } => {
-                    self.capture_ring_fill.set(ring_bytes as f64);
-                    self.capture_backlog.set(backlog_blocks as f64);
-                    if (ring_bytes as u64) > self.capture_peak.load(Ordering::Relaxed) {
-                        self.capture_peak
-                            .store(ring_bytes as u64, Ordering::Relaxed);
-                        self.capture_ring_fill_peak.set(ring_bytes as f64);
-                    }
-                }
-            },
-            TelemetryEvent::AlgorithmSwitch {
-                device, from, to, ..
-            } => self.fold_switch(device, from, to),
-            TelemetryEvent::Retry { .. }
-            | TelemetryEvent::Probe { .. }
-            | TelemetryEvent::Rebalance { .. } => {}
-        }
-    }
-
     /// Imports the post-run, worker-observed queue high-water marks of
     /// `report` as `fleet_device_max_queue_depth` gauges.
     ///
@@ -1058,10 +908,6 @@ impl RegistryObserver {
 }
 
 impl Observer for RegistryObserver {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.fold(event);
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
         self.fold_batch(batch);
     }
@@ -1109,21 +955,6 @@ impl GridRegistry {
 }
 
 impl GridObserver for GridRegistry {
-    fn observe_grid(&self, shard: Option<usize>, event: &TelemetryEvent) {
-        match shard {
-            Some(s) => {
-                if let Some(observer) = self.shards.get(s) {
-                    observer.fold(event);
-                }
-            }
-            None => {
-                if matches!(event, TelemetryEvent::Rebalance { .. }) {
-                    self.rebalances.inc();
-                }
-            }
-        }
-    }
-
     fn observe_grid_batch(&self, shard: Option<usize>, batch: &TickBatch) {
         match shard {
             Some(s) => {
@@ -1176,7 +1007,7 @@ mod tests {
 
     #[test]
     fn event_kind_labels_match_the_counter_table() {
-        // `fold_kind` indexes the counter vector by the dense
+        // `fold_batch` indexes the counter vector by the dense
         // discriminant; the label table must stay in that exact order.
         assert_eq!(EVENT_KINDS.len(), EventKind::COUNT);
         for (i, kind) in EventKind::ALL.iter().enumerate() {

@@ -32,8 +32,9 @@
 //! without one (proptest-pinned in `tests/proptest_trace.rs`).
 
 use super::registry::{Gauge, Histogram, MetricsRegistry};
+use crate::batch::TickBatch;
 use crate::metrics::BeamOutcome;
-use crate::telemetry::{GridObserver, Observer, TelemetryEvent};
+use crate::telemetry::{GridObserver, Observer};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -542,7 +543,7 @@ struct BurnSample {
 struct BurnInner {
     config: SloConfig,
     /// Cumulative samples, coarsened to `resolution_s` buckets and
-    /// pruned past the long window — so the fold stays O(1) per event
+    /// pruned past the long window — so the fold stays O(1) per beam
     /// and bounded in memory.
     samples: Mutex<VecDeque<BurnSample>>,
     gauges: Option<BurnGauges>,
@@ -635,53 +636,16 @@ impl BurnRate {
         (self.inner.config.short_window_s / 64.0).max(1e-9)
     }
 
-    /// Folds one terminal beam outcome at virtual time `at`.
-    pub fn observe_beam(&self, at: f64, missed: bool) {
+    /// Folds a batch's terminal beam outcomes (the only rows that move
+    /// the fold), straight off the `beams` column under one lock.
+    pub fn fold_batch(&self, batch: &TickBatch) {
+        if batch.beams.is_empty() {
+            return;
+        }
         let resolution = self.resolution_s();
         let config = self.inner.config;
         let mut samples = self.inner.samples.lock();
-        let (beams, misses) = samples.back().map_or((0, 0), |s| (s.beams, s.misses));
-        let beams = beams + 1;
-        let misses = misses + u64::from(missed);
-        let rolled = match samples.back_mut() {
-            Some(last) if at < last.at + resolution => {
-                // Same bucket: update the cumulative totals in place.
-                last.at = last.at.max(at);
-                last.beams = beams;
-                last.misses = misses;
-                false
-            }
-            _ => {
-                samples.push_back(BurnSample { at, beams, misses });
-                // Prune samples that fell out of the long window (one
-                // is kept past the edge as the subtraction baseline).
-                let horizon = at - config.long_window_s - resolution;
-                while samples.len() > 2 && samples[1].at < horizon {
-                    samples.pop_front();
-                }
-                true
-            }
-        };
-        // Recompute the gauges only when a bucket rolls (or a miss
-        // lands) — the per-event cost stays one lock and a few adds.
-        if rolled || missed {
-            if let Some(gauges) = &self.inner.gauges {
-                let (short, long) = windows_locked(&samples, &config);
-                gauges.short.set(short.burn_rate);
-                gauges.long.set(long.burn_rate);
-                gauges.state.set(match state_of(&[short, long], &config) {
-                    SloState::Ok => 0.0,
-                    SloState::Warn => 1.0,
-                    SloState::Page => 2.0,
-                });
-            }
-        }
-    }
-
-    /// Folds one telemetry event (only terminal beam outcomes move
-    /// the fold).
-    pub fn fold(&self, event: &TelemetryEvent) {
-        if let TelemetryEvent::Beam(record) = event {
+        for record in &batch.beams {
             let (at, missed) = match record.outcome {
                 BeamOutcome::Completed { finish, .. } | BeamOutcome::Degraded { finish, .. } => {
                     (finish, false)
@@ -689,7 +653,42 @@ impl BurnRate {
                 BeamOutcome::Missed { finish, .. } => (finish, true),
                 BeamOutcome::ShedWhole { at, .. } => (at, false),
             };
-            self.observe_beam(at, missed);
+            let (beams, misses) = samples.back().map_or((0, 0), |s| (s.beams, s.misses));
+            let beams = beams + 1;
+            let misses = misses + u64::from(missed);
+            let rolled = match samples.back_mut() {
+                Some(last) if at < last.at + resolution => {
+                    // Same bucket: update the cumulative totals in place.
+                    last.at = last.at.max(at);
+                    last.beams = beams;
+                    last.misses = misses;
+                    false
+                }
+                _ => {
+                    samples.push_back(BurnSample { at, beams, misses });
+                    // Prune samples that fell out of the long window (one
+                    // is kept past the edge as the subtraction baseline).
+                    let horizon = at - config.long_window_s - resolution;
+                    while samples.len() > 2 && samples[1].at < horizon {
+                        samples.pop_front();
+                    }
+                    true
+                }
+            };
+            // Recompute the gauges only when a bucket rolls (or a miss
+            // lands) — the per-beam cost stays a few adds.
+            if rolled || missed {
+                if let Some(gauges) = &self.inner.gauges {
+                    let (short, long) = windows_locked(&samples, &config);
+                    gauges.short.set(short.burn_rate);
+                    gauges.long.set(long.burn_rate);
+                    gauges.state.set(match state_of(&[short, long], &config) {
+                        SloState::Ok => 0.0,
+                        SloState::Warn => 1.0,
+                        SloState::Page => 2.0,
+                    });
+                }
+            }
         }
     }
 
@@ -757,14 +756,14 @@ fn state_of(windows: &[SloWindow], config: &SloConfig) -> SloState {
 }
 
 impl Observer for BurnRate {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.fold(event);
+    fn observe_batch(&mut self, batch: &TickBatch) {
+        self.fold_batch(batch);
     }
 }
 
 impl GridObserver for BurnRate {
-    fn observe_grid(&self, _shard: Option<usize>, event: &TelemetryEvent) {
-        self.fold(event);
+    fn observe_grid_batch(&self, _shard: Option<usize>, batch: &TickBatch) {
+        self.fold_batch(batch);
     }
 }
 
@@ -772,6 +771,7 @@ impl GridObserver for BurnRate {
 mod tests {
     use super::*;
     use crate::metrics::BeamRecord;
+    use crate::telemetry::TelemetryEvent;
 
     fn span(kind: SpanKind, shard: Option<usize>, tick: u64, start_ns: u64, dur_ns: u64) -> Span {
         Span {
@@ -865,29 +865,28 @@ mod tests {
         assert!(sink.is_empty());
     }
 
-    fn miss_at(at: f64) -> TelemetryEvent {
-        TelemetryEvent::Beam(BeamRecord {
-            index: 0,
-            tick: 0,
-            beam: 0,
-            outcome: BeamOutcome::Missed {
-                device: 0,
-                finish: at,
-                kept_trials: 1,
-            },
-        })
-    }
-
-    fn ok_at(at: f64) -> TelemetryEvent {
-        TelemetryEvent::Beam(BeamRecord {
-            index: 0,
-            tick: 0,
-            beam: 0,
-            outcome: BeamOutcome::Completed {
-                device: 0,
-                finish: at,
-            },
-        })
+    /// `n` terminal beams, `step` virtual seconds apart from `start`,
+    /// all missed or all on time, as one batch.
+    fn beams(n: usize, start: f64, step: f64, missed: bool) -> TickBatch {
+        let mut batch = TickBatch::new();
+        for i in 0..n {
+            let finish = start + i as f64 * step;
+            batch.push(&TelemetryEvent::Beam(BeamRecord {
+                index: 0,
+                tick: 0,
+                beam: 0,
+                outcome: if missed {
+                    BeamOutcome::Missed {
+                        device: 0,
+                        finish,
+                        kept_trials: 1,
+                    }
+                } else {
+                    BeamOutcome::Completed { device: 0, finish }
+                },
+            }));
+        }
+        batch
     }
 
     #[test]
@@ -900,15 +899,11 @@ mod tests {
             page_at: 2.0,
         };
         let slo = BurnRate::new(config);
-        for i in 0..100 {
-            slo.fold(&ok_at(i as f64 * 0.1));
-        }
+        slo.fold_batch(&beams(100, 0.0, 0.1, false));
         assert_eq!(slo.state(), SloState::Ok);
         // A miss burst: 30 misses in quick succession blows the 10%
         // budget well past the page threshold.
-        for i in 0..30 {
-            slo.fold(&miss_at(10.0 + i as f64 * 0.01));
-        }
+        slo.fold_batch(&beams(30, 10.0, 0.01, true));
         assert_eq!(slo.state(), SloState::Page);
         let snapshot = slo.snapshot();
         assert_eq!(snapshot.windows.len(), 2);
@@ -916,9 +911,7 @@ mod tests {
         assert_eq!(snapshot.windows[0].misses, 30);
         // Clean traffic slides the short window off the burst; the
         // long window still remembers it.
-        for i in 0..2000 {
-            slo.fold(&ok_at(11.0 + i as f64 * 0.01));
-        }
+        slo.fold_batch(&beams(2000, 11.0, 0.01, false));
         let after = slo.snapshot();
         assert!(after.windows[0].burn_rate < config.page_at);
         let parsed = SloSnapshot::from_json(&after.to_json()).unwrap();
@@ -938,7 +931,7 @@ mod tests {
             },
             &registry,
         );
-        slo.fold(&miss_at(1.0));
+        slo.fold_batch(&beams(1, 1.0, 0.0, true));
         let rendered = registry.render_prometheus();
         assert!(rendered.contains("fleet_slo_burn_rate{window=\"short\"}"));
         assert!(rendered.contains("fleet_slo_state 2"));

@@ -24,7 +24,7 @@ use crate::batch::TickBatch;
 use crate::descriptor::FleetError;
 use crate::obs::trace::TraceSink;
 use crate::scheduler::Scheduler;
-use crate::telemetry::{Observer, TelemetryEvent};
+use crate::telemetry::Observer;
 use std::io::Write;
 
 /// Environment variable carrying a `kill_after_frames` chaos count for
@@ -59,10 +59,6 @@ struct Framing<W: Write> {
     /// Batch frames written so far.
     frames: u32,
     chaos: Option<ChaosSpec>,
-    /// Stray per-event telemetry (none on the grid shard path today,
-    /// but the [`Observer`] seam allows it) collects here and flushes
-    /// as its own batch frame before the next tick batch.
-    pending: TickBatch,
     /// First write failure; later writes are skipped so the run still
     /// terminates and the child can exit loudly.
     error: Option<FrameError>,
@@ -93,13 +89,6 @@ impl<W: Write> Framing<W> {
         }
     }
 
-    fn flush_pending(&mut self) {
-        if !self.pending.is_empty() {
-            let batch = std::mem::take(&mut self.pending);
-            self.send(&ShardFrame::Batch(batch));
-        }
-    }
-
     /// Ships the spans buffered since the last flush as one sidecar
     /// frame (no frame when there is nothing to say).
     fn flush_trace(&mut self) {
@@ -113,12 +102,7 @@ impl<W: Write> Framing<W> {
 }
 
 impl<W: Write> Observer for Framing<W> {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.pending.push(event);
-    }
-
     fn observe_batch(&mut self, batch: &TickBatch) {
-        self.flush_pending();
         self.send(&ShardFrame::Batch(batch.clone()));
         self.flush_trace();
     }
@@ -165,7 +149,6 @@ pub fn serve_traced(
         out: output,
         frames: 0,
         chaos,
-        pending: TickBatch::new(),
         error: None,
         trace: trace.clone(),
     };
@@ -181,7 +164,6 @@ pub fn serve_traced(
     }
     match session.run_with(&mut framing) {
         Ok(run) => {
-            framing.flush_pending();
             // The last tick's flush-phase spans land after its batch
             // frame went out; ship them before the ledger closes the
             // conversation.

@@ -37,7 +37,7 @@ use crate::batch::EventLog;
 use crate::descriptor::FleetError;
 use crate::obs::trace::{SpanKind, TraceSink};
 use crate::scheduler::{FleetRun, Scheduler};
-use crate::telemetry::{Observer, TelemetryEvent};
+use crate::telemetry::Observer;
 use serde::{Deserialize, Serialize};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -626,10 +626,6 @@ struct DedupForward<'a> {
 }
 
 impl Observer for DedupForward<'_> {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.inner.observe(event);
-    }
-
     fn observe_batch(&mut self, batch: &crate::batch::TickBatch) {
         self.seen += 1;
         if self.seen <= self.skip {
@@ -680,6 +676,35 @@ mod tests {
         assert_eq!(config.chaos_for(0), None);
         assert_eq!(config.liveness, Duration::from_secs(3));
         assert_eq!(config.max_restarts, 5);
+    }
+
+    #[test]
+    fn dedup_forward_accounts_for_every_batch_offered() {
+        use crate::batch::{EventLog, TickBatch};
+        use crate::telemetry::TelemetryEvent;
+        let offered = 5u64;
+        for skip in 0..=offered + 2 {
+            let mut log = EventLog::new();
+            let mut dedup = DedupForward {
+                inner: &mut log,
+                skip,
+                seen: 0,
+                deduped: 0,
+                forwarded: 0,
+            };
+            for i in 0..offered {
+                dedup.observe_batch(&TickBatch::of(&TelemetryEvent::Probe {
+                    device: 0,
+                    at: i as f64,
+                    up: true,
+                }));
+            }
+            // Nothing reaches the inner sink except through the
+            // counted path: skipped + forwarded is everything offered.
+            assert_eq!(dedup.forwarded + dedup.deduped, offered);
+            assert_eq!(dedup.deduped, skip.min(offered));
+            assert_eq!(log.len() as u64, offered - skip.min(offered));
+        }
     }
 
     #[test]

@@ -363,11 +363,10 @@ impl<'a> Session<'a> {
     }
 
     /// Runs the session to completion, forwarding the telemetry
-    /// stream to `observer` as one [`TickBatch`] per tick boundary
-    /// (the returned [`FleetRun::log`] still carries the full
-    /// stream). Observers that only implement the per-event
-    /// [`Observer::observe`] see every event in order via the
-    /// compatibility default of [`Observer::observe_batch`].
+    /// stream to `observer` through [`Observer::observe_batch`], one
+    /// [`TickBatch`] per tick boundary (a capture prelude arrives
+    /// first, in its own drain-window batches). The returned
+    /// [`FleetRun::log`] still carries the full stream.
     ///
     /// # Errors
     ///

@@ -216,23 +216,15 @@ impl TelemetryEvent {
 /// whole run: any prefix is valid (that is what makes
 /// [`StatusSnapshot`] a point-in-time view).
 pub trait Observer {
-    /// Consumes one event.
-    fn observe(&mut self, event: &TelemetryEvent);
-
-    /// Consumes one tick's batch of events.
+    /// Consumes one block of events, in emission order.
     ///
-    /// This is the hot-path seam: the dispatcher emits *only* batches,
-    /// flushed at its deterministic tick boundaries, so a sink that
-    /// overrides this method pays its per-delivery costs (locks,
-    /// dispatch, allocation) once per tick instead of once per event.
-    /// The default is the compatibility adapter — it replays the batch
-    /// as individual [`Observer::observe`] calls in emission order, so
-    /// every per-event observer works unchanged on the batched seam.
-    fn observe_batch(&mut self, batch: &TickBatch) {
-        for event in batch.iter() {
-            self.observe(&event);
-        }
-    }
+    /// This is the only seam: the dispatcher flushes one [`TickBatch`]
+    /// per deterministic tick boundary, so a sink pays its
+    /// per-delivery costs (locks, dispatch, allocation) once per tick
+    /// instead of once per event. Batch boundaries carry no meaning —
+    /// a fold must give the same result however the stream is chunked,
+    /// down to one event per batch ([`TickBatch::of`]).
+    fn observe_batch(&mut self, batch: &TickBatch);
 }
 
 /// A consumer of a *grid* run's telemetry, fed live from every shard
@@ -240,28 +232,18 @@ pub trait Observer {
 ///
 /// Where [`Observer`] sees one scheduler's stream serially,
 /// a `GridObserver` is shared by reference across the grid's shard
-/// threads (hence `Sync` and `&self`), receives each event tagged with
+/// threads (hence `Sync` and `&self`), receives each batch tagged with
 /// its emitting shard (`None` for grid-front-end events such as
 /// rebalances), and — like the post-run [`crate::ShardEvent`] stream —
-/// sees beam identities already re-keyed to *global* indices. Events
+/// sees beam identities already re-keyed to *global* indices. Batches
 /// from one shard arrive in that shard's deterministic order; the
 /// interleaving *across* shards follows the OS scheduler, so
 /// implementations must be commutative across shards (fold per shard,
 /// or count order-insensitively) to stay deterministic.
 pub trait GridObserver: Sync {
-    /// Consumes one shard-tagged, globally re-keyed event.
-    fn observe_grid(&self, shard: Option<usize>, event: &TelemetryEvent);
-
     /// Consumes one shard-tagged batch, already re-keyed to global
-    /// beam identity. The grid's per-shard forwarding adapters deliver
-    /// whole tick batches through this seam; the default replays the
-    /// batch as individual [`GridObserver::observe_grid`] calls, so
-    /// per-event grid observers work unchanged.
-    fn observe_grid_batch(&self, shard: Option<usize>, batch: &TickBatch) {
-        for event in batch.iter() {
-            self.observe_grid(shard, &event);
-        }
-    }
+    /// beam identity.
+    fn observe_grid_batch(&self, shard: Option<usize>, batch: &TickBatch);
 }
 
 /// The no-op observer used when a caller only wants the report.
@@ -269,15 +251,10 @@ pub trait GridObserver: Sync {
 pub struct NullObserver;
 
 impl Observer for NullObserver {
-    fn observe(&mut self, _event: &TelemetryEvent) {}
-
-    /// Skips the compatibility replay: a null sink never decodes.
     fn observe_batch(&mut self, _batch: &TickBatch) {}
 }
 
 impl GridObserver for NullObserver {
-    fn observe_grid(&self, _shard: Option<usize>, _event: &TelemetryEvent) {}
-
     fn observe_grid_batch(&self, _shard: Option<usize>, _batch: &TickBatch) {}
 }
 
@@ -310,7 +287,7 @@ pub struct DeviceStatus {
 /// serde round-trippable and every field is derivable from the events
 /// alone (no access to dispatcher internals), so it can be maintained
 /// incrementally by a live [`Observer`] or reconstructed after the fact
-/// with [`StatusSnapshot::from_events`].
+/// with [`StatusSnapshot::from_log`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
     /// Latest virtual time seen in the stream.
@@ -426,13 +403,10 @@ impl StatusSnapshot {
         snapshot
     }
 
-    /// Folds a stream prefix into a snapshot in one call.
+    /// Folds a stream prefix into a snapshot in one call (the prefix
+    /// is encoded into one batch first: the fold only reads columns).
     pub fn from_events(devices: usize, events: &[TelemetryEvent]) -> Self {
-        let mut snapshot = Self::new(devices);
-        for event in events {
-            snapshot.observe(event);
-        }
-        snapshot
+        Self::from_log(devices, &EventLog::from_events(events))
     }
 
     /// Folds a whole [`EventLog`] into a snapshot, batch by batch.
@@ -466,145 +440,22 @@ impl StatusSnapshot {
             self.at = at;
         }
     }
-
-    fn device_mut(&mut self, device: usize) -> Option<&mut DeviceStatus> {
-        self.devices.get_mut(device)
-    }
 }
 
 impl Observer for StatusSnapshot {
-    fn observe(&mut self, event: &TelemetryEvent) {
-        self.events_folded += 1;
-        match *event {
-            TelemetryEvent::Admission {
-                tick,
-                release,
-                kept_trials,
-                shed_tiers,
-                ..
-            } => {
-                self.advance_clock(release);
-                self.tick = Some(tick);
-                self.kept_trials_in_force = Some(kept_trials);
-                self.shed_tiers_in_force = Some(shed_tiers);
-            }
-            TelemetryEvent::Placed {
-                device, at, canary, ..
-            } => {
-                self.advance_clock(at);
-                self.placed += 1;
-                if canary {
-                    self.canaries += 1;
-                }
-                if let Some(d) = self.device_mut(device) {
-                    d.queue_depth += 1;
-                }
-            }
-            TelemetryEvent::Beam(record) => {
-                let resolved_on = match record.outcome {
-                    BeamOutcome::Completed { device, finish } => {
-                        self.completed += 1;
-                        self.advance_clock(finish);
-                        Some(device)
-                    }
-                    BeamOutcome::Degraded { device, finish, .. } => {
-                        self.degraded += 1;
-                        self.advance_clock(finish);
-                        Some(device)
-                    }
-                    BeamOutcome::Missed { device, finish, .. } => {
-                        self.deadline_misses += 1;
-                        self.advance_clock(finish);
-                        Some(device)
-                    }
-                    BeamOutcome::ShedWhole { at, .. } => {
-                        self.shed_whole += 1;
-                        self.advance_clock(at);
-                        None
-                    }
-                };
-                if let Some(d) = resolved_on.and_then(|device| self.device_mut(device)) {
-                    d.queue_depth = d.queue_depth.saturating_sub(1);
-                }
-            }
-            TelemetryEvent::Shed(ref shed) => {
-                self.total_shed_trials += shed.shed_trials;
-            }
-            TelemetryEvent::Bounce { device, at, .. } => {
-                self.advance_clock(at);
-                self.bounced += 1;
-                if let Some(d) = self.device_mut(device) {
-                    d.queue_depth = d.queue_depth.saturating_sub(1);
-                    d.bounces += 1;
-                }
-            }
-            TelemetryEvent::Retry { at, .. } => {
-                self.advance_clock(at);
-                self.retries += 1;
-            }
-            TelemetryEvent::Probe { at, .. } => {
-                self.advance_clock(at);
-                self.probes += 1;
-            }
-            TelemetryEvent::Health(health) => {
-                self.advance_clock(health.at);
-                if health.to == HealthState::Healthy {
-                    self.recoveries += 1;
-                }
-                if let Some(d) = self.device_mut(health.device) {
-                    d.health = health.to;
-                }
-            }
-            TelemetryEvent::Rebalance { .. } => {
-                self.rebalances += 1;
-            }
-            TelemetryEvent::AlgorithmSwitch { device, at, to, .. } => {
-                self.advance_clock(at);
-                self.algorithm_switches += 1;
-                if let Some(d) = self.device_mut(device) {
-                    d.algorithm = to;
-                }
-            }
-            TelemetryEvent::Capture(capture) => {
-                self.advance_clock(capture.at());
-                match capture {
-                    CaptureEvent::Arrival { .. } => {
-                        self.capture_arrivals += 1;
-                    }
-                    CaptureEvent::Drop { .. } => {
-                        self.capture_drops += 1;
-                    }
-                    CaptureEvent::Degrade { .. } => {
-                        self.capture_degraded += 1;
-                    }
-                    CaptureEvent::Drain {
-                        backlog_blocks,
-                        ring_bytes,
-                        ..
-                    } => {
-                        self.capture_batches += 1;
-                        self.capture_backlog_blocks = backlog_blocks;
-                        self.capture_ring_bytes = ring_bytes;
-                        self.capture_ring_peak_bytes = self.capture_ring_peak_bytes.max(ring_bytes);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The incremental fast path: columnar passes over the batch's row
-    /// vectors, plus one slim ordered walk — no [`TelemetryEvent`] is
-    /// materialized. Counts and shed sums are commutative, the clock is
+    /// Columnar passes over the batch's row vectors, plus one slim
+    /// ordered walk — no [`TelemetryEvent`] is materialized. Counts
+    /// and shed sums are commutative, the clock is
     /// a running maximum, and every last-write-wins cell (admission
     /// state, per-device health, capture drain gauges) lands in a
     /// single column whose order is the stream order — so all of those
     /// fold column-by-column. Only the per-device `queue_depth` depends
     /// on the exact interleaving of placements and resolutions (the
     /// `saturating_sub` clips against the running value), so that alone
-    /// walks the order table, touching nothing else. The result is
-    /// value-identical to replaying [`StatusSnapshot::observe`] per
-    /// event — the batch proptest suite pins this on real scheduler
-    /// and capture streams.
+    /// replays the batch's `depth_steps` trajectory, touching nothing
+    /// else. The result does not depend on where the batch boundaries
+    /// fall — the batch proptest suite pins this on real scheduler and
+    /// capture streams, down to one event per batch.
     fn observe_batch(&mut self, batch: &TickBatch) {
         self.events_folded += batch.len();
         if let Some(last) = batch.admissions.last() {
@@ -670,8 +521,8 @@ impl Observer for StatusSnapshot {
             }
         }
         self.rebalances += batch.rebalances.len();
-        // Switch rows are in emission order, so a per-device last write
-        // over the column equals the per-event last write.
+        // Switch rows are in emission order, so the per-device last
+        // write over the column is the stream's last write.
         self.algorithm_switches += batch.switches.len();
         for r in &batch.switches {
             self.advance_clock(r.at);
@@ -897,19 +748,19 @@ mod tests {
         let events = sample_stream();
         let mut log = EventLog::default();
         for event in &events {
-            log.observe(event);
+            log.observe_batch(&TickBatch::of(event));
         }
         assert_eq!(log.to_events(), events);
         assert_eq!(log, EventLog::from_events(&events));
     }
 
     #[test]
-    fn folding_a_log_equals_folding_its_flat_stream() {
+    fn one_event_per_batch_folds_like_one_batch() {
         let events = sample_stream();
-        let log = EventLog::from_events(&events);
-        assert_eq!(
-            StatusSnapshot::from_log(2, &log),
-            StatusSnapshot::from_events(2, &events)
-        );
+        let mut singles = StatusSnapshot::new(2);
+        for event in &events {
+            singles.observe_batch(&TickBatch::of(event));
+        }
+        assert_eq!(singles, StatusSnapshot::from_events(2, &events));
     }
 }

@@ -1,30 +1,36 @@
 //! Property-based invariants for the batched telemetry encoding.
 //!
-//! The tentpole claim of the batch refactor is that the SoA encoding
-//! is *invisible* to every fold: delivering a stream as [`TickBatch`]
-//! blocks — at any batch boundaries whatsoever — produces exactly the
-//! artifacts the per-event path produced. These properties pin that
+//! The batch seam is the only seam, so its contract is that batch
+//! boundaries are *invisible* to every fold: delivering a stream as
+//! [`TickBatch`] blocks — at any boundaries whatsoever, down to one
+//! event per batch — produces exactly the same artifacts. With one row
+//! per column no intra-batch ordering can hide, so the singleton
+//! chunking is the sequential reference. These properties pin that
 //! down on real scheduler runs under arbitrary mixed fault schedules
 //! and on real capture ingests under arbitrary arrival processes:
 //!
 //! 1. **Encode/decode identity** — a run's [`EventLog`] decodes to the
 //!    same flat sequence however it is re-chunked, and re-encoding
 //!    that sequence at arbitrary boundaries compares equal.
-//! 2. **Fold equivalence (scheduler)** — folding the batch stream
-//!    through [`StatusSnapshot::observe_batch`] (arbitrary chunking)
-//!    equals folding event-by-event, field for field, and both equal
-//!    the run's own [`FleetRun::status`] and agree with the
-//!    [`FleetReport`] ledger.
-//! 3. **Fold equivalence (capture)** — the same proposition for the
+//! 2. **Fold invariance (scheduler)** — folding the batch stream
+//!    through [`StatusSnapshot`], [`FlightRecorder`] (bounded ring,
+//!    so eviction is exercised) and [`BurnRate`] gives the same result
+//!    per tick, at arbitrary chunking, and one event per batch; the
+//!    snapshot equals the run's own [`FleetRun::status`] and agrees
+//!    with the [`FleetReport`] ledger.
+//! 3. **Fold invariance (capture)** — the same proposition for the
 //!    capture front-end's event stream, on arbitrary fault + capture
 //!    schedules, including the ledger counters the conservation check
 //!    trusts.
+//!
+//! [`FleetReport`]: dedisp_fleet::FleetReport
 
 use dedisp_fleet::capture::{
     Arrival, ArrivalTrace, BackpressurePolicy, BlockFormat, CaptureConfig, CaptureSession,
 };
+use dedisp_fleet::obs::{BurnRate, FlightRecorder, RecordedEvent, SloConfig, SloSnapshot};
 use dedisp_fleet::{
-    Algorithm, AlgorithmLadder, EventLog, FaultEvent, FaultPlan, FleetRun, Observer, ResolvedFleet,
+    Algorithm, AlgorithmLadder, EventLog, FaultEvent, FaultPlan, FleetRun, ResolvedFleet,
     Scheduler, StatusSnapshot, SurveyLoad, TickBatch,
 };
 use proptest::prelude::*;
@@ -87,22 +93,30 @@ fn rechunk(log: &EventLog, sizes: &[usize]) -> EventLog {
     out
 }
 
-/// Folds a log into a snapshot batch-wise (through `observe_batch`).
+/// Folds a log into a snapshot, batch by batch.
 fn fold_batched(devices: usize, log: &EventLog) -> StatusSnapshot {
     let mut snapshot = StatusSnapshot::new(devices);
-    for batch in log.batches() {
-        snapshot.observe_batch(batch);
-    }
+    log.replay(&mut snapshot);
     snapshot
 }
 
-/// Folds a log into a snapshot event-by-event (through `observe`).
-fn fold_per_event(devices: usize, log: &EventLog) -> StatusSnapshot {
-    let mut snapshot = StatusSnapshot::new(devices);
-    for event in log.iter() {
-        snapshot.observe(&event);
-    }
-    snapshot
+/// Ring capacity for [`record`]: smaller than most tick batches, so
+/// the recorder's skip-what-would-be-evicted path is exercised.
+const RING: usize = 7;
+
+/// Records a log into a bounded flight recorder; returns what the ring
+/// kept plus the recorded total.
+fn record(log: &EventLog) -> (Vec<RecordedEvent>, u64) {
+    let mut recorder = FlightRecorder::new(RING);
+    log.replay(&mut recorder);
+    (recorder.tail(usize::MAX), recorder.recorded())
+}
+
+/// Folds a log through the SLO burn-rate fold.
+fn burn(log: &EventLog) -> SloSnapshot {
+    let mut slo = BurnRate::new(SloConfig::default());
+    log.replay(&mut slo);
+    slo.snapshot()
 }
 
 /// A capture arrival stream from raw `(beam, gap)` material.
@@ -124,10 +138,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Properties 1 + 2 on scheduler runs: re-chunked logs compare
-    /// equal, and batched and per-event folds agree field-for-field
-    /// with each other, with the run's own fold, and with the report.
+    /// equal, and every fold agrees across per-tick, arbitrary, and
+    /// singleton boundaries — with the run's own fold and the report.
     #[test]
-    fn batched_and_per_event_folds_agree_on_scheduler_runs(
+    fn folds_are_invariant_under_batch_boundaries_on_scheduler_runs(
         spb in prop::collection::vec(0.05f64..1.5, 1..6),
         trials in 8usize..1024,
         beams in 1usize..16,
@@ -147,15 +161,23 @@ proptest! {
         prop_assert_eq!(&rechunked, &run.log);
         prop_assert_eq!(rechunked.len(), run.log.len());
 
-        // Fold equivalence, original and re-chunked boundaries both.
-        let per_event = fold_per_event(devices, &run.log);
+        // Fold invariance: per-tick, arbitrary, and singleton
+        // boundaries all give the same snapshot, ring, and burn.
+        let singletons = rechunk(&run.log, &[1]);
+        prop_assert_eq!(singletons.batches().count(), run.log.len());
         let batched = fold_batched(devices, &run.log);
-        let batched_rechunked = fold_batched(devices, &rechunked);
-        prop_assert_eq!(&batched, &per_event);
-        prop_assert_eq!(&batched_rechunked, &per_event);
+        prop_assert_eq!(&fold_batched(devices, &rechunked), &batched);
+        prop_assert_eq!(&fold_batched(devices, &singletons), &batched);
         prop_assert_eq!(&batched, &run.status());
+        let recorded = record(&run.log);
+        prop_assert_eq!(recorded.1 as usize, run.log.len());
+        prop_assert_eq!(&record(&rechunked), &recorded);
+        prop_assert_eq!(&record(&singletons), &recorded);
+        let burned = burn(&run.log);
+        prop_assert_eq!(&burn(&rechunked), &burned);
+        prop_assert_eq!(&burn(&singletons), &burned);
 
-        // Both agree with the report ledger on the shared fields.
+        // The fold agrees with the report ledger on the shared fields.
         let r = &run.report;
         prop_assert_eq!(batched.completed, r.completed);
         prop_assert_eq!(batched.degraded, r.degraded);
@@ -171,12 +193,12 @@ proptest! {
 
     /// Property 2 extended to the algorithm plane: runs under the
     /// [`AlgorithmLadder`] on multi-algorithm fleets emit
-    /// `AlgorithmSwitch` events, and the batched switch column folds to
-    /// exactly the per-event result — counters, the per-device
-    /// algorithm assignment, and the clock all agree across arbitrary
-    /// re-chunking boundaries.
+    /// `AlgorithmSwitch` events, and the switch column folds the same
+    /// at every chunking — counters, the per-device algorithm
+    /// assignment, and the clock all agree across arbitrary
+    /// re-chunking boundaries, down to one event per batch.
     #[test]
-    fn batched_and_per_event_folds_agree_on_algorithm_ladder_runs(
+    fn folds_are_invariant_under_batch_boundaries_on_algorithm_ladder_runs(
         devices in 1usize..4,
         beams in 1usize..24,
         ticks in 1usize..4,
@@ -200,11 +222,9 @@ proptest! {
         let rechunked = rechunk(&run.log, &sizes);
         prop_assert_eq!(&rechunked, &run.log);
 
-        let per_event = fold_per_event(devices, &run.log);
         let batched = fold_batched(devices, &run.log);
-        let batched_rechunked = fold_batched(devices, &rechunked);
-        prop_assert_eq!(&batched, &per_event);
-        prop_assert_eq!(&batched_rechunked, &per_event);
+        prop_assert_eq!(&fold_batched(devices, &rechunked), &batched);
+        prop_assert_eq!(&fold_batched(devices, &rechunk(&run.log, &[1])), &batched);
         prop_assert_eq!(&batched, &run.status());
 
         // When the ladder switched, the fold saw it — count and final
@@ -218,10 +238,10 @@ proptest! {
     }
 
     /// Property 3 on capture ingests: the drain-window batch stream
-    /// folds to the same snapshot as the per-event replay, and both
-    /// tell the ledger's story.
+    /// folds to the same snapshot at every chunking, and tells the
+    /// ledger's story.
     #[test]
-    fn batched_and_per_event_folds_agree_on_capture_ingests(
+    fn folds_are_invariant_under_batch_boundaries_on_capture_ingests(
         beams in 1usize..5,
         capacity_blocks in 1usize..6,
         watermark in 0.2f64..1.0,
@@ -250,11 +270,9 @@ proptest! {
         let rechunked = rechunk(&run.log, &sizes);
         prop_assert_eq!(&rechunked, &run.log);
 
-        let per_event = fold_per_event(0, &run.log);
         let batched = fold_batched(0, &run.log);
-        let batched_rechunked = fold_batched(0, &rechunked);
-        prop_assert_eq!(&batched, &per_event);
-        prop_assert_eq!(&batched_rechunked, &per_event);
+        prop_assert_eq!(&fold_batched(0, &rechunked), &batched);
+        prop_assert_eq!(&fold_batched(0, &rechunk(&run.log, &[1])), &batched);
 
         // The fold carries the ledger's counters.
         prop_assert_eq!(batched.capture_arrivals, run.ledger.arrivals);
