@@ -226,6 +226,20 @@ impl OutputBuffer {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
+
+    /// Whether `other` has the same shape and every element the same bit
+    /// pattern. This is the comparison kernel equivalence needs:
+    /// [`max_abs_diff`](Self::max_abs_diff) `== 0.0` lets `-0.0` pass for
+    /// `0.0` and, because `f32::max` ignores NaN, a NaN pass for anything.
+    pub fn bits_eq(&self, other: &OutputBuffer) -> bool {
+        self.trials == other.trials
+            && self.samples == other.samples
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +255,19 @@ mod tests {
             .sample_rate(100)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn bits_eq_sees_what_max_abs_diff_cannot() {
+        let zero = OutputBuffer::zeroed(1, 2);
+        for odd in [-0.0, f32::NAN] {
+            let mut other = OutputBuffer::zeroed(1, 2);
+            other.as_mut_slice()[1] = odd;
+            assert_eq!(zero.max_abs_diff(&other), 0.0);
+            assert!(!zero.bits_eq(&other));
+            assert!(other.bits_eq(&other.clone()));
+        }
+        assert!(!zero.bits_eq(&OutputBuffer::zeroed(2, 1)));
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Dedispersion kernels.
 //!
 //! Three implementations of the same transform, all producing bitwise
-//! identical results (they accumulate channels in the same order):
+//! identical results (every output element is its channels summed in
+//! ascending order, starting from zero):
 //!
 //! * [`NaiveKernel`] — the sequential reference, a direct transcription of
 //!   Algorithm 1 from the paper. The oracle for all other kernels.
 //! * [`TiledKernel`] — the paper's many-core algorithm on one thread: the
 //!   problem is decomposed into two-dimensional work-group tiles governed
-//!   by a [`KernelConfig`](crate::KernelConfig); each tile stages input through an emulated
-//!   local memory so that a sample shared by several trial DMs is read
-//!   from global memory once per tile (the data-reuse of Section III-B).
-//! * [`ParallelKernel`] — the tiled kernel with work-groups executed in
-//!   parallel by a rayon thread pool; the host-side analog of launching
-//!   the OpenCL kernel across compute units.
+//!   by a [`KernelConfig`](crate::KernelConfig). Inside a tile a small
+//!   block of trials × samples is accumulated in vector registers across
+//!   a block of channels (the paper's per-work-item accumulators), and
+//!   tiles are visited time-major so that the input a time tile needs is
+//!   read from memory once and served from cache to every trial (the
+//!   data-reuse of Section III-B).
+//! * [`ParallelKernel`] — the tiled kernel with the DM strips split into
+//!   one contiguous band per worker of a rayon thread pool; the host-side
+//!   analog of launching the OpenCL kernel across compute units.
 //!
 //! [`SubbandKernel`] additionally provides the two-stage *approximate*
 //! algorithm used by this paper's successor pipelines (an extension
@@ -41,6 +45,10 @@ pub trait Dedisperser {
     /// Dedisperses `input` into `output` according to `plan`.
     ///
     /// `output[trial][sample] = Σ_ch input[ch][sample + Δ(ch, trial)]`.
+    ///
+    /// On success every element of `output` has been overwritten, whatever
+    /// it held before: callers reuse one buffer across invocations without
+    /// clearing it.
     ///
     /// # Errors
     ///

@@ -1,16 +1,21 @@
 //! The rayon-parallel tiled kernel.
 //!
 //! Work-group strips along the DM dimension are independent — each owns a
-//! disjoint set of output rows — so they are distributed over a rayon
+//! disjoint set of output rows — so the strips are split into one
+//! contiguous band per worker and the bands are executed by a rayon
 //! thread pool, the host-side analog of the OpenCL work-group grid
-//! launched across the compute units of an accelerator.
+//! launched across the compute units of an accelerator. Inside its band
+//! a worker runs the same time-major loop nest as [`TiledKernel`]; on
+//! one CPU the band is the whole output and the two kernels coincide.
+//!
+//! [`TiledKernel`]: crate::kernel::TiledKernel
 
 use rayon::prelude::*;
 
 use crate::buffer::{InputBuffer, OutputBuffer};
 use crate::config::KernelConfig;
 use crate::error::Result;
-use crate::kernel::tiled::{process_dm_strip, TileScratch};
+use crate::kernel::tiled::{dedisperse_band, Isa};
 use crate::kernel::Dedisperser;
 use crate::plan::DedispersionPlan;
 
@@ -30,6 +35,28 @@ impl ParallelKernel {
     pub fn config(&self) -> KernelConfig {
         self.config
     }
+
+    /// Splits the checked problem's strips into at most `workers` bands.
+    /// Where the bands are cut cannot change a bit: an element's sum
+    /// involves its own trial only.
+    fn dedisperse_on(
+        &self,
+        workers: usize,
+        plan: &DedispersionPlan,
+        input: &InputBuffer,
+        output: &mut OutputBuffer,
+    ) {
+        let tile_dm = self.config.tile_dm() as usize;
+        let strips = plan.trials().div_ceil(tile_dm);
+        let band = strips.div_ceil(workers.clamp(1, strips)) * tile_dm;
+        let isa = Isa::detect();
+
+        output
+            .as_mut_slice()
+            .par_chunks_mut(band * plan.out_samples())
+            .enumerate()
+            .for_each(|(i, rows)| dedisperse_band(isa, plan, input, &self.config, i * band, rows));
+    }
 }
 
 impl Dedisperser for ParallelKernel {
@@ -48,20 +75,7 @@ impl Dedisperser for ParallelKernel {
         self.config
             .validate_for(plan.out_samples(), plan.trials())?;
 
-        let tile_dm = self.config.tile_dm() as usize;
-        let out_samples = plan.out_samples();
-        let config = self.config;
-
-        output
-            .as_mut_slice()
-            .par_chunks_mut(tile_dm * out_samples)
-            .enumerate()
-            .for_each(|(strip, rows)| {
-                let trial_lo = strip * tile_dm;
-                let trial_hi = (trial_lo + tile_dm).min(plan.trials());
-                let mut scratch = TileScratch::new(&config);
-                process_dm_strip(plan, input, &config, trial_lo, trial_hi, rows, &mut scratch);
-            });
+        self.dedisperse_on(rayon::current_num_threads(), plan, input, output);
         Ok(())
     }
 }
@@ -87,9 +101,8 @@ mod tests {
             ParallelKernel::new(config)
                 .dedisperse(&plan, &input, &mut out)
                 .unwrap();
-            assert_eq!(
-                out.max_abs_diff(&expected),
-                0.0,
+            assert!(
+                out.bits_eq(&expected),
                 "config {config} diverges from the reference"
             );
         }
@@ -108,7 +121,25 @@ mod tests {
         for _ in 0..3 {
             let mut out = OutputBuffer::for_plan(&plan);
             kernel.dedisperse(&plan, &input, &mut out).unwrap();
-            assert_eq!(out.max_abs_diff(&first), 0.0);
+            assert!(out.bits_eq(&first));
+        }
+    }
+
+    #[test]
+    fn deterministic_across_worker_counts() {
+        // 9 trials under a DM tile of 2 are 5 strips: every worker count
+        // cuts the bands elsewhere, and 64 asks for more bands than
+        // there are strips.
+        let plan = small_plan(9);
+        let input = hash_input(&plan);
+        let kernel = ParallelKernel::new(KernelConfig::new(16, 2, 2, 1).unwrap());
+        let mut one = OutputBuffer::for_plan(&plan);
+        kernel.dedisperse_on(1, &plan, &input, &mut one);
+        for workers in [2, 3, 4, 5, 64] {
+            let mut out = OutputBuffer::for_plan(&plan);
+            out.as_mut_slice().fill(f32::NAN);
+            kernel.dedisperse_on(workers, &plan, &input, &mut out);
+            assert!(out.bits_eq(&one), "{workers} workers");
         }
     }
 

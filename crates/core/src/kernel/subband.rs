@@ -114,13 +114,14 @@ impl SubbandKernel {
         let channels = plan.channels();
         let per_sub = channels / self.config.subbands;
         let delays = plan.delays();
+        let max_delay = delays.max_delay();
         let mut worst = 0usize;
         for trial in 0..plan.trials() {
             let coarse = self.coarse_trial(trial, plan.trials());
             for ch in 0..channels {
                 let sub = ch / per_sub;
                 let sub_ref = sub * per_sub + per_sub - 1; // top channel of the subband
-                let shift = self.stage1_shift(plan, coarse, sub_ref, ch);
+                let shift = self.stage1_shift(plan, max_delay, coarse, sub_ref, ch);
                 let applied = shift + delays.delay(trial, sub_ref);
                 let exact = delays.delay(trial, ch);
                 worst = worst.max(applied.abs_diff(exact));
@@ -133,10 +134,13 @@ impl SubbandKernel {
     /// subband reference at the given coarse trial — capped so that no
     /// fine trial sharing this coarse trial can read past the plan's
     /// input buffer (delay-table rounding can otherwise overshoot the
-    /// exact worst-case delay by a sample).
+    /// exact worst-case delay by a sample). `max_delay` is the plan's
+    /// [`DelayTable::max_delay`](crate::DelayTable::max_delay), a scan of
+    /// the whole table that callers do once, not per channel.
     fn stage1_shift(
         &self,
         plan: &DedispersionPlan,
+        max_delay: usize,
         coarse: usize,
         sub_ref: usize,
         ch: usize,
@@ -144,7 +148,7 @@ impl SubbandKernel {
         let delays = plan.delays();
         let raw = delays.delay(coarse, ch) - delays.delay(coarse, sub_ref);
         let trial_hi = (coarse + self.config.dm_stride - 1).min(plan.trials() - 1);
-        let cap = delays.max_delay() - delays.delay(trial_hi, sub_ref);
+        let cap = max_delay - delays.delay(trial_hi, sub_ref);
         raw.min(cap)
     }
 
@@ -181,6 +185,7 @@ impl Dedisperser for SubbandKernel {
         let n_sub = self.config.subbands;
         let per_sub = channels / n_sub;
         let delays = plan.delays();
+        let max_delay = delays.max_delay();
 
         // Coarse trial indices actually needed by stage 2.
         let mut coarse_used = vec![false; trials];
@@ -206,7 +211,7 @@ impl Dedisperser for SubbandKernel {
                 for ch in sub * per_sub..(sub + 1) * per_sub {
                     // Intra-subband shift at the coarse DM, capped so no
                     // fine trial reads past the input buffer.
-                    let shift = self.stage1_shift(plan, coarse, sub_ref, ch);
+                    let shift = self.stage1_shift(plan, max_delay, coarse, sub_ref, ch);
                     let src = &input.channel(ch)[shift..];
                     let n = in_samples - shift;
                     for (a, s) in acc[..n].iter_mut().zip(&src[..n]) {

@@ -1,14 +1,39 @@
 //! The configuration-specialized tiled kernel (paper, Section III-B).
 //!
 //! The problem is decomposed into two-dimensional work-group tiles of
-//! `tile_dm` trial DMs × `tile_time` samples. For each tile and channel,
-//! the span of input needed by *all* trials of the tile is staged once
-//! into an emulated local memory, so a sample whose delayed position is
-//! shared by several close DMs is fetched from the (slow, global) input
-//! buffer exactly once per tile — the data-reuse that raises the
-//! algorithm's arithmetic intensity. Accumulators live in a tile-local
-//! buffer and are written back in a single pass, mirroring the paper's
-//! register-resident accumulators and coalesced output writes.
+//! `tile_dm` trial DMs × `tile_time` samples, and the paper's two
+//! mechanisms are mapped onto a CPU core as follows.
+//!
+//! * **Accumulators stay in registers.** A work-item keeps its
+//!   `el_time × el_dm` partial sums in registers for the whole channel
+//!   loop. Here a *micro-tile* of [`MICRO_DM`] trials × [`MICRO_TIME`]
+//!   samples (eight vector registers; twice the samples with 256-bit
+//!   lanes) stays in registers while a block of [`CHANNEL_BLOCK`]
+//!   channels is summed into it: one unaligned load per vector add, no
+//!   store in the loop. The partial sums touch the output row only
+//!   between channel blocks. A tail narrower than the micro-tile steps
+//!   down to micro-tiles of 4 and then 1 samples, a strip's odd last
+//!   trial to a one-trial micro-tile — never to a loop of another
+//!   shape.
+//! * **A tile's input is fetched once.** Neighbouring trials of a
+//!   micro-tile read overlapping spans of the same channel, so they hit
+//!   the same cache lines; one channel block of one work-group tile fits
+//!   the L1 cache; and tiles are visited *time-major* — every DM strip
+//!   of one time tile before the next time tile — so the
+//!   `channels × (tile_time + delay spread)` input of a time tile stays
+//!   in the L2 cache across all trials instead of being streamed again
+//!   for every strip.
+//!
+//! Every output element is still the sum of its channels in ascending
+//! order, starting from zero, so results equal [`NaiveKernel`]'s bit for
+//! bit; vector lanes only ever add, and lane width cannot change a bit.
+//! The loop nest is written once ([`band_body`]) and compiled twice on
+//! x86-64: for the baseline target and, selected at run time by
+//! [`Isa::detect`], for AVX2.
+//!
+//! [`NaiveKernel`]: crate::kernel::NaiveKernel
+
+use std::ops::Range;
 
 use crate::buffer::{InputBuffer, OutputBuffer};
 use crate::config::KernelConfig;
@@ -49,111 +74,206 @@ impl Dedisperser for TiledKernel {
         output.check_plan(plan)?;
         self.config
             .validate_for(plan.out_samples(), plan.trials())?;
-
-        let tile_dm = self.config.tile_dm() as usize;
-        let out_samples = plan.out_samples();
-        let mut scratch = TileScratch::new(&self.config);
-
-        let mut trial_lo = 0;
-        while trial_lo < plan.trials() {
-            let trial_hi = (trial_lo + tile_dm).min(plan.trials());
-            let rows = &mut output.as_mut_slice()[trial_lo * out_samples..trial_hi * out_samples];
-            process_dm_strip(
-                plan,
-                input,
-                &self.config,
-                trial_lo,
-                trial_hi,
-                rows,
-                &mut scratch,
-            );
-            trial_lo = trial_hi;
-        }
+        dedisperse_band(
+            Isa::detect(),
+            plan,
+            input,
+            &self.config,
+            0,
+            output.as_mut_slice(),
+        );
         Ok(())
     }
 }
 
-/// Reusable per-worker scratch buffers: the emulated local memory and the
-/// tile-local accumulators.
-pub(crate) struct TileScratch {
-    local: Vec<f32>,
-    acc: Vec<f32>,
-    tile_time: usize,
+/// Trials per micro-tile.
+const MICRO_DM: usize = 2;
+/// Samples per micro-tile on the baseline target: four 128-bit vectors
+/// per trial, so eight accumulator registers and as many independent add
+/// chains. The AVX2 instantiation keeps the eight registers and doubles
+/// the samples.
+const MICRO_TIME: usize = 16;
+/// Channels summed in registers before the partial sums are written to
+/// the output row. 32 channels of a `tile_time`-wide span fit the L1
+/// cache, and the spill costs one load and one store per 32 adds.
+const CHANNEL_BLOCK: usize = 32;
+
+/// The instruction sets [`band_body`] is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The build's baseline target.
+    Portable,
+    /// 256-bit lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
 }
 
-impl TileScratch {
-    pub(crate) fn new(config: &KernelConfig) -> Self {
-        let tile_time = config.tile_time() as usize;
-        let tile_dm = config.tile_dm() as usize;
-        Self {
-            local: Vec::new(),
-            acc: vec![0.0; tile_time * tile_dm],
-            tile_time,
+impl Isa {
+    /// The widest instantiation this host can run.
+    pub(crate) fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
         }
+        Isa::Portable
     }
 }
 
-/// Processes one horizontal strip of trial DMs `[trial_lo, trial_hi)`,
-/// iterating over all time tiles. `rows` is the output region for exactly
-/// those trials (`(trial_hi - trial_lo) × out_samples`, trial-major).
+/// Dedisperses the contiguous band of trials that starts at `trial_lo`
+/// and whose output rows are `rows` (`n × out_samples`, trial-major),
+/// visiting its work-group tiles time-major. Every element of `rows` is
+/// overwritten.
 ///
-/// This is the shared work-group body used by both [`TiledKernel`] and
-/// the rayon-parallel kernel.
-pub(crate) fn process_dm_strip(
+/// This is the body shared by [`TiledKernel`] (one band: the whole
+/// output) and the parallel kernel (one band per worker).
+pub(crate) fn dedisperse_band(
+    isa: Isa,
     plan: &DedispersionPlan,
     input: &InputBuffer,
     config: &KernelConfig,
     trial_lo: usize,
-    trial_hi: usize,
     rows: &mut [f32],
-    scratch: &mut TileScratch,
+) {
+    match isa {
+        Isa::Portable => band_body::<MICRO_TIME>(plan, input, config, trial_lo, rows),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` is only ever produced by `Isa::detect`,
+        // after `is_x86_feature_detected!("avx2")`.
+        Isa::Avx2 => unsafe { band_avx2(plan, input, config, trial_lo, rows) },
+    }
+}
+
+/// [`band_body`] compiled with 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn band_avx2(
+    plan: &DedispersionPlan,
+    input: &InputBuffer,
+    config: &KernelConfig,
+    trial_lo: usize,
+    rows: &mut [f32],
+) {
+    band_body::<{ 2 * MICRO_TIME }>(plan, input, config, trial_lo, rows);
+}
+
+/// The one loop nest: time tiles, DM strips, channel blocks, micro-tiles.
+#[inline(always)]
+fn band_body<const W: usize>(
+    plan: &DedispersionPlan,
+    input: &InputBuffer,
+    config: &KernelConfig,
+    trial_lo: usize,
+    rows: &mut [f32],
 ) {
     let out_samples = plan.out_samples();
     let channels = plan.channels();
-    let delays = plan.delays();
     let tile_time = config.tile_time() as usize;
-    let n_trials = trial_hi - trial_lo;
+    let tile_dm = config.tile_dm() as usize;
+    let n_trials = rows.len() / out_samples;
     debug_assert_eq!(rows.len(), n_trials * out_samples);
-    debug_assert_eq!(scratch.tile_time, tile_time);
+    let tile = Tile {
+        data: input.as_slice(),
+        in_samples: input.samples(),
+        out_samples,
+    };
 
-    let mut t0 = 0;
-    while t0 < out_samples {
-        let tt = tile_time.min(out_samples - t0);
-        let acc = &mut scratch.acc[..n_trials * tile_time];
-        acc.fill(0.0);
-
-        for ch in 0..channels {
-            // Delays grow monotonically with the trial index, so the
-            // smallest delay in the strip belongs to `trial_lo` and the
-            // largest to `trial_hi - 1`.
-            let base = delays.delay(trial_lo, ch);
-            let max_off = delays.delay(trial_hi - 1, ch) - base;
-            let span = tt + max_off;
-
-            // Stage the shared input span into "local memory" once.
-            let src = &input.channel(ch)[t0 + base..t0 + base + span];
-            scratch.local.clear();
-            scratch.local.extend_from_slice(src);
-
-            // Each trial of the tile accumulates from its own offset into
-            // the staged span; the inner loop is contiguous and
-            // auto-vectorizes.
-            for (tr_rel, trial) in (trial_lo..trial_hi).enumerate() {
-                let off = delays.delay(trial, ch) - base;
-                let staged = &scratch.local[off..off + tt];
-                let dst = &mut acc[tr_rel * tile_time..tr_rel * tile_time + tt];
-                for (d, s) in dst.iter_mut().zip(staged) {
-                    *d += *s;
+    for t0 in (0..out_samples).step_by(tile_time) {
+        let t1 = (t0 + tile_time).min(out_samples);
+        for strip_lo in (0..n_trials).step_by(tile_dm) {
+            let strip_hi = (strip_lo + tile_dm).min(n_trials);
+            for c0 in (0..channels).step_by(CHANNEL_BLOCK) {
+                let block = c0..(c0 + CHANNEL_BLOCK).min(channels);
+                let mut tr = strip_lo;
+                while tr < strip_hi {
+                    let out = &mut rows[tr * out_samples..];
+                    let trial = trial_lo + tr;
+                    if tr + MICRO_DM <= strip_hi {
+                        tile.trials::<MICRO_DM, W>(plan, trial, block.clone(), t0..t1, out);
+                        tr += MICRO_DM;
+                    } else {
+                        tile.trials::<1, W>(plan, trial, block.clone(), t0..t1, out);
+                        tr += 1;
+                    }
                 }
             }
         }
+    }
+}
 
-        // Single coalesced write-back per tile.
-        for tr_rel in 0..n_trials {
-            let dst = &mut rows[tr_rel * out_samples + t0..tr_rel * out_samples + t0 + tt];
-            dst.copy_from_slice(&acc[tr_rel * tile_time..tr_rel * tile_time + tt]);
+/// What every micro-tile of a band reads: the flat input and the two
+/// row pitches.
+#[derive(Clone, Copy)]
+struct Tile<'a> {
+    data: &'a [f32],
+    in_samples: usize,
+    out_samples: usize,
+}
+
+impl Tile<'_> {
+    /// Sums the channels of `block` into the samples `time` of the `R`
+    /// trials starting at `trial`, whose output rows start at `out`: full
+    /// micro-tiles first, then ever narrower ones for the tail.
+    #[inline(always)]
+    fn trials<const R: usize, const W: usize>(
+        self,
+        plan: &DedispersionPlan,
+        trial: usize,
+        block: Range<usize>,
+        time: Range<usize>,
+        out: &mut [f32],
+    ) {
+        let mut delays = [&[][..]; R];
+        for (r, row) in delays.iter_mut().enumerate() {
+            *row = &plan.delays().trial_row(trial + r)[block.clone()];
         }
-        t0 += tt;
+        let at = self.micro::<R, W>(&delays, block.start, time.start, time.end, out);
+        let at = self.micro::<R, 4>(&delays, block.start, at, time.end, out);
+        let at = self.micro::<R, 1>(&delays, block.start, at, time.end, out);
+        debug_assert_eq!(at, time.end);
+    }
+
+    /// Runs `R × W` micro-tiles from sample `at` while a whole one fits
+    /// before `t1`, and returns the first sample not covered.
+    ///
+    /// The accumulators are a local array the optimizer keeps in vector
+    /// registers across the channel loop; they start from zero on the
+    /// first channel block and from the stored partial sums afterwards,
+    /// so each element is its channels summed in ascending order.
+    #[inline(always)]
+    fn micro<const R: usize, const W: usize>(
+        self,
+        delays: &[&[u32]; R],
+        c0: usize,
+        mut at: usize,
+        t1: usize,
+        out: &mut [f32],
+    ) -> usize {
+        while at + W <= t1 {
+            let mut acc = [[0.0f32; W]; R];
+            if c0 > 0 {
+                for (r, lanes) in acc.iter_mut().enumerate() {
+                    lanes.copy_from_slice(&out[r * self.out_samples + at..][..W]);
+                }
+            }
+            let block = self.data[c0 * self.in_samples..].chunks_exact(self.in_samples);
+            for (i, channel) in block.take(delays[0].len()).enumerate() {
+                let channel = &channel[at..];
+                for (lanes, shifts) in acc.iter_mut().zip(delays) {
+                    let shift = shifts[i] as usize;
+                    let src: &[f32; W] = channel[shift..shift + W]
+                        .try_into()
+                        .expect("a slice of W elements");
+                    for (a, s) in lanes.iter_mut().zip(src) {
+                        *a += *s;
+                    }
+                }
+            }
+            for (r, lanes) in acc.iter().enumerate() {
+                out[r * self.out_samples + at..][..W].copy_from_slice(lanes);
+            }
+            at += W;
+        }
+        at
     }
 }
 
@@ -189,9 +309,8 @@ mod tests {
             TiledKernel::new(config)
                 .dedisperse(&plan, &input, &mut out)
                 .unwrap();
-            assert_eq!(
-                out.max_abs_diff(&expected),
-                0.0,
+            assert!(
+                out.bits_eq(&expected),
                 "config {config} diverges from the reference"
             );
         }
@@ -209,7 +328,7 @@ mod tests {
         TiledKernel::new(config)
             .dedisperse(&plan, &input, &mut out)
             .unwrap();
-        assert_eq!(out.max_abs_diff(&expected), 0.0);
+        assert!(out.bits_eq(&expected));
     }
 
     #[test]
@@ -228,7 +347,51 @@ mod tests {
         TiledKernel::new(config)
             .dedisperse(&plan, &input, &mut out)
             .unwrap();
-        assert_eq!(out.max_abs_diff(&expected), 0.0);
+        assert!(out.bits_eq(&expected));
+    }
+
+    #[test]
+    fn every_instantiation_equals_the_portable_one() {
+        // 80 channels cross two channel-block boundaries; 203 samples
+        // leave a tail for every micro-tile width; 7 trials under a DM
+        // tile of 3 leave a single-trial micro-tile in every strip.
+        let plan = crate::plan::DedispersionPlan::builder()
+            .band(crate::freq::FrequencyBand::new(140.0, 0.5, 80).unwrap())
+            .dm_grid(crate::dm::DmGrid::new(0.0, 0.5, 7).unwrap())
+            .sample_rate(203)
+            .build()
+            .unwrap();
+        let input = hash_input(&plan);
+        let expected = reference(&plan, &input);
+        for config in [
+            KernelConfig::scalar(),
+            KernelConfig::new(3, 1, 1, 1).unwrap(),
+            KernelConfig::new(25, 3, 3, 1).unwrap(),
+            KernelConfig::new(203, 7, 1, 1).unwrap(),
+        ] {
+            for isa in [Isa::Portable, Isa::detect()] {
+                // Poisoned: the band must overwrite every element.
+                let mut out = OutputBuffer::for_plan(&plan);
+                out.as_mut_slice().fill(f32::NAN);
+                dedisperse_band(isa, &plan, &input, &config, 0, out.as_mut_slice());
+                assert!(out.bits_eq(&expected), "{isa:?} under {config}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_survives() {
+        // 0.0 + -0.0 is 0.0: a kernel that copied the first channel
+        // instead of adding it to a zero accumulator would return -0.0,
+        // which `max_abs_diff` cannot tell from the reference's 0.0.
+        let plan = small_plan(5);
+        let input = InputBuffer::constant(&plan, -0.0);
+        let expected = reference(&plan, &input);
+        let mut out = OutputBuffer::for_plan(&plan);
+        TiledKernel::new(KernelConfig::new(16, 2, 2, 1).unwrap())
+            .dedisperse(&plan, &input, &mut out)
+            .unwrap();
+        assert!(out.bits_eq(&expected));
     }
 
     #[test]

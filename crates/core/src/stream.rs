@@ -42,9 +42,15 @@ impl StreamWindow {
         self.seconds_pushed
     }
 
-    /// Whether enough data has been pushed for the *whole* window to be
-    /// real data (before that, the oldest `overlap` samples are the
-    /// zero-filled cold start).
+    /// Whether the pushed seconds cover the window's history:
+    /// `seconds_pushed · out_samples ≥ overlap`.
+    ///
+    /// This turns true one push *before* the window is all real data. The
+    /// window is `overlap + out_samples` long, so on the first push that
+    /// satisfies the condition its oldest `out_samples` positions (fewer
+    /// if that push overshoots `overlap`) still hold the zero-filled cold
+    /// start; only the push after it leaves nothing but real samples.
+    /// Before the first push of a plan with delays it is false.
     pub fn warmed_up(&self) -> bool {
         self.seconds_pushed as u128 * self.out_samples as u128 >= self.overlap as u128
     }

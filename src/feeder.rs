@@ -22,13 +22,12 @@
 //! §13); the tests below assert this module and the capture ring agree
 //! on it, so the two layers cannot drift apart silently.
 
-use dedisp_core::{DedispersionPlan, InputBuffer, Result, StreamWindow};
+use dedisp_core::{DedispersionPlan, Result, StreamWindow};
 
 use crate::pipeline::Chunk;
 
 /// Converts raw per-beam seconds into overlapped pipeline chunks.
 pub struct BeamFeeder {
-    plan: std::sync::Arc<DedispersionPlan>,
     windows: Vec<StreamWindow>,
     seconds_emitted: Vec<u64>,
 }
@@ -44,7 +43,6 @@ impl BeamFeeder {
         Self {
             windows: (0..beams).map(|_| StreamWindow::for_plan(&plan)).collect(),
             seconds_emitted: vec![0; beams],
-            plan,
         }
     }
 
@@ -72,11 +70,9 @@ impl BeamFeeder {
         if !window.warmed_up() {
             return Ok(None);
         }
-        // Copy the current window into a chunk-owned buffer; workers run
-        // concurrently with subsequent pushes.
-        let mut data = InputBuffer::for_plan(&self.plan);
-        data.as_mut_slice()
-            .copy_from_slice(window.window().as_slice());
+        // The chunk owns a copy of the window: workers run concurrently
+        // with subsequent pushes.
+        let data = window.window().clone();
         let second = self.seconds_emitted[beam];
         self.seconds_emitted[beam] += 1;
         Ok(Some(Chunk { beam, second, data }))

@@ -110,7 +110,7 @@ impl StreamingPipeline {
                     let mut output = OutputBuffer::for_plan(&plan);
                     let mut processed = 0u64;
                     while let Ok(chunk) = rx.recv() {
-                        output.clear();
+                        // Reused as is: `dedisperse` overwrites every element.
                         kernel
                             .dedisperse(&plan, &chunk.data, &mut output)
                             .expect("chunk shape matches plan");
