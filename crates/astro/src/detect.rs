@@ -5,6 +5,17 @@
 //! DM, the pulse smears and its significance drops below the noise floor
 //! (the reason the DM space cannot be pruned — paper, Section II), so the
 //! per-trial significance peaks sharply at the true DM.
+//!
+//! [`trial_stat`] is the definition: one series, `f64` sums in ascending
+//! sample order, the last of equal maxima. [`scan_rows`] computes the
+//! same statistics — the same bits — for [`LANES`] series at once. A
+//! single series' sum is one chain of dependent additions and cannot be
+//! reordered without moving bits, but the chains of *different* series
+//! are independent, so the lanes of the multi-row fold are trials, each
+//! still adding its own samples in ascending order; products and sums
+//! stay separate operations (no fused multiply-add); and the arg-max is
+//! an order-free maximum over [`f32::total_cmp`] keys that keeps
+//! [`Iterator::max_by`]'s tie rule, the last maximum.
 
 use dedisp_core::OutputBuffer;
 use serde::{Deserialize, Serialize};
@@ -73,6 +84,240 @@ pub fn trial_stat(trial: usize, series: &[f32]) -> TrialStat {
     }
 }
 
+/// Series [`scan_rows`] advances together: two groups of four `f64`
+/// lanes, enough independent addition chains to hide the adder's latency.
+pub const LANES: usize = 8;
+
+/// Samples per block of the arg-max: the maximum *key* of a block is an
+/// order-free reduction the compiler vectorizes, and only the winning
+/// block is searched for the position.
+const PEAK_BLOCK: usize = 64;
+
+/// Calls `each` with the statistics of every series in `rows`
+/// (`n × samples`, trial-major, the first being trial `first_trial`), in
+/// ascending trial order. Each [`TrialStat`] equals [`trial_stat`]'s for
+/// that series bit for bit.
+///
+/// # Panics
+///
+/// Panics if `samples` is zero or `rows` is not a whole number of series.
+pub fn scan_rows(
+    first_trial: usize,
+    rows: &[f32],
+    samples: usize,
+    mut each: impl FnMut(TrialStat),
+) {
+    assert!(samples > 0, "series must be non-empty");
+    assert_eq!(rows.len() % samples, 0, "rows must be whole series");
+    for (b, block) in rows.chunks(LANES * samples).enumerate() {
+        let held = block.len() / samples;
+        // A short last block repeats its last series in the idle lanes.
+        let lanes: [&[f32]; LANES] =
+            std::array::from_fn(|r| &block[r.min(held - 1) * samples..][..samples]);
+        let (means, vars, peaks) = block_stats(&lanes);
+        for r in 0..held {
+            let trial = first_trial + b * LANES + r;
+            each(finish(trial, lanes[r], means[r], vars[r], peaks[r]));
+        }
+    }
+}
+
+/// The most significant series of `rows` (as in [`scan_rows`]); of equals,
+/// the last.
+///
+/// # Panics
+///
+/// As [`scan_rows`], and if `rows` is empty.
+pub fn best_of_rows(first_trial: usize, rows: &[f32], samples: usize) -> TrialStat {
+    let mut best = None;
+    scan_rows(first_trial, rows, samples, |stat| {
+        best = Some(best.map_or(stat, |best| more_significant(best, stat)));
+    });
+    best.expect("rows must contain a series")
+}
+
+/// The one of two trials' statistics that [`detect_best_trial`] prefers:
+/// the higher S/N under [`f32::total_cmp`], of equals the later trial.
+/// Folding trials with this in any order finds the same best.
+pub fn more_significant(a: TrialStat, b: TrialStat) -> TrialStat {
+    match a.snr.total_cmp(&b.snr).then(a.trial.cmp(&b.trial)) {
+        std::cmp::Ordering::Greater => a,
+        _ => b,
+    }
+}
+
+/// Mean, variance and peak position of each lane.
+type BlockStats = ([f64; LANES], [f64; LANES], [usize; LANES]);
+
+fn block_stats(lanes: &[&[f32]; LANES]) -> BlockStats {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on the line above.
+        return unsafe { block_stats_avx2(lanes) };
+    }
+    block_stats_portable(lanes)
+}
+
+fn block_stats_portable(lanes: &[&[f32]; LANES]) -> BlockStats {
+    block_body(lanes, |centre| {
+        fold_rows(lanes, centre, 0, [sum_identity(); LANES])
+    })
+}
+
+/// [`block_body`] compiled with 256-bit lanes around [`fold_transposed`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_stats_avx2(lanes: &[&[f32]; LANES]) -> BlockStats {
+    block_body(lanes, |centre| fold_transposed(lanes, centre))
+}
+
+/// The two sweeps [`trial_stat`] makes, for every lane at once: `fold`
+/// sums the samples themselves when given no centre and their squared
+/// deviations from `centre` otherwise.
+#[inline(always)]
+fn block_body(
+    lanes: &[&[f32]; LANES],
+    fold: impl Fn(Option<&[f64; LANES]>) -> [f64; LANES],
+) -> BlockStats {
+    let n = lanes[0].len() as f64;
+    let means = fold(None).map(|sum| sum / n);
+    let vars = fold(Some(&means)).map(|sum| sum / n);
+    (means, vars, lanes.map(arg_max))
+}
+
+/// What `Iterator::sum::<f64>()` starts from (`-0.0` or `0.0`, depending
+/// on the toolchain): a series of `-0.0` must sum to what it sums to in
+/// [`trial_stat`].
+fn sum_identity() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// The interleaved fold: adds samples `from..` of every lane to `acc`,
+/// each lane in ascending sample order. Samples are the outer loop so
+/// that consecutive additions belong to different lanes' chains.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn fold_rows(
+    lanes: &[&[f32]; LANES],
+    centre: Option<&[f64; LANES]>,
+    from: usize,
+    mut acc: [f64; LANES],
+) -> [f64; LANES] {
+    let n = lanes[0].len();
+    let lanes = lanes.map(|series| &series[..n]);
+    for i in from..n {
+        for r in 0..LANES {
+            let v = f64::from(lanes[r][i]);
+            acc[r] += match centre {
+                Some(centre) => {
+                    let d = v - centre[r];
+                    d * d
+                }
+                None => v,
+            };
+        }
+    }
+    acc
+}
+
+/// [`fold_rows`] from sample 0, four samples of four lanes at a time: a
+/// 4 × 4 transpose turns four series' quads into four vectors holding
+/// one sample of each series, so every vector add advances four series'
+/// chains by one sample. The order of additions within a series, and so
+/// every bit, is that of [`fold_rows`], which also finishes the tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn fold_transposed(lanes: &[&[f32]; LANES], centre: Option<&[f64; LANES]>) -> [f64; LANES] {
+    use std::arch::x86_64::*;
+
+    let n = lanes[0].len();
+    let body = n - n % 4;
+    let series = lanes.map(|series| &series[..n]);
+    let mid = centre.copied().unwrap_or([0.0; LANES]);
+    let mid: [__m256d; LANES / 4] = std::array::from_fn(|g| {
+        _mm256_setr_pd(mid[4 * g], mid[4 * g + 1], mid[4 * g + 2], mid[4 * g + 3])
+    });
+    let mut acc = [_mm256_set1_pd(sum_identity()); LANES / 4];
+    for i in (0..body).step_by(4) {
+        for (g, acc) in acc.iter_mut().enumerate() {
+            let quad = |r: usize| {
+                let q = &series[4 * g + r][i..i + 4];
+                _mm_setr_ps(q[0], q[1], q[2], q[3])
+            };
+            let (r0, r1, r2, r3) = (quad(0), quad(1), quad(2), quad(3));
+            let (lo01, lo23) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+            let (hi01, hi23) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+            for sample in [
+                _mm_movelh_ps(lo01, lo23),
+                _mm_movehl_ps(lo23, lo01),
+                _mm_movelh_ps(hi01, hi23),
+                _mm_movehl_ps(hi23, hi01),
+            ] {
+                let v = _mm256_cvtps_pd(sample);
+                let term = if centre.is_some() {
+                    let d = _mm256_sub_pd(v, mid[g]);
+                    _mm256_mul_pd(d, d)
+                } else {
+                    v
+                };
+                *acc = _mm256_add_pd(*acc, term);
+            }
+        }
+    }
+    let mut sums = [0.0; LANES];
+    for (g, acc) in acc.iter().enumerate() {
+        let quad: &mut [f64; 4] = (&mut sums[4 * g..][..4])
+            .try_into()
+            .expect("a slice of four");
+        // SAFETY: `quad` is four writable `f64`s, and the store is the
+        // unaligned one.
+        unsafe { _mm256_storeu_pd(quad.as_mut_ptr(), *acc) };
+    }
+    fold_rows(lanes, centre, body, sums)
+}
+
+/// The position `series.iter().enumerate().max_by(|a, b|
+/// a.1.total_cmp(b.1))` returns: that of the last greatest sample.
+#[inline(always)]
+fn arg_max(series: &[f32]) -> usize {
+    // `total_cmp` compares these integers.
+    let key = |v: f32| {
+        let bits = v.to_bits() as i32;
+        bits ^ (((bits >> 31) as u32) >> 1) as i32
+    };
+    let mut top = (i32::MIN, 0);
+    for (b, block) in series.chunks(PEAK_BLOCK).enumerate() {
+        let max = block.iter().map(|&v| key(v)).fold(i32::MIN, i32::max);
+        if max >= top.0 {
+            top = (max, b);
+        }
+    }
+    let (max, b) = top;
+    let block = series.chunks(PEAK_BLOCK).nth(b).expect("non-empty series");
+    let at = block.iter().rposition(|&v| key(v) == max);
+    b * PEAK_BLOCK + at.expect("the block holds its maximum")
+}
+
+/// [`trial_stat`] from the mean and variance on.
+fn finish(trial: usize, series: &[f32], mean: f64, var: f64, peak_sample: usize) -> TrialStat {
+    let sigma = var.sqrt();
+    let peak_value = series[peak_sample];
+    let snr = if sigma > 0.0 {
+        ((peak_value as f64 - mean) / sigma) as f32
+    } else {
+        0.0
+    };
+    TrialStat {
+        trial,
+        mean: mean as f32,
+        sigma: sigma as f32,
+        peak_sample,
+        peak_value,
+        snr,
+    }
+}
+
 /// Scans every trial of a dedispersed output and returns the per-trial
 /// statistics plus the most significant trial.
 ///
@@ -81,9 +326,10 @@ pub fn trial_stat(trial: usize, series: &[f32]) -> TrialStat {
 /// Panics if the output has no trials or zero-length series.
 pub fn detect_best_trial(output: &OutputBuffer) -> Detection {
     assert!(output.trials() > 0, "output must contain trials");
-    let trials: Vec<TrialStat> = (0..output.trials())
-        .map(|t| trial_stat(t, output.series(t)))
-        .collect();
+    let mut trials = Vec::with_capacity(output.trials());
+    scan_rows(0, output.as_slice(), output.samples(), |stat| {
+        trials.push(stat)
+    });
     let best_trial = trials
         .iter()
         .max_by(|a, b| a.snr.total_cmp(&b.snr))
@@ -160,6 +406,70 @@ mod tests {
                 assert!(t.snr < 0.8 * best_snr, "trial {}: snr {}", t.trial, t.snr);
             }
         }
+    }
+
+    /// `LANES` series of `samples` values in [-0.5, 0.5), each with its
+    /// maximum planted twice.
+    fn lanes_of(samples: usize) -> Vec<Vec<f32>> {
+        (0..LANES)
+            .map(|r| {
+                let mut series: Vec<f32> = (0..samples)
+                    .map(|i| {
+                        let x = ((r * samples + i) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        (x >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+                    })
+                    .collect();
+                series[(r * 7) % samples] = 1.0;
+                series[(r * 13 + samples / 2) % samples] = 1.0;
+                series
+            })
+            .collect()
+    }
+
+    #[test]
+    fn both_block_paths_equal_trial_stat_bit_for_bit() {
+        type Path = fn(&[&[f32]; LANES]) -> BlockStats;
+        let paths: [(&str, Path); 2] = [
+            ("portable", block_stats_portable),
+            // The widest this host runs: the transposed fold where there
+            // is AVX2.
+            ("detected", block_stats),
+        ];
+        // Every tail of the four-sample step and of the peak block.
+        for samples in (1..=70).chain([20_000]) {
+            let series = lanes_of(samples);
+            let lanes: [&[f32]; LANES] = std::array::from_fn(|r| &series[r][..]);
+            for (name, path) in paths {
+                let (means, vars, peaks) = path(&lanes);
+                for r in 0..LANES {
+                    let got = finish(r, lanes[r], means[r], vars[r], peaks[r]);
+                    let want = trial_stat(r, lanes[r]);
+                    let bits = |s: &TrialStat| {
+                        (
+                            s.peak_sample,
+                            [s.mean, s.sigma, s.peak_value, s.snr].map(f32::to_bits),
+                        )
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{name}, {samples} samples");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn of_identical_trials_the_later_is_best() {
+        let mut series = vec![0.0f32; 50];
+        series[20] = 4.0;
+        let mut output = OutputBuffer::zeroed(LANES + 2, 50);
+        for trial in 0..output.trials() {
+            output.series_mut(trial).copy_from_slice(&series);
+        }
+        assert_eq!(detect_best_trial(&output).best_trial, LANES + 1);
+        assert_eq!(best_of_rows(0, output.as_slice(), 50).trial, LANES + 1);
+        // In whatever order slabs are folded.
+        let (a, b) = (trial_stat(3, &series), trial_stat(8, &series));
+        assert_eq!(more_significant(a, b).trial, 8);
+        assert_eq!(more_significant(b, a).trial, 8);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Substrate costs: delay-table construction, synthetic observation
-//! generation, detection scans, and filterbank (de)serialization.
+//! generation, and filterbank (de)serialization. (The detection scan is
+//! `astro.detect_ms_p50` in `benchmark/`.)
 
-use bench::{apertif_plan, lofar_plan, noisy_input};
+use bench::{apertif_plan, noisy_input};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dedisp_core::{DelayTable, DmGrid, FrequencyBand};
-use radioastro::{detect_best_trial, Filterbank, ObservationalSetup, PulseSpec, SignalGenerator};
+use radioastro::{Filterbank, ObservationalSetup, PulseSpec, SignalGenerator};
 use std::hint::black_box;
 
 fn bench_delay_table(c: &mut Criterion) {
@@ -40,20 +41,6 @@ fn bench_signal_generation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_detection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("signal/detect");
-    let plan = lofar_plan(2000, 64);
-    let input = noisy_input(&plan, 4);
-    let output = dedisp_core::kernel::dedisperse(&plan, &input).unwrap();
-    group.throughput(Throughput::Elements(
-        (output.trials() * output.samples()) as u64,
-    ));
-    group.bench_function("scan_all_trials", |b| {
-        b.iter(|| detect_best_trial(black_box(&output)))
-    });
-    group.finish();
-}
-
 fn bench_filterbank(c: &mut Criterion) {
     let mut group = c.benchmark_group("signal/filterbank");
     let setup = ObservationalSetup::lofar().scaled(2000);
@@ -73,7 +60,6 @@ criterion_group!(
     benches,
     bench_delay_table,
     bench_signal_generation,
-    bench_detection,
     bench_filterbank
 );
 criterion_main!(benches);

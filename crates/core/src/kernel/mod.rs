@@ -13,7 +13,10 @@
 //!   a block of channels (the paper's per-work-item accumulators), and
 //!   tiles are visited time-major so that the input a time tile needs is
 //!   read from memory once and served from cache to every trial (the
-//!   data-reuse of Section III-B).
+//!   data-reuse of Section III-B). Output is finished one L2-sized *slab*
+//!   of whole DM strips at a time, so
+//!   [`dedisperse_slabs`](Dedisperser::dedisperse_slabs) can feed a
+//!   consumer without the dm–time plane ever being written.
 //! * [`ParallelKernel`] — the tiled kernel with the DM strips split into
 //!   one contiguous band per worker of a rayon thread pool; the host-side
 //!   analog of launching the OpenCL kernel across compute units.
@@ -35,6 +38,11 @@ pub use tiled::TiledKernel;
 use crate::buffer::{InputBuffer, OutputBuffer};
 use crate::error::Result;
 use crate::plan::DedispersionPlan;
+
+/// The consumer of [`Dedisperser::dedisperse_slabs`]: called with the
+/// first trial of a finished slab and its rows (`n × out_samples`,
+/// trial-major), possibly from several worker threads at once.
+pub type SlabSink<'a> = dyn Fn(usize, &[f32]) + Sync + 'a;
 
 /// A dedispersion kernel: consumes a channelized time-series and produces
 /// one dedispersed time-series per trial DM.
@@ -61,6 +69,33 @@ pub trait Dedisperser {
         input: &InputBuffer,
         output: &mut OutputBuffer,
     ) -> Result<()>;
+
+    /// Dedisperses `input` and hands the result to `sink` one *slab* —
+    /// a run of consecutive trials' complete series — at a time, for
+    /// consumers that reduce each series (detection) and have no use for
+    /// the whole dm–time plane.
+    ///
+    /// Every trial is delivered exactly once, with the same bits
+    /// [`dedisperse`](Self::dedisperse) would have written; one thread
+    /// delivers its slabs in ascending trial order, and a slab's rows are
+    /// only valid during the call. This default materialises the plane
+    /// and delivers it as a single slab; the tiled kernels deliver
+    /// cache-sized slabs out of a reused scratch instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`dedisperse`](Self::dedisperse).
+    fn dedisperse_slabs(
+        &self,
+        plan: &DedispersionPlan,
+        input: &InputBuffer,
+        sink: &SlabSink<'_>,
+    ) -> Result<()> {
+        let mut output = OutputBuffer::for_plan(plan);
+        self.dedisperse(plan, input, &mut output)?;
+        sink(0, output.as_slice());
+        Ok(())
+    }
 }
 
 /// Convenience wrapper: dedisperses with the sequential reference kernel
@@ -93,6 +128,12 @@ pub(crate) mod testutil {
             .sample_rate(200)
             .build()
             .unwrap()
+    }
+
+    /// Whether two series hold the same bit patterns (`==` would let
+    /// `-0.0` pass for `0.0`).
+    pub fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Deterministic pseudo-random input: a cheap integer hash mapped to

@@ -18,11 +18,21 @@
 //! * **A tile's input is fetched once.** Neighbouring trials of a
 //!   micro-tile read overlapping spans of the same channel, so they hit
 //!   the same cache lines; one channel block of one work-group tile fits
-//!   the L1 cache; and tiles are visited *time-major* — every DM strip
-//!   of one time tile before the next time tile — so the
+//!   the L1 cache; and inside a slab tiles are visited *time-major* —
+//!   every DM strip of one time tile before the next time tile — so the
 //!   `channels × (tile_time + delay spread)` input of a time tile stays
-//!   in the L2 cache across all trials instead of being streamed again
-//!   for every strip.
+//!   in the L2 cache across the slab's trials instead of being streamed
+//!   again for every strip.
+//! * **Output is finished a slab at a time.** A *slab* is the run of
+//!   whole DM strips whose output rows fit [`SLAB_BYTES`] of L2
+//!   ([`slab_rows`]: derived from the plan and the tile, not set by
+//!   anyone). Slabs are the outermost loop, so a slab's rows are complete
+//!   — and still cached — before the next slab is begun, which is what
+//!   lets [`Dedisperser::dedisperse_slabs`] hand them to a consumer
+//!   without the full plane ever existing. With long rows (LOFAR) a slab
+//!   is one strip and the order is strip-major; with short rows
+//!   (Apertif) a slab is many strips and the order is time-major as
+//!   before.
 //!
 //! Every output element is still the sum of its channels in ascending
 //! order, starting from zero, so results equal [`NaiveKernel`]'s bit for
@@ -38,7 +48,7 @@ use std::ops::Range;
 use crate::buffer::{InputBuffer, OutputBuffer};
 use crate::config::KernelConfig;
 use crate::error::Result;
-use crate::kernel::Dedisperser;
+use crate::kernel::{Dedisperser, SlabSink};
 use crate::plan::DedispersionPlan;
 
 /// Single-threaded execution of the tiled many-core algorithm.
@@ -79,8 +89,28 @@ impl Dedisperser for TiledKernel {
             plan,
             input,
             &self.config,
-            0,
-            output.as_mut_slice(),
+            0..plan.trials(),
+            Slabs::InPlace(output.as_mut_slice()),
+        );
+        Ok(())
+    }
+
+    fn dedisperse_slabs(
+        &self,
+        plan: &DedispersionPlan,
+        input: &InputBuffer,
+        sink: &SlabSink<'_>,
+    ) -> Result<()> {
+        input.check_plan(plan)?;
+        self.config
+            .validate_for(plan.out_samples(), plan.trials())?;
+        sink_band(
+            Isa::detect(),
+            plan,
+            input,
+            &self.config,
+            0..plan.trials(),
+            sink,
         );
         Ok(())
     }
@@ -97,6 +127,29 @@ const MICRO_TIME: usize = 16;
 /// the output row. 32 channels of a `tile_time`-wide span fit the L1
 /// cache, and the spill costs one load and one store per 32 adds.
 const CHANNEL_BLOCK: usize = 32;
+/// Output bytes per slab: half of a 2 MB L2, so a finished slab is still
+/// cached when its consumer reads it and the input of a time tile keeps
+/// the other half. Anywhere in 1–4 MB measures the same (DESIGN.md §19),
+/// which is why this is a constant.
+const SLAB_BYTES: usize = 1 << 20;
+
+/// Rows per slab: the whole DM strips whose output rows fit
+/// [`SLAB_BYTES`], at least one strip.
+pub(crate) fn slab_rows(plan: &DedispersionPlan, config: &KernelConfig) -> usize {
+    let tile_dm = config.tile_dm() as usize;
+    let fit = SLAB_BYTES / (plan.out_samples() * std::mem::size_of::<f32>());
+    (fit / tile_dm).max(1) * tile_dm
+}
+
+/// Where the slabs of a band are written.
+pub(crate) enum Slabs<'a> {
+    /// One after another: the band's rows of an output buffer
+    /// (`n × out_samples`, trial-major).
+    InPlace(&'a mut [f32]),
+    /// Every slab into the same scratch of [`slab_rows`] rows, handed to
+    /// the sink once complete.
+    Sink(&'a mut [f32], &'a SlabSink<'a>),
+}
 
 /// The instruction sets [`band_body`] is compiled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,28 +172,42 @@ impl Isa {
     }
 }
 
-/// Dedisperses the contiguous band of trials that starts at `trial_lo`
-/// and whose output rows are `rows` (`n × out_samples`, trial-major),
-/// visiting its work-group tiles time-major. Every element of `rows` is
-/// overwritten.
+/// Dedisperses the contiguous band `trials` into `out`, one slab after
+/// another. Every element of every slab is overwritten.
 ///
-/// This is the body shared by [`TiledKernel`] (one band: the whole
-/// output) and the parallel kernel (one band per worker).
+/// This is the body shared by [`TiledKernel`] (one band: every trial)
+/// and the parallel kernel (one band per worker), and by
+/// [`Dedisperser::dedisperse`] and [`Dedisperser::dedisperse_slabs`].
 pub(crate) fn dedisperse_band(
     isa: Isa,
     plan: &DedispersionPlan,
     input: &InputBuffer,
     config: &KernelConfig,
-    trial_lo: usize,
-    rows: &mut [f32],
+    trials: Range<usize>,
+    out: Slabs<'_>,
 ) {
     match isa {
-        Isa::Portable => band_body::<MICRO_TIME>(plan, input, config, trial_lo, rows),
+        Isa::Portable => band_body::<MICRO_TIME>(plan, input, config, trials, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only ever produced by `Isa::detect`,
         // after `is_x86_feature_detected!("avx2")`.
-        Isa::Avx2 => unsafe { band_avx2(plan, input, config, trial_lo, rows) },
+        Isa::Avx2 => unsafe { band_avx2(plan, input, config, trials, out) },
     }
+}
+
+/// [`dedisperse_band`] into a scratch allocated here, for `sink`.
+pub(crate) fn sink_band(
+    isa: Isa,
+    plan: &DedispersionPlan,
+    input: &InputBuffer,
+    config: &KernelConfig,
+    trials: Range<usize>,
+    sink: &SlabSink<'_>,
+) {
+    let rows = slab_rows(plan, config).min(trials.len());
+    let mut scratch = vec![0.0; rows * plan.out_samples()];
+    let out = Slabs::Sink(&mut scratch, sink);
+    dedisperse_band(isa, plan, input, config, trials, out);
 }
 
 /// [`band_body`] compiled with 256-bit lanes.
@@ -150,52 +217,45 @@ fn band_avx2(
     plan: &DedispersionPlan,
     input: &InputBuffer,
     config: &KernelConfig,
-    trial_lo: usize,
-    rows: &mut [f32],
+    trials: Range<usize>,
+    out: Slabs<'_>,
 ) {
-    band_body::<{ 2 * MICRO_TIME }>(plan, input, config, trial_lo, rows);
+    band_body::<{ 2 * MICRO_TIME }>(plan, input, config, trials, out);
 }
 
-/// The one loop nest: time tiles, DM strips, channel blocks, micro-tiles.
+/// The one loop nest, outer half: the slabs of a band.
 #[inline(always)]
 fn band_body<const W: usize>(
     plan: &DedispersionPlan,
     input: &InputBuffer,
     config: &KernelConfig,
-    trial_lo: usize,
-    rows: &mut [f32],
+    trials: Range<usize>,
+    mut out: Slabs<'_>,
 ) {
     let out_samples = plan.out_samples();
-    let channels = plan.channels();
-    let tile_time = config.tile_time() as usize;
-    let tile_dm = config.tile_dm() as usize;
-    let n_trials = rows.len() / out_samples;
-    debug_assert_eq!(rows.len(), n_trials * out_samples);
     let tile = Tile {
         data: input.as_slice(),
         in_samples: input.samples(),
         out_samples,
     };
-
-    for t0 in (0..out_samples).step_by(tile_time) {
-        let t1 = (t0 + tile_time).min(out_samples);
-        for strip_lo in (0..n_trials).step_by(tile_dm) {
-            let strip_hi = (strip_lo + tile_dm).min(n_trials);
-            for c0 in (0..channels).step_by(CHANNEL_BLOCK) {
-                let block = c0..(c0 + CHANNEL_BLOCK).min(channels);
-                let mut tr = strip_lo;
-                while tr < strip_hi {
-                    let out = &mut rows[tr * out_samples..];
-                    let trial = trial_lo + tr;
-                    if tr + MICRO_DM <= strip_hi {
-                        tile.trials::<MICRO_DM, W>(plan, trial, block.clone(), t0..t1, out);
-                        tr += MICRO_DM;
-                    } else {
-                        tile.trials::<1, W>(plan, trial, block.clone(), t0..t1, out);
-                        tr += 1;
-                    }
+    let height = slab_rows(plan, config);
+    for lo in trials.clone().step_by(height) {
+        let len = (height.min(trials.end - lo)) * out_samples;
+        let slab = match &mut out {
+            Slabs::InPlace(rows) => &mut rows[(lo - trials.start) * out_samples..][..len],
+            Slabs::Sink(scratch, _) => {
+                let slab = &mut scratch[..len];
+                if cfg!(debug_assertions) {
+                    // What the previous slab left must not be able to
+                    // stand in for an element this one fails to write.
+                    slab.fill(f32::NAN);
                 }
+                slab
             }
+        };
+        tile.slab::<W>(plan, config, lo, slab);
+        if let Slabs::Sink(scratch, sink) = &out {
+            sink(lo, &scratch[..len]);
         }
     }
 }
@@ -210,6 +270,47 @@ struct Tile<'a> {
 }
 
 impl Tile<'_> {
+    /// The one loop nest, inner half: time tiles, DM strips, channel
+    /// blocks and micro-tiles of the slab whose first trial is `trial_lo`
+    /// and whose rows are `rows`.
+    #[inline(always)]
+    fn slab<const W: usize>(
+        self,
+        plan: &DedispersionPlan,
+        config: &KernelConfig,
+        trial_lo: usize,
+        rows: &mut [f32],
+    ) {
+        let out_samples = self.out_samples;
+        let channels = plan.channels();
+        let tile_time = config.tile_time() as usize;
+        let tile_dm = config.tile_dm() as usize;
+        let n_trials = rows.len() / out_samples;
+        debug_assert_eq!(rows.len(), n_trials * out_samples);
+
+        for t0 in (0..out_samples).step_by(tile_time) {
+            let t1 = (t0 + tile_time).min(out_samples);
+            for strip_lo in (0..n_trials).step_by(tile_dm) {
+                let strip_hi = (strip_lo + tile_dm).min(n_trials);
+                for c0 in (0..channels).step_by(CHANNEL_BLOCK) {
+                    let block = c0..(c0 + CHANNEL_BLOCK).min(channels);
+                    let mut tr = strip_lo;
+                    while tr < strip_hi {
+                        let out = &mut rows[tr * out_samples..];
+                        let trial = trial_lo + tr;
+                        if tr + MICRO_DM <= strip_hi {
+                            self.trials::<MICRO_DM, W>(plan, trial, block.clone(), t0..t1, out);
+                            tr += MICRO_DM;
+                        } else {
+                            self.trials::<1, W>(plan, trial, block.clone(), t0..t1, out);
+                            tr += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Sums the channels of `block` into the samples `time` of the `R`
     /// trials starting at `trial`, whose output rows start at `out`: full
     /// micro-tiles first, then ever narrower ones for the tail.
@@ -280,7 +381,7 @@ impl Tile<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::testutil::{hash_input, small_plan};
+    use crate::kernel::testutil::{hash_input, same_bits, small_plan};
     use crate::kernel::NaiveKernel;
 
     fn reference(plan: &DedispersionPlan, input: &InputBuffer) -> OutputBuffer {
@@ -373,9 +474,80 @@ mod tests {
                 // Poisoned: the band must overwrite every element.
                 let mut out = OutputBuffer::for_plan(&plan);
                 out.as_mut_slice().fill(f32::NAN);
-                dedisperse_band(isa, &plan, &input, &config, 0, out.as_mut_slice());
+                let rows = Slabs::InPlace(out.as_mut_slice());
+                dedisperse_band(isa, &plan, &input, &config, 0..plan.trials(), rows);
                 assert!(out.bits_eq(&expected), "{isa:?} under {config}");
             }
+        }
+    }
+
+    /// Runs the sink path of one band and returns the trials delivered,
+    /// in order, after checking every delivered row against `expected`.
+    fn delivered(
+        isa: Isa,
+        plan: &DedispersionPlan,
+        input: &InputBuffer,
+        config: &KernelConfig,
+        scratch: &mut [f32],
+        expected: &OutputBuffer,
+    ) -> Vec<usize> {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let sink = |first: usize, rows: &[f32]| {
+            for (r, row) in rows.chunks(plan.out_samples()).enumerate() {
+                assert!(
+                    same_bits(row, expected.series(first + r)),
+                    "trial {} under {config} on {isa:?}",
+                    first + r
+                );
+                seen.lock().unwrap().push(first + r);
+            }
+        };
+        let out = Slabs::Sink(scratch, &sink);
+        dedisperse_band(isa, plan, input, config, 0..plan.trials(), out);
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn slab_height_follows_the_plan_and_the_tile() {
+        let shape = |rate: u32, trials: usize| {
+            crate::plan::DedispersionPlan::builder()
+                .band(crate::freq::FrequencyBand::new(140.0, 0.5, 4).unwrap())
+                .dm_grid(crate::dm::DmGrid::new(0.0, 0.01, trials).unwrap())
+                .sample_rate(rate)
+                .build()
+                .unwrap()
+        };
+        // The benchmark's tile: strips of 8 trials.
+        let tile = KernelConfig::new(25, 4, 4, 2).unwrap();
+        // 80 kB rows: 13 fit, one whole strip of them.
+        assert_eq!(slab_rows(&shape(20_000, 16), &tile), 8);
+        // 8 kB rows: 131 fit, sixteen whole strips.
+        assert_eq!(slab_rows(&shape(2_000, 16), &tile), 128);
+        // 1.2 MB rows: none fits, and a slab is still one strip.
+        assert_eq!(slab_rows(&shape(300_000, 16), &tile), 8);
+    }
+
+    #[test]
+    fn sink_path_delivers_every_trial_once_in_order_with_the_same_bits() {
+        // 5,000 samples make a 20 kB row, so 52 rows fit a slab: under a
+        // DM tile of 5 a slab is 50 rows, and 117 trials are two whole
+        // slabs and a last one of 17 that ends on a strip of 2.
+        let plan = crate::plan::DedispersionPlan::builder()
+            .band(crate::freq::FrequencyBand::new(140.0, 0.5, 40).unwrap())
+            .dm_grid(crate::dm::DmGrid::new(0.0, 0.05, 117).unwrap())
+            .sample_rate(5_000)
+            .build()
+            .unwrap();
+        let input = hash_input(&plan);
+        let expected = reference(&plan, &input);
+        let config = KernelConfig::new(16, 5, 3, 1).unwrap();
+        assert_eq!(slab_rows(&plan, &config), 50);
+        for isa in [Isa::Portable, Isa::detect()] {
+            // Poisoned before every call: a slab must not depend on what
+            // the scratch held.
+            let mut scratch = vec![f32::NAN; 50 * plan.out_samples()];
+            let seen = delivered(isa, &plan, &input, &config, &mut scratch, &expected);
+            assert_eq!(seen, (0..117).collect::<Vec<_>>());
         }
     }
 

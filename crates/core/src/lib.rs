@@ -87,7 +87,7 @@ pub use dm::DmGrid;
 pub use error::{DedispError, Result};
 pub use freq::FrequencyBand;
 pub use kernel::{
-    Dedisperser, NaiveKernel, ParallelKernel, SubbandConfig, SubbandKernel, TiledKernel,
+    Dedisperser, NaiveKernel, ParallelKernel, SlabSink, SubbandConfig, SubbandKernel, TiledKernel,
 };
 pub use plan::{DedispersionPlan, PlanBuilder};
 pub use stream::StreamWindow;
@@ -102,7 +102,8 @@ pub mod prelude {
     pub use crate::error::{DedispError, Result};
     pub use crate::freq::FrequencyBand;
     pub use crate::kernel::{
-        Dedisperser, NaiveKernel, ParallelKernel, SubbandConfig, SubbandKernel, TiledKernel,
+        Dedisperser, NaiveKernel, ParallelKernel, SlabSink, SubbandConfig, SubbandKernel,
+        TiledKernel,
     };
     pub use crate::plan::{DedispersionPlan, PlanBuilder};
     pub use crate::stream::StreamWindow;

@@ -38,6 +38,32 @@ fn arb_plan_below(channels: usize) -> impl Strategy<Value = DedispersionPlan> {
         })
 }
 
+/// A plan whose rows are long enough — 80 to 600 kB — for a megabyte
+/// slab to hold only a few of them, so that a handful of trials make
+/// several slabs whose height rarely divides the trial count. Few
+/// channels keep the reference kernel cheap.
+fn arb_long_row_plan() -> impl Strategy<Value = DedispersionPlan> {
+    (
+        50.0f64..2000.0,      // low frequency, MHz
+        0.05f64..2.0,         // channel width, MHz
+        2usize..6,            // channels
+        50u32..400,           // sample rate: sets the delays
+        20_000usize..150_000, // output samples per trial
+        1usize..24,           // trials
+        0.05f64..2.0,         // dm step
+    )
+        .prop_map(|(low, width, channels, rate, samples, trials, step)| {
+            DedispersionPlan::builder()
+                .band(FrequencyBand::new(low, width, channels).expect("valid band"))
+                .dm_grid(DmGrid::new(0.0, step, trials).expect("valid grid"))
+                .sample_rate(rate)
+                .out_samples(samples)
+                .allocation_limit(64 << 20)
+                .build()
+                .expect("plan within limits")
+        })
+}
+
 /// Pseudo-random input derived deterministically from a seed: values in
 /// [-0.5, 0.5), so sums cancel, with one sample in 16 a signed zero.
 fn fill_input(plan: &DedispersionPlan, seed: u64) -> InputBuffer {
@@ -109,6 +135,53 @@ proptest! {
             let mut parallel = OutputBuffer::for_plan(&plan);
             ParallelKernel::new(config).dedisperse(&plan, &input, &mut parallel).unwrap();
             prop_assert!(parallel.bits_eq(&reference), "parallel under {}", config);
+        }
+    }
+
+    #[test]
+    fn slab_sink_delivers_the_reference_rows_exactly_once(
+        (plan, config, seed) in arb_long_row_plan().prop_flat_map(|p| {
+            let (s, d) = (p.out_samples(), p.trials());
+            (Just(p), arb_config_for(s, d), any::<u64>())
+        }),
+    ) {
+        prop_assume!(config.validate_for(plan.out_samples(), plan.trials()).is_ok());
+        let input = fill_input(&plan, seed);
+        let mut reference = OutputBuffer::for_plan(&plan);
+        NaiveKernel.dedisperse(&plan, &input, &mut reference).unwrap();
+
+        let kernels: [Box<dyn Dedisperser>; 3] = [
+            Box::new(TiledKernel::new(config)),
+            Box::new(ParallelKernel::new(config)),
+            // The default: one slab, the whole plane.
+            Box::new(NaiveKernel),
+        ];
+        for kernel in kernels {
+            // First trials in order of arrival, how often each trial
+            // came, and a trial that came with other bits.
+            let seen = std::sync::Mutex::new((Vec::new(), vec![0u32; plan.trials()], None));
+            kernel.dedisperse_slabs(&plan, &input, &|first, rows| {
+                let mut seen = seen.lock().unwrap();
+                seen.0.push(first);
+                for (r, row) in rows.chunks(plan.out_samples()).enumerate() {
+                    seen.1[first + r] += 1;
+                    let want = reference.series(first + r);
+                    if row.len() != want.len()
+                        || row.iter().zip(want).any(|(a, b)| a.to_bits() != b.to_bits())
+                    {
+                        seen.2 = Some(first + r);
+                    }
+                }
+            }).unwrap();
+            let (firsts, arrivals, wrong) = seen.into_inner().unwrap();
+            let name = kernel.name();
+            prop_assert_eq!(wrong, None, "{} under {}", name, config);
+            prop_assert!(arrivals.iter().all(|&n| n == 1), "{} under {}: {:?}", name, config, arrivals);
+            if name != "parallel" {
+                // One thread delivers in ascending order; the parallel
+                // kernel's bands interleave.
+                prop_assert!(firsts.windows(2).all(|w| w[0] < w[1]), "{}: {:?}", name, firsts);
+            }
         }
     }
 

@@ -12,15 +12,22 @@
 //! workers run the configuration-specialized [`ParallelKernel`] and scan
 //! every trial for impulsive candidates. Beams are independent (paper,
 //! Section II), so a worker pool scales across them naturally.
+//!
+//! A worker never holds the dm–time plane: the kernel finishes one
+//! cache-sized slab of trials at a time
+//! ([`Dedisperser::dedisperse_slabs`]), the worker reduces the slab to
+//! its most significant trial while it is still cached, and only that
+//! survives the slab.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dedisp_core::{
-    Dedisperser, DedispersionPlan, InputBuffer, KernelConfig, OutputBuffer, ParallelKernel,
+    DedispError, Dedisperser, DedispersionPlan, InputBuffer, KernelConfig, ParallelKernel,
 };
-use radioastro::detect::{detect_best_trial, TrialStat};
+use radioastro::detect::{best_of_rows, more_significant, TrialStat};
 
 /// One second of channelized data for one beam.
 #[derive(Debug)]
@@ -79,6 +86,7 @@ pub struct StreamingPipeline {
     input_tx: Option<Sender<Chunk>>,
     candidate_rx: Receiver<Candidate>,
     workers: Vec<thread::JoinHandle<u64>>,
+    rejected: Arc<AtomicU64>,
 }
 
 impl StreamingPipeline {
@@ -87,35 +95,52 @@ impl StreamingPipeline {
     /// # Panics
     ///
     /// Panics if `config.workers` or `config.queue_depth` is zero, or if
-    /// the kernel configuration is incompatible with the plan.
+    /// the kernel configuration is incompatible with the plan
+    /// ([`StreamingPipeline::try_spawn`] returns that error instead).
     pub fn spawn(plan: Arc<DedispersionPlan>, config: PipelineConfig) -> Self {
+        Self::try_spawn(plan, config).expect("kernel configuration must fit the plan")
+    }
+
+    /// Spawns the worker pool for `plan`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the configuration error if the kernel configuration is
+    /// incompatible with the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.workers` or `config.queue_depth` is zero.
+    pub fn try_spawn(
+        plan: Arc<DedispersionPlan>,
+        config: PipelineConfig,
+    ) -> Result<Self, DedispError> {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_depth > 0, "need a non-zero queue");
         config
             .kernel
-            .validate_for(plan.out_samples(), plan.trials())
-            .expect("kernel configuration must fit the plan");
+            .validate_for(plan.out_samples(), plan.trials())?;
 
         let (input_tx, input_rx) = bounded::<Chunk>(config.queue_depth);
         let (candidate_tx, candidate_rx) = bounded::<Candidate>(config.queue_depth * 4);
+        let rejected = Arc::new(AtomicU64::new(0));
 
         let workers = (0..config.workers)
             .map(|_| {
                 let rx = input_rx.clone();
                 let tx = candidate_tx.clone();
                 let plan = Arc::clone(&plan);
+                let rejected = Arc::clone(&rejected);
                 let kernel = ParallelKernel::new(config.kernel);
                 let threshold = config.snr_threshold;
                 thread::spawn(move || {
-                    let mut output = OutputBuffer::for_plan(&plan);
                     let mut processed = 0u64;
                     while let Ok(chunk) = rx.recv() {
-                        // Reused as is: `dedisperse` overwrites every element.
-                        kernel
-                            .dedisperse(&plan, &chunk.data, &mut output)
-                            .expect("chunk shape matches plan");
-                        let det = detect_best_trial(&output);
-                        let best = *det.best();
+                        let Some(best) = best_trial(&kernel, &plan, &chunk.data) else {
+                            // A statistic only: it publishes nothing else.
+                            rejected.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        };
                         if best.snr >= threshold {
                             let candidate = Candidate {
                                 beam: chunk.beam,
@@ -133,11 +158,19 @@ impl StreamingPipeline {
             })
             .collect();
 
-        Self {
+        Ok(Self {
             input_tx: Some(input_tx),
             candidate_rx,
             workers,
-        }
+            rejected,
+        })
+    }
+
+    /// Chunks skipped so far because their shape did not match the plan;
+    /// they produce no candidate and are not counted by
+    /// [`StreamingPipeline::join`].
+    pub fn rejected(&self) -> u64 {
+        self.rejected.load(Ordering::Relaxed)
     }
 
     /// The chunk intake. Clone freely for multiple producers; all clones
@@ -173,6 +206,25 @@ impl StreamingPipeline {
             .map(|h| h.join().expect("worker panicked"))
             .sum()
     }
+}
+
+/// The most significant trial of `data` dedispersed under `plan`, folded
+/// slab by slab — what `detect_best_trial` finds on the whole plane —
+/// or `None` if `data` does not have the plan's shape.
+fn best_trial(
+    kernel: &ParallelKernel,
+    plan: &DedispersionPlan,
+    data: &InputBuffer,
+) -> Option<TrialStat> {
+    let best = Mutex::new(None::<TrialStat>);
+    kernel
+        .dedisperse_slabs(plan, data, &|first_trial, rows| {
+            let slab = best_of_rows(first_trial, rows, plan.out_samples());
+            let mut best = best.lock().expect("no sink panics holding the lock");
+            *best = Some(best.map_or(slab, |best| more_significant(best, slab)));
+        })
+        .ok()?;
+    best.into_inner().expect("no sink panics holding the lock")
 }
 
 #[cfg(test)]
@@ -278,6 +330,85 @@ mod tests {
         let mut beams: Vec<usize> = candidates.try_iter().map(|c| c.beam).collect();
         beams.sort_unstable();
         assert_eq!(beams, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn mis_shaped_chunk_is_skipped_and_counted() {
+        let plan = plan();
+        let pipeline = StreamingPipeline::spawn(
+            Arc::clone(&plan),
+            PipelineConfig {
+                workers: 1,
+                snr_threshold: 0.0,
+                ..PipelineConfig::default()
+            },
+        );
+        let tx = pipeline.sender();
+        let candidates = pipeline.candidates();
+        let good = |second| Chunk {
+            beam: 0,
+            second,
+            data: SignalGenerator::new(second).generate(&plan),
+        };
+        tx.send(good(0)).unwrap();
+        tx.send(Chunk {
+            beam: 0,
+            second: 1,
+            data: InputBuffer::zeroed(plan.channels(), plan.in_samples() - 1),
+        })
+        .unwrap();
+        tx.send(good(2)).unwrap();
+        drop(tx);
+        // The third chunk's candidate is behind the bad chunk in the
+        // one worker's queue.
+        let seconds: Vec<u64> = candidates.iter().take(2).map(|c| c.second).collect();
+        assert_eq!(seconds, vec![0, 2]);
+        assert_eq!(pipeline.rejected(), 1);
+        assert_eq!(pipeline.join(), 2);
+    }
+
+    #[test]
+    fn folded_best_equals_detect_best_trial_and_ties_go_to_the_later_trial() {
+        let kernel = ParallelKernel::new(KernelConfig::new(8, 2, 2, 2).unwrap());
+        let whole_plane = |plan: &DedispersionPlan, data: &InputBuffer| {
+            let mut output = dedisp_core::OutputBuffer::for_plan(plan);
+            kernel.dedisperse(plan, data, &mut output).unwrap();
+            *radioastro::detect_best_trial(&output).best()
+        };
+
+        let plan = plan();
+        let data = SignalGenerator::new(3)
+            .pulse(PulseSpec::impulse(5.0, 100, 4.0))
+            .generate(&plan);
+        assert_eq!(
+            best_trial(&kernel, &plan, &data),
+            Some(whole_plane(&plan, &data))
+        );
+
+        // Under a zero-DM plan every trial is the same series.
+        let flat = DedispersionPlan::builder()
+            .band(FrequencyBand::new(140.0, 0.5, 32).unwrap())
+            .dm_grid(DmGrid::new(0.0, 1.0, 8).unwrap())
+            .sample_rate(400)
+            .zero_dm(true)
+            .build()
+            .unwrap();
+        let data = SignalGenerator::new(4).generate(&flat);
+        let best = best_trial(&kernel, &flat, &data).unwrap();
+        assert_eq!(best.trial, 7);
+        assert_eq!(best, whole_plane(&flat, &data));
+    }
+
+    #[test]
+    fn try_spawn_returns_the_configuration_error() {
+        let oversized = PipelineConfig {
+            kernel: KernelConfig::new(16, 16, 1, 1).unwrap(), // 16 > 8 trials
+            ..PipelineConfig::default()
+        };
+        assert!(matches!(
+            StreamingPipeline::try_spawn(plan(), oversized),
+            Err(DedispError::IncompatibleConfig { .. })
+        ));
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Cross-crate kernel equivalence: the CPU baseline, the tiled kernel,
 //! the parallel kernel, and the sequential reference all compute the
-//! identical transform.
+//! identical transform — into an output buffer and slab by slab into a
+//! sink — and the multi-row detection statistics equal the scalar ones
+//! on what they compute.
+
+use std::sync::Mutex;
 
 use dedisp_repro::cpu_baseline::OpenMpAvxKernel;
 use dedisp_repro::dedisp_core::prelude::*;
 use dedisp_repro::dedisp_core::{SubbandConfig, SubbandKernel};
-use dedisp_repro::radioastro::{ObservationalSetup, SignalGenerator};
+use dedisp_repro::radioastro::detect::{scan_rows, trial_stat};
+use dedisp_repro::radioastro::{detect_best_trial, ObservationalSetup, SignalGenerator};
 
 fn all_kernels(config: KernelConfig) -> Vec<Box<dyn Dedisperser>> {
     vec![
@@ -15,6 +20,34 @@ fn all_kernels(config: KernelConfig) -> Vec<Box<dyn Dedisperser>> {
         Box::new(OpenMpAvxKernel::default()),
         Box::new(OpenMpAvxKernel::with_block(64)),
     ]
+}
+
+/// The plane `kernel` delivers through `dedisperse_slabs`, reassembled,
+/// after checking that the slabs are whole series and that every trial
+/// arrived exactly once.
+fn plane_from_slabs(
+    kernel: &dyn Dedisperser,
+    plan: &DedispersionPlan,
+    input: &InputBuffer,
+) -> OutputBuffer {
+    // Poisoned: a trial that never arrives cannot pass for a zero row.
+    let mut plane = OutputBuffer::for_plan(plan);
+    plane.as_mut_slice().fill(f32::NAN);
+    let state = Mutex::new((plane, vec![0u32; plan.trials()]));
+    let name = kernel.name();
+    kernel
+        .dedisperse_slabs(plan, input, &|first, rows| {
+            assert_eq!(rows.len() % plan.out_samples(), 0, "{name}");
+            let mut state = state.lock().unwrap();
+            for (r, row) in rows.chunks(plan.out_samples()).enumerate() {
+                state.0.series_mut(first + r).copy_from_slice(row);
+                state.1[first + r] += 1;
+            }
+        })
+        .unwrap();
+    let (plane, arrivals) = state.into_inner().unwrap();
+    assert!(arrivals.iter().all(|&n| n == 1), "{name}");
+    plane
 }
 
 #[test]
@@ -31,6 +64,13 @@ fn five_implementations_agree_bitwise() {
         for kernel in all_kernels(config) {
             let mut out = OutputBuffer::for_plan(&plan);
             kernel.dedisperse(&plan, &input, &mut out).unwrap();
+            // The default sink path delivers that very plane; the tiled
+            // kernels build it slab by slab.
+            assert!(
+                plane_from_slabs(kernel.as_ref(), &plan, &input).bits_eq(&out),
+                "{} delivers other bits than it writes",
+                kernel.name()
+            );
             outputs.push((kernel.name(), out));
         }
         let (ref_name, reference) = &outputs[0];
@@ -47,21 +87,14 @@ fn five_implementations_agree_bitwise() {
 
 #[test]
 fn benchmark_shapes_agree_bitwise_under_the_benchmark_tile() {
-    // The two shapes `BENCHMARK.json`'s stream workloads run, at 16 of
+    // The two shapes `BENCHMARK.json`'s stream workloads run, at 20 of
     // their 256 trials, under the tile their pipeline is configured
-    // with: 1,024 channels are 32 channel blocks with small delays,
-    // 32 channels are one block with delays longer than the second.
+    // with: 1,024 channels are 32 channel blocks with small delays and
+    // one slab holds every trial; 32 channels are one block with delays
+    // longer than the second, and 80 kB rows make slabs of 8, 8 and 4.
     let config = KernelConfig::new(25, 4, 4, 2).unwrap();
-    for setup in [
-        ObservationalSetup::apertif().scaled(2_000),
-        ObservationalSetup::lofar().scaled(20_000),
-    ] {
-        let plan = setup.plan(16).expect("valid plan");
-        let input = SignalGenerator::new(20_140_519).generate(&plan);
-        let mut reference = OutputBuffer::for_plan(&plan);
-        NaiveKernel
-            .dedisperse(&plan, &input, &mut reference)
-            .unwrap();
+    for (setup, input, reference) in benchmark_shapes() {
+        let plan = setup.plan(20).expect("valid plan");
         let kernels: [Box<dyn Dedisperser>; 2] = [
             Box::new(TiledKernel::new(config)),
             Box::new(ParallelKernel::new(config)),
@@ -75,14 +108,74 @@ fn benchmark_shapes_agree_bitwise_under_the_benchmark_tile() {
                 kernel.name(),
                 setup.name
             );
+            assert!(
+                plane_from_slabs(kernel.as_ref(), &plan, &input).bits_eq(&reference),
+                "{}'s slabs differ from naive on {}",
+                kernel.name(),
+                setup.name
+            );
         }
+    }
+}
+
+/// The benchmark's two stream shapes at 20 trials, each with an input and
+/// the reference kernel's output for it.
+fn benchmark_shapes() -> Vec<(ObservationalSetup, InputBuffer, OutputBuffer)> {
+    [
+        ObservationalSetup::apertif().scaled(2_000),
+        ObservationalSetup::lofar().scaled(20_000),
+    ]
+    .into_iter()
+    .map(|setup| {
+        let plan = setup.plan(20).expect("valid plan");
+        let input = SignalGenerator::new(20_140_519).generate(&plan);
+        let mut reference = OutputBuffer::for_plan(&plan);
+        NaiveKernel
+            .dedisperse(&plan, &input, &mut reference)
+            .unwrap();
+        (setup, input, reference)
+    })
+    .collect()
+}
+
+#[test]
+fn detection_on_the_benchmark_shapes_equals_the_scalar_statistics() {
+    // What the benchmark compares `Candidate`s with is `detect_best_trial`
+    // on `NaiveKernel`'s plane: the multi-row routine behind it must
+    // report, for each of these series, the bits `trial_stat` does.
+    for (setup, _, reference) in benchmark_shapes() {
+        let scalar: Vec<_> = (0..reference.trials())
+            .map(|t| trial_stat(t, reference.series(t)))
+            .collect();
+        let bits = |s: &dedisp_repro::radioastro::TrialStat| {
+            (
+                s.trial,
+                s.peak_sample,
+                [s.mean, s.sigma, s.peak_value, s.snr].map(f32::to_bits),
+            )
+        };
+        let mut rows = Vec::new();
+        scan_rows(0, reference.as_slice(), reference.samples(), |s| {
+            rows.push(bits(&s))
+        });
+        let scalar_bits: Vec<_> = scalar.iter().map(bits).collect();
+        assert_eq!(rows, scalar_bits, "{}", setup.name);
+
+        let detection = detect_best_trial(&reference);
+        let detected: Vec<_> = detection.trials.iter().map(bits).collect();
+        assert_eq!(detected, scalar_bits, "{}", setup.name);
+        let best = scalar
+            .iter()
+            .max_by(|a, b| a.snr.total_cmp(&b.snr))
+            .expect("twenty trials");
+        assert_eq!(detection.best_trial, best.trial, "{}", setup.name);
     }
 }
 
 #[test]
 fn every_kernel_overwrites_a_poisoned_output() {
     // `Dedisperser::dedisperse` promises to overwrite every element, so
-    // the streaming worker never clears its buffer: a NaN left behind
+    // callers reuse one buffer without clearing it: a NaN left behind
     // would survive any sum.
     let setup = ObservationalSetup::apertif().scaled(400);
     let plan = setup.plan(12).expect("valid plan");
