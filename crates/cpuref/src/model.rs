@@ -54,6 +54,7 @@ pub fn xeon_e5_2620() -> DeviceDescriptor {
 /// is the denominator of the paper's Figures 15–16.
 pub fn tuned_cpu_gflops(workload: &Workload) -> f64 {
     let model = CostModel::new(xeon_e5_2620());
+    let cell = model.cell(workload);
     let mut best = 0.0f64;
     // Blocks of 8-wide vectors; one thread per (trial, block).
     for wi_time in [8u32, 16, 32, 64] {
@@ -62,7 +63,7 @@ pub fn tuned_cpu_gflops(workload: &Workload) -> f64 {
                 let Ok(config) = KernelConfig::new(wi_time, 1, el_time, el_dm) else {
                     continue;
                 };
-                if let Ok(e) = model.evaluate(workload, &config) {
+                if let Ok(e) = cell.evaluate(&config) {
                     best = best.max(e.gflops);
                 }
             }

@@ -75,7 +75,9 @@ impl Ablation {
 /// to single-trial tiles.
 struct AblatedExecutor<'a> {
     inner: SimExecutor<'a>,
-    single_trial_only: bool,
+    /// The single-trial subset of `inner`'s configurations, when only
+    /// those are searched.
+    single_trial: Option<Vec<KernelConfig>>,
 }
 
 impl Executor for AblatedExecutor<'_> {
@@ -83,13 +85,10 @@ impl Executor for AblatedExecutor<'_> {
         self.inner.label()
     }
 
-    fn configs(&self) -> Vec<KernelConfig> {
-        let configs = self.inner.configs();
-        if self.single_trial_only {
-            configs.into_iter().filter(|c| c.tile_dm() == 1).collect()
-        } else {
-            configs
-        }
+    fn configs(&self) -> &[KernelConfig] {
+        self.single_trial
+            .as_deref()
+            .unwrap_or_else(|| self.inner.configs())
     }
 
     fn measure(&self, config: &KernelConfig) -> Option<f64> {
@@ -108,9 +107,14 @@ pub fn ablated_gflops(
     let device = ablation.apply(device.clone());
     let workload: Workload = workload_for(setup, trials, false);
     let model = CostModel::new(device);
+    let inner = SimExecutor::new(&model, &workload, space);
+    let single_trial = (ablation == Ablation::NoReuse).then(|| {
+        let configs = inner.configs().iter();
+        configs.filter(|c| c.tile_dm() == 1).copied().collect()
+    });
     let executor = AblatedExecutor {
-        inner: SimExecutor::new(&model, &workload, space),
-        single_trial_only: ablation == Ablation::NoReuse,
+        inner,
+        single_trial,
     };
     Tuner.tune(&executor).best_gflops()
 }

@@ -370,13 +370,12 @@ fn resolve_platform(
         // tile exceeds the smaller problem): fall through to tuning.
     }
     let executor = SimExecutor::new(&model, workload, space);
-    let result = Tuner.tune(&executor);
-    if result.samples.is_empty() {
-        return Err(FleetError::new(format!(
+    let result = Tuner.try_tune(&executor).ok_or_else(|| {
+        FleetError::new(format!(
             "no meaningful configuration for {} on {} x{trials}",
             descriptor.name, setup.name
-        )));
-    }
+        ))
+    })?;
     let (config, gflops) = (result.best_config(), result.best_gflops());
     db.insert(&descriptor.name, &setup.name, trials, config, gflops);
     Ok((config, gflops))
@@ -549,6 +548,26 @@ mod tests {
             &ConfigSpace::reduced(),
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_space_with_no_meaningful_configuration_is_an_error_not_a_panic() {
+        // 4,096 work-items exceed every device's work-group limit.
+        let space = ConfigSpace {
+            wi_time: vec![4096],
+            wi_dm: vec![1],
+            el_time: vec![1],
+            el_dm: vec![1],
+        };
+        let mut db = TuningDatabase::new();
+        let err = FleetSpec::homogeneous(amd_hd7970(), 2)
+            .resolve(&mut db, &ObservationalSetup::apertif(), 64, &space)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "fleet error: no meaningful configuration for AMD HD7970 on Apertif x64"
+        );
+        assert!(db.is_empty(), "nothing was tuned, nothing is stored");
     }
 
     #[test]

@@ -1,0 +1,68 @@
+//! The per-cell cost context.
+//!
+//! The paper tunes by exhaustive search: every meaningful configuration
+//! of every (platform, setup, instance) *cell* is priced (Section IV-A).
+//! A price depends on four things, each varying slower than the next:
+//!
+//! | level | what it fixes | worked out |
+//! |-------|---------------|------------|
+//! | device | limits, line size, bandwidth, ceilings | [`DeviceDescriptor`] fields |
+//! | cell | largest gradient, noise key through `trials` | once, in [`Cell::new`] |
+//! | tile shape | input lines one work-group reads | once per shape, [`Cell::tile_lines`] |
+//! | configuration | grid, occupancy, ceiling, noise | per configuration, [`Cell::price`] |
+//!
+//! Only the cell and shape levels walk the workload's channels, so a
+//! sweep that builds one [`Cell`] and prices each distinct tile shape
+//! once never touches the gradient per configuration. The free
+//! functions ([`crate::check_config`], [`crate::Occupancy::compute`],
+//! [`crate::TrafficEstimate::estimate`], [`crate::CostModel::evaluate`])
+//! are the one-configuration case: each builds a context and asks it —
+//! there is no second copy of any formula.
+//!
+//! The derived values live here and not in [`Workload`] because its
+//! fields are public and `Deserialize`: a cached maximum could go stale
+//! behind a `gradient` edit, while a context borrows the workload and so
+//! cannot outlive a change to it.
+
+use crate::device::DeviceDescriptor;
+use crate::workload::Workload;
+
+/// Everything a price on one (device, workload) cell depends on that a
+/// configuration does not.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'a> {
+    pub(crate) device: &'a DeviceDescriptor,
+    pub(crate) workload: &'a Workload,
+    /// [`Workload::max_gradient`], folded once.
+    pub(crate) max_gradient: f64,
+    /// The [`crate::noise::time_multiplier`] key hashed through `trials`;
+    /// `None` prices exactly.
+    pub(crate) noise_key: Option<u64>,
+}
+
+impl<'a> Cell<'a> {
+    /// The noise-free context of `workload` on `device`: what the
+    /// constraint, occupancy and traffic questions need. Prices asked of
+    /// it are those of [`crate::CostModel::exact`]; use
+    /// [`crate::CostModel::cell`] for a model's own.
+    ///
+    /// Costs one pass over the workload's channels.
+    pub fn new(device: &'a DeviceDescriptor, workload: &'a Workload) -> Self {
+        Self {
+            device,
+            workload,
+            max_gradient: workload.max_gradient(),
+            noise_key: None,
+        }
+    }
+
+    /// The device this cell prices on.
+    pub fn device(&self) -> &'a DeviceDescriptor {
+        self.device
+    }
+
+    /// The workload this cell prices.
+    pub fn workload(&self) -> &'a Workload {
+        self.workload
+    }
+}

@@ -8,6 +8,7 @@
 use dedisp_core::KernelConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::cell::Cell;
 use crate::device::DeviceDescriptor;
 use crate::workload::Workload;
 
@@ -102,20 +103,29 @@ pub fn registers_per_item(config: &KernelConfig) -> u32 {
 /// Bytes of local memory one work-group of `config` needs on `workload`:
 /// the widest per-channel staging span across the tile's trials. A
 /// single-trial tile needs no staging (work-items read through cache).
+///
+/// Folds the workload's largest gradient on every call; a sweep goes
+/// through a [`Cell`], which folded it once.
 pub fn local_bytes(config: &KernelConfig, workload: &Workload) -> u64 {
+    staging_bytes(config, workload.max_gradient())
+}
+
+/// [`local_bytes`] given the workload's largest gradient.
+fn staging_bytes(config: &KernelConfig, max_gradient: f64) -> u64 {
     let tile_dm = config.tile_dm() as f64;
     if config.tile_dm() <= 1 {
         return 0;
     }
     let tile_time = config.tile_time() as f64;
-    let worst = workload.max_gradient() * (tile_dm - 1.0);
+    let worst = max_gradient * (tile_dm - 1.0);
     // Staging never exceeds the union of the trials' windows: disjoint
     // windows are loaded as separate segments, tile_time each.
     let span = tile_time + worst.min(tile_time * (tile_dm - 1.0));
     (span * 4.0).ceil() as u64
 }
 
-/// Checks whether `config` is meaningful for `device` and `workload`.
+/// Checks whether `config` is meaningful for `device` and `workload`:
+/// [`Cell::check`] on a context built for this one question.
 ///
 /// # Errors
 ///
@@ -125,48 +135,65 @@ pub fn check_config(
     workload: &Workload,
     config: &KernelConfig,
 ) -> Result<(), ConfigViolation> {
-    let wi = config.work_items();
-    if wi > device.max_wg_size {
-        return Err(ConfigViolation::WorkGroupTooLarge {
-            requested: wi,
-            limit: device.max_wg_size,
-        });
+    Cell::new(device, workload).check(config)
+}
+
+impl Cell<'_> {
+    /// [`local_bytes`] of `config` on this cell's workload.
+    pub(crate) fn local_bytes(&self, config: &KernelConfig) -> u64 {
+        staging_bytes(config, self.max_gradient)
     }
-    let waves = wi.div_ceil(device.simd_width);
-    if waves > device.max_waves_per_cu {
-        return Err(ConfigViolation::TooManyWaves {
-            requested: waves,
-            limit: device.max_waves_per_cu,
-        });
+
+    /// Checks whether `config` is meaningful on this cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn check(&self, config: &KernelConfig) -> Result<(), ConfigViolation> {
+        let (device, workload) = (self.device, self.workload);
+        let wi = config.work_items();
+        if wi > device.max_wg_size {
+            return Err(ConfigViolation::WorkGroupTooLarge {
+                requested: wi,
+                limit: device.max_wg_size,
+            });
+        }
+        let waves = wi.div_ceil(device.simd_width);
+        if waves > device.max_waves_per_cu {
+            return Err(ConfigViolation::TooManyWaves {
+                requested: waves,
+                limit: device.max_waves_per_cu,
+            });
+        }
+        let regs = registers_per_item(config);
+        if regs > device.max_regs_per_item {
+            return Err(ConfigViolation::TooManyRegisters {
+                requested: regs,
+                limit: device.max_regs_per_item,
+            });
+        }
+        let wg_regs = u64::from(regs) * u64::from(wi);
+        if wg_regs > u64::from(device.regfile_per_cu) {
+            return Err(ConfigViolation::RegisterFileOverflow {
+                requested: wg_regs,
+                limit: device.regfile_per_cu,
+            });
+        }
+        let lmem = self.local_bytes(config);
+        if lmem > u64::from(device.max_local_per_wg) {
+            return Err(ConfigViolation::LocalMemoryOverflow {
+                requested: lmem,
+                limit: device.max_local_per_wg,
+            });
+        }
+        if config.tile_time() as usize > workload.out_samples {
+            return Err(ConfigViolation::TileExceedsProblem { dimension: "time" });
+        }
+        if config.tile_dm() as usize > workload.trials {
+            return Err(ConfigViolation::TileExceedsProblem { dimension: "DM" });
+        }
+        Ok(())
     }
-    let regs = registers_per_item(config);
-    if regs > device.max_regs_per_item {
-        return Err(ConfigViolation::TooManyRegisters {
-            requested: regs,
-            limit: device.max_regs_per_item,
-        });
-    }
-    let wg_regs = u64::from(regs) * u64::from(wi);
-    if wg_regs > u64::from(device.regfile_per_cu) {
-        return Err(ConfigViolation::RegisterFileOverflow {
-            requested: wg_regs,
-            limit: device.regfile_per_cu,
-        });
-    }
-    let lmem = local_bytes(config, workload);
-    if lmem > u64::from(device.max_local_per_wg) {
-        return Err(ConfigViolation::LocalMemoryOverflow {
-            requested: lmem,
-            limit: device.max_local_per_wg,
-        });
-    }
-    if config.tile_time() as usize > workload.out_samples {
-        return Err(ConfigViolation::TileExceedsProblem { dimension: "time" });
-    }
-    if config.tile_dm() as usize > workload.trials {
-        return Err(ConfigViolation::TileExceedsProblem { dimension: "DM" });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -13,11 +13,10 @@ use dedisp_core::KernelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::algorithm::Algorithm;
-use crate::constraints::{check_config, ConfigViolation};
+use crate::cell::Cell;
+use crate::constraints::ConfigViolation;
 use crate::device::DeviceDescriptor;
-use crate::noise::time_multiplier;
-use crate::occupancy::Occupancy;
-use crate::traffic::TrafficEstimate;
+use crate::noise::{cell_key, keyed_multiplier};
 use crate::workload::Workload;
 
 /// Which phase dominated the predicted execution time.
@@ -80,7 +79,20 @@ impl CostModel {
         &self.device
     }
 
-    /// Predicts the execution of `config` on `workload`.
+    /// The pricing context of `workload` on this model's device: build
+    /// it once per cell and ask it for every configuration.
+    ///
+    /// Costs one pass over the workload's channels.
+    pub fn cell<'a>(&'a self, workload: &'a Workload) -> Cell<'a> {
+        let mut cell = Cell::new(&self.device, workload);
+        if self.noise {
+            cell.noise_key = Some(cell_key(&self.device.name, &workload.name, workload.trials));
+        }
+        cell
+    }
+
+    /// Predicts the execution of `config` on `workload`:
+    /// [`Cell::evaluate`] on a context built for this one question.
     ///
     /// # Errors
     ///
@@ -91,12 +103,53 @@ impl CostModel {
         workload: &Workload,
         config: &KernelConfig,
     ) -> Result<CostEstimate, ConfigViolation> {
-        check_config(&self.device, workload, config)?;
-        let dev = &self.device;
+        self.cell(workload).evaluate(config)
+    }
+
+    /// Predicts the execution of `config` on `workload` when the
+    /// device runs `algorithm` instead of the brute-force kernel:
+    /// [`Cell::evaluate_algorithm`] on a context built for this one
+    /// question.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint if the configuration is not
+    /// meaningful on this device/workload.
+    pub fn evaluate_algorithm(
+        &self,
+        workload: &Workload,
+        config: &KernelConfig,
+        algorithm: Algorithm,
+    ) -> Result<CostEstimate, ConfigViolation> {
+        self.cell(workload).evaluate_algorithm(config, algorithm)
+    }
+}
+
+impl Cell<'_> {
+    /// Predicts the execution of `config` on this cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint if the configuration is not
+    /// meaningful on this device/workload.
+    pub fn evaluate(&self, config: &KernelConfig) -> Result<CostEstimate, ConfigViolation> {
+        self.check(config)?;
+        Ok(self.price(
+            config,
+            self.tile_lines(config.tile_time(), config.tile_dm()),
+        ))
+    }
+
+    /// The price of a configuration that passed [`Cell::check`], given
+    /// [`Cell::tile_lines`] of its tile shape. Touches no per-channel
+    /// data, so a sweep that holds the lines of each shape prices a
+    /// configuration in constant time.
+    pub fn price(&self, config: &KernelConfig, tile_lines: f64) -> CostEstimate {
+        let (dev, workload) = (self.device, self.workload);
 
         let (n_time, n_dm) = config.grid(workload.out_samples, workload.trials);
         let n_wg = (n_time * n_dm) as u64;
-        let occ = Occupancy::compute(dev, workload, config, n_wg);
+        let occ = self.occupancy(config, n_wg);
         let hiding = occ.hiding(dev, config);
         // Tiles spanning several trial DMs stage input through local
         // memory behind barriers; with few resident work-groups per CU
@@ -111,7 +164,7 @@ impl CostModel {
         let u_mem = (hiding * stage_eff).max(1e-3);
         let u_comp = (hiding * stage_eff).max(1e-3);
 
-        let traffic = TrafficEstimate::estimate(dev, workload, config);
+        let traffic = self.traffic(config, tile_lines);
         let mem_time_s = traffic.total_bytes() / (dev.effective_bandwidth_gbs() * 1e9 * u_mem);
 
         // Per-item unrolling amortizes address/loop overhead on devices
@@ -122,30 +175,17 @@ impl CostModel {
         let ceiling = dev.no_fma_peak_gflops() / (1.0 + overhead) * dev.compute_efficiency * 1e9;
         let compute_time_s = traffic.computed_flop / (ceiling * occ.simd_efficiency * u_comp);
 
-        let mut time_s = dev.launch_overhead_us * 1e-6 + mem_time_s.max(compute_time_s);
-        if self.noise {
-            time_s *= time_multiplier(&dev.name, &workload.name, workload.trials, config);
-        }
-
-        let bound = if mem_time_s >= compute_time_s {
-            BoundKind::Memory
-        } else {
-            BoundKind::Compute
-        };
-
-        Ok(CostEstimate {
-            time_s,
-            gflops: workload.useful_flop as f64 / time_s / 1e9,
+        self.timed(
+            config,
             mem_time_s,
             compute_time_s,
-            bound,
-            utilization: hiding,
-            achieved_ai: traffic.achieved_ai(workload.useful_flop),
-        })
+            hiding,
+            traffic.achieved_ai(workload.useful_flop),
+        )
     }
 
-    /// Predicts the execution of `config` on `workload` when the
-    /// device runs `algorithm` instead of the brute-force kernel.
+    /// Predicts the execution of `config` on this cell when the device
+    /// runs `algorithm` instead of the brute-force kernel.
     ///
     /// The alternate algorithms move proportionally less data and issue
     /// proportionally fewer instructions, so both phases scale by the
@@ -163,35 +203,52 @@ impl CostModel {
     /// meaningful on this device/workload.
     pub fn evaluate_algorithm(
         &self,
-        workload: &Workload,
         config: &KernelConfig,
         algorithm: Algorithm,
     ) -> Result<CostEstimate, ConfigViolation> {
-        let base = self.evaluate(workload, config)?;
+        let base = self.evaluate(config)?;
         if algorithm == Algorithm::BruteForce {
             return Ok(base);
         }
-        let ratio = algorithm.work_ratio(workload);
-        let mem_time_s = base.mem_time_s * ratio;
-        let compute_time_s = base.compute_time_s * ratio;
+        let ratio = algorithm.work_ratio(self.workload);
+        Ok(self.timed(
+            config,
+            base.mem_time_s * ratio,
+            base.compute_time_s * ratio,
+            base.utilization,
+            base.achieved_ai,
+        ))
+    }
+
+    /// The estimate whose two phases take `mem_time_s` and
+    /// `compute_time_s`: they overlap, the launch overhead is added and
+    /// the cell's perturbation applied.
+    fn timed(
+        &self,
+        config: &KernelConfig,
+        mem_time_s: f64,
+        compute_time_s: f64,
+        utilization: f64,
+        achieved_ai: f64,
+    ) -> CostEstimate {
         let mut time_s = self.device.launch_overhead_us * 1e-6 + mem_time_s.max(compute_time_s);
-        if self.noise {
-            time_s *= time_multiplier(&self.device.name, &workload.name, workload.trials, config);
+        if let Some(key) = self.noise_key {
+            time_s *= keyed_multiplier(key, config);
         }
         let bound = if mem_time_s >= compute_time_s {
             BoundKind::Memory
         } else {
             BoundKind::Compute
         };
-        Ok(CostEstimate {
+        CostEstimate {
             time_s,
-            gflops: workload.useful_flop as f64 / time_s / 1e9,
+            gflops: self.workload.useful_flop as f64 / time_s / 1e9,
             mem_time_s,
             compute_time_s,
             bound,
-            utilization: base.utilization,
-            achieved_ai: base.achieved_ai,
-        })
+            utilization,
+            achieved_ai,
+        }
     }
 }
 

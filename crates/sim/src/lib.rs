@@ -26,6 +26,12 @@
 //!   multiply-adds, capping it at 50% of peak before per-element
 //!   addressing overhead (Section VI).
 //!
+//! A sweep over one (device, workload) cell prices through a [`Cell`]
+//! ([`cell`]): the context that works out once what no configuration
+//! changes. The per-question entry points ([`check_config`],
+//! [`Occupancy::compute`], [`TrafficEstimate::estimate`],
+//! [`CostModel::evaluate`]) are that context asked one question.
+//!
 //! Device-specific runtime-maturity factors (e.g. the Xeon Phi's immature
 //! OpenCL stack, Section V-D) are explicit named constants in
 //! [`presets`]. They are calibrated once against the paper's reported
@@ -36,6 +42,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod algorithm;
+pub mod cell;
 pub mod constraints;
 pub mod cost;
 pub mod device;
@@ -47,6 +54,7 @@ pub mod transfer;
 pub mod workload;
 
 pub use algorithm::{Algorithm, FFT_FLOP_PER_POINT, MAX_SUBBANDS, PHASE_FLOP_PER_POINT};
+pub use cell::Cell;
 pub use constraints::{check_config, ConfigViolation};
 pub use cost::{BoundKind, CostEstimate, CostModel};
 pub use device::{DeviceDescriptor, Vendor};

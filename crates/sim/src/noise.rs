@@ -25,23 +25,36 @@ fn hash_str(seed: u64, s: &str) -> u64 {
     s.bytes().fold(seed, |acc, b| mix(acc ^ u64::from(b)))
 }
 
-/// A multiplicative perturbation in `[1 − A, 1 + A]` keyed by the query.
-pub fn time_multiplier(
-    device_name: &str,
-    workload_name: &str,
-    trials: usize,
-    config: &KernelConfig,
-) -> f64 {
-    let mut h = hash_str(0xDEDB_EEF0, device_name);
-    h = hash_str(h, workload_name);
-    h = mix(h ^ trials as u64);
-    h = mix(h
+/// The part of the key that does not depend on the configuration:
+/// device, workload and instance, hashed once per cell.
+pub(crate) fn cell_key(device_name: &str, workload_name: &str, trials: usize) -> u64 {
+    let h = hash_str(0xDEDB_EEF0, device_name);
+    let h = hash_str(h, workload_name);
+    mix(h ^ trials as u64)
+}
+
+/// The multiplier of `config` under a [`cell_key`].
+pub(crate) fn keyed_multiplier(key: u64, config: &KernelConfig) -> f64 {
+    let h = mix(key
         ^ (u64::from(config.wi_time()) << 48)
         ^ (u64::from(config.wi_dm()) << 32)
         ^ (u64::from(config.el_time()) << 16)
         ^ u64::from(config.el_dm()));
     let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
     1.0 + NOISE_AMPLITUDE * (2.0 * unit - 1.0)
+}
+
+/// A multiplicative perturbation in `[1 − A, 1 + A]` keyed by the query.
+///
+/// Hashes both names byte by byte; a sweep over one cell goes through
+/// [`crate::Cell`], which does that once.
+pub fn time_multiplier(
+    device_name: &str,
+    workload_name: &str,
+    trials: usize,
+    config: &KernelConfig,
+) -> f64 {
+    keyed_multiplier(cell_key(device_name, workload_name, trials), config)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 use dedisp_core::KernelConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::constraints::{local_bytes, registers_per_item};
+use crate::cell::Cell;
+use crate::constraints::registers_per_item;
 use crate::device::DeviceDescriptor;
 use crate::workload::Workload;
 
@@ -50,25 +51,22 @@ pub struct Occupancy {
     pub simd_efficiency: f64,
 }
 
-impl Occupancy {
-    /// Computes occupancy for `config` launched as `n_wg` work-groups.
+impl Cell<'_> {
+    /// Occupancy of `config` launched as `n_wg` work-groups on this
+    /// cell.
     ///
-    /// Callers must have validated `config` with
-    /// [`crate::constraints::check_config`] first; this function assumes
-    /// at least one work-group fits on a compute unit.
-    pub fn compute(
-        device: &DeviceDescriptor,
-        workload: &Workload,
-        config: &KernelConfig,
-        n_wg: u64,
-    ) -> Self {
+    /// Callers must have validated `config` with [`Cell::check`] first;
+    /// this function assumes at least one work-group fits on a compute
+    /// unit.
+    pub fn occupancy(&self, config: &KernelConfig, n_wg: u64) -> Occupancy {
+        let device = self.device;
         let wi = config.work_items();
         let waves_per_wg = wi.div_ceil(device.simd_width);
         debug_assert!(waves_per_wg >= 1);
 
         let regs = registers_per_item(config);
         let by_regs = device.regfile_per_cu / (regs * wi).max(1);
-        let lmem = local_bytes(config, workload);
+        let lmem = self.local_bytes(config);
         let by_local = u64::from(device.local_mem_per_cu)
             .checked_div(lmem)
             .unwrap_or(u64::from(u32::MAX))
@@ -97,7 +95,7 @@ impl Occupancy {
         let active_waves = wg_per_cu_actual * f64::from(waves_per_wg);
         let simd_efficiency = f64::from(wi) / f64::from(waves_per_wg * device.simd_width);
 
-        Self {
+        Occupancy {
             waves_per_wg,
             wg_per_cu_limit,
             limited_by,
@@ -105,6 +103,23 @@ impl Occupancy {
             active_waves,
             simd_efficiency,
         }
+    }
+}
+
+impl Occupancy {
+    /// Computes occupancy for `config` launched as `n_wg` work-groups:
+    /// [`Cell::occupancy`] on a context built for this one question.
+    ///
+    /// Callers must have validated `config` with
+    /// [`crate::constraints::check_config`] first; this function assumes
+    /// at least one work-group fits on a compute unit.
+    pub fn compute(
+        device: &DeviceDescriptor,
+        workload: &Workload,
+        config: &KernelConfig,
+        n_wg: u64,
+    ) -> Self {
+        Cell::new(device, workload).occupancy(config, n_wg)
     }
 
     /// The latency-hiding factor: thread-level parallelism (resident

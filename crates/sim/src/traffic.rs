@@ -19,6 +19,7 @@
 use dedisp_core::KernelConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::cell::Cell;
 use crate::device::DeviceDescriptor;
 use crate::workload::Workload;
 
@@ -41,46 +42,77 @@ pub struct TrafficEstimate {
     pub computed_flop: f64,
 }
 
-impl TrafficEstimate {
-    /// Estimates the traffic of launching `config` on `workload` against
-    /// `device`'s memory system.
-    pub fn estimate(device: &DeviceDescriptor, workload: &Workload, config: &KernelConfig) -> Self {
-        let line = f64::from(device.cache_line_elems());
-        let line_bytes = f64::from(device.cache_line_bytes);
-        let t = f64::from(config.tile_time());
-        let d = f64::from(config.tile_dm());
-        let (n_time, n_dm) = config.grid(workload.out_samples, workload.trials);
-        let n_wg = (n_time * n_dm) as f64;
-
-        // Per-work-group read lines, channel by channel.
+impl Cell<'_> {
+    /// Input cache lines one work-group reads for a `tile_time ×
+    /// tile_dm` tile, summed channel by channel — the only part of the
+    /// traffic estimate that walks the workload, and it depends on the
+    /// tile's shape alone: configurations sharing a shape share it.
+    ///
+    /// For finite gradients every term is an integer-valued `f64` (a
+    /// line count, or a line count times a tile height), so the sum is
+    /// exact.
+    pub fn tile_lines(&self, tile_time: u32, tile_dm: u32) -> f64 {
+        let line_elems = self.device.cache_line_elems();
+        let line = f64::from(line_elems);
+        let t = f64::from(tile_time);
+        let d = f64::from(tile_dm);
         let mut lines_per_wg = 0.0;
-        for &g in &workload.gradient {
+        for &g in &self.workload.gradient {
             if g >= t {
                 // Disjoint windows: D separate unaligned segments.
                 lines_per_wg += d * ((t / line).ceil() + 1.0);
             } else {
                 // Overlapping windows: one segment spanning the union.
                 let span = t + (d - 1.0) * g;
-                let aligned =
-                    g <= 0.0 && config.tile_time().is_multiple_of(device.cache_line_elems());
+                let aligned = g <= 0.0 && tile_time.is_multiple_of(line_elems);
                 let misalign = if aligned { 0.0 } else { 1.0 };
                 lines_per_wg += (span / line).ceil() + misalign;
             }
         }
-        let read_bytes = n_wg * lines_per_wg * line_bytes;
+        lines_per_wg
+    }
 
+    /// The traffic of launching `config` on this cell, given
+    /// [`Cell::tile_lines`] of its tile shape.
+    pub fn traffic(&self, config: &KernelConfig, tile_lines: f64) -> TrafficEstimate {
+        let workload = self.workload;
+        let line_bytes = f64::from(self.device.cache_line_bytes);
+        let t = f64::from(config.tile_time());
+        let d = f64::from(config.tile_dm());
+        let (n_time, n_dm) = config.grid(workload.out_samples, workload.trials);
+        let n_wg = (n_time * n_dm) as f64;
+
+        let read_bytes = n_wg * tile_lines * line_bytes;
         let computed_elements = n_wg * t * d;
         let write_bytes = computed_elements * 4.0;
         let delay_bytes = n_wg * workload.channels as f64 * d * 4.0 * DELAY_TABLE_MISS_RATE;
         let computed_flop = computed_elements * workload.channels as f64;
 
-        Self {
+        TrafficEstimate {
             read_bytes,
             write_bytes,
             delay_bytes,
             computed_elements,
             computed_flop,
         }
+    }
+}
+
+impl TrafficEstimate {
+    /// Estimates the traffic of launching `config` on `workload` against
+    /// `device`'s memory system: [`Cell::traffic`] on a context built for
+    /// this one question.
+    ///
+    /// Walks the workload's channels on every call — the context's fold,
+    /// then one pass for a sum that depends only on the tile's shape; a
+    /// sweep builds one [`Cell`] and prices each shape once with
+    /// [`Cell::tile_lines`].
+    pub fn estimate(device: &DeviceDescriptor, workload: &Workload, config: &KernelConfig) -> Self {
+        let cell = Cell::new(device, workload);
+        cell.traffic(
+            config,
+            cell.tile_lines(config.tile_time(), config.tile_dm()),
+        )
     }
 
     /// Total DRAM bytes moved.

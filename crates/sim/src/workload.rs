@@ -99,6 +99,10 @@ impl Workload {
     }
 
     /// Largest per-channel gradient (the lowest frequency channel).
+    ///
+    /// Costs one pass over the channels on every call — nothing is
+    /// cached, `gradient` being a public field. A sweep that needs it per
+    /// configuration builds a [`crate::Cell`], which folds it once.
     pub fn max_gradient(&self) -> f64 {
         self.gradient.iter().copied().fold(0.0, f64::max)
     }

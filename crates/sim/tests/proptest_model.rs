@@ -3,8 +3,24 @@
 //! configuration.
 
 use dedisp_core::{DmGrid, FrequencyBand, KernelConfig};
-use manycore_sim::{all_devices, check_config, CostModel, Occupancy, TrafficEstimate, Workload};
+use manycore_sim::{
+    all_devices, check_config, Algorithm, BoundKind, CostEstimate, CostModel, Occupancy,
+    TrafficEstimate, Workload,
+};
 use proptest::prelude::*;
+
+/// Every field of an estimate, floats as bit patterns.
+fn bits(e: &CostEstimate) -> ([u64; 6], BoundKind) {
+    let floats = [
+        e.time_s,
+        e.gflops,
+        e.mem_time_s,
+        e.compute_time_s,
+        e.utilization,
+        e.achieved_ai,
+    ];
+    (floats.map(f64::to_bits), e.bound)
+}
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     (
@@ -149,5 +165,47 @@ proptest! {
         let first = check_config(&dev, &w, &c);
         let second = check_config(&dev, &w, &c);
         prop_assert_eq!(first, second);
+    }
+
+    #[test]
+    fn one_context_answers_as_the_one_call_paths_do(
+        w in arb_workload(),
+        zero_dm in any::<bool>(),
+        configs in prop::collection::vec(arb_config(), 1..24),
+        dev_idx in 0usize..5,
+        noisy in any::<bool>(),
+        factor in prop::sample::select(vec![2u32, 8, 32]),
+    ) {
+        // One context asked about many configurations, valid or not,
+        // against a fresh one-configuration call for each.
+        let w = if zero_dm { w.zero_dm() } else { w };
+        let dev = all_devices().swap_remove(dev_idx);
+        let model = if noisy { CostModel::new(dev.clone()) } else { CostModel::exact(dev.clone()) };
+        let cell = model.cell(&w);
+        for c in &configs {
+            prop_assert_eq!(cell.check(c), check_config(&dev, &w, c));
+            let one_call = model.evaluate(&w, c);
+            let in_cell = cell.evaluate(c);
+            prop_assert_eq!(in_cell.as_ref().map(bits), one_call.as_ref().map(bits));
+            for algorithm in [
+                Algorithm::BruteForce,
+                Algorithm::Subband { factor },
+                Algorithm::FourierDomain,
+            ] {
+                let one_call = model.evaluate_algorithm(&w, c, algorithm);
+                let in_cell = cell.evaluate_algorithm(c, algorithm);
+                prop_assert_eq!(in_cell.as_ref().map(bits), one_call.as_ref().map(bits));
+            }
+            if one_call.is_err() {
+                continue;
+            }
+            let (nt, nd) = c.grid(w.out_samples, w.trials);
+            let n_wg = (nt * nd) as u64;
+            prop_assert_eq!(cell.occupancy(c, n_wg), Occupancy::compute(&dev, &w, c, n_wg));
+            let lines = cell.tile_lines(c.tile_time(), c.tile_dm());
+            prop_assert_eq!(lines, lines.trunc(), "a line count");
+            prop_assert_eq!(cell.traffic(c, lines), TrafficEstimate::estimate(&dev, &w, c));
+            prop_assert_eq!(bits(&cell.price(c, lines)), bits(&in_cell.unwrap()));
+        }
     }
 }

@@ -9,7 +9,7 @@
 use dedisp_core::KernelConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::tuner::TuningResult;
+use crate::tuner::{Sample, TuningResult};
 
 /// The fixed-configuration comparison for one (device, setup) sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,14 +56,21 @@ impl FixedComparison {
 pub fn best_fixed_config(sweep: &[TuningResult]) -> FixedComparison {
     assert!(!sweep.is_empty(), "empty sweep");
 
-    // Candidate = configurations scored on the smallest space; intersect
-    // with all other instances while accumulating sums.
+    // Candidate = configurations scored on the first instance; intersect
+    // with all other instances while accumulating sums. Every result
+    // lists its samples in the space's enumeration order, so a candidate
+    // sits just past the previous one found in the same instance: one
+    // advancing cursor per instance finds it in a step or two.
+    let mut cursors = vec![0usize; sweep.len()];
     let mut best: Option<(KernelConfig, f64)> = None;
     'cand: for sample in &sweep[0].samples {
         let mut sum = sample.gflops;
-        for result in &sweep[1..] {
-            match result.gflops_of(&sample.config) {
-                Some(g) => sum += g,
+        for (result, cursor) in sweep.iter().zip(&mut cursors).skip(1) {
+            match find_from(&result.samples, *cursor, &sample.config) {
+                Some(at) => {
+                    sum += result.samples[at].gflops;
+                    *cursor = at + 1;
+                }
                 None => continue 'cand,
             }
         }
@@ -87,6 +94,17 @@ pub fn best_fixed_config(sweep: &[TuningResult]) -> FixedComparison {
         fixed_gflops,
         tuned_gflops,
     }
+}
+
+/// Index of `config` in `samples`, looking from `from` to the end and
+/// then from the start: wherever it is, it is found.
+fn find_from(samples: &[Sample], from: usize, config: &KernelConfig) -> Option<usize> {
+    let (head, tail) = samples.split_at(from.min(samples.len()));
+    let holds = |s: &Sample| s.config == *config;
+    tail.iter()
+        .position(holds)
+        .map(|at| head.len() + at)
+        .or_else(|| head.iter().position(holds))
 }
 
 #[cfg(test)]
@@ -156,5 +174,70 @@ mod tests {
         let cmp = best_fixed_config(&s);
         assert!((cmp.speedups()[0] - 1.0).abs() < 1e-12);
         assert_eq!(cmp.fixed_config, s[0].best_config());
+    }
+
+    fn cfg(wi_time: u32) -> KernelConfig {
+        KernelConfig::new(wi_time, 1, 1, 1).unwrap()
+    }
+
+    /// A hand-built instance result scoring `cfg(wi_time)` at `gflops`,
+    /// in the order given.
+    fn instance(samples: &[(u32, f64)]) -> TuningResult {
+        let samples: Vec<Sample> = samples
+            .iter()
+            .map(|&(wi_time, gflops)| Sample {
+                config: cfg(wi_time),
+                gflops,
+            })
+            .collect();
+        let best_index = (0..samples.len())
+            .max_by(|&a, &b| samples[a].gflops.total_cmp(&samples[b].gflops))
+            .unwrap();
+        TuningResult {
+            label: "hand-built".into(),
+            samples,
+            best_index,
+        }
+    }
+
+    #[test]
+    fn the_first_of_two_tied_candidates_wins() {
+        // 2 and 8 both sum to 12; 4 sums to 11.
+        let s = [
+            instance(&[(2, 5.0), (4, 6.0), (8, 7.0)]),
+            instance(&[(2, 7.0), (4, 5.0), (8, 5.0)]),
+        ];
+        let cmp = best_fixed_config(&s);
+        assert_eq!(cmp.fixed_config, cfg(2));
+        assert_eq!(cmp.fixed_gflops, vec![5.0, 7.0]);
+        assert_eq!(cmp.tuned_gflops, vec![7.0, 7.0]);
+    }
+
+    #[test]
+    fn a_candidate_missing_from_a_middle_instance_does_not_qualify() {
+        // 4 would win on the instances that have it, but the middle one
+        // does not; the candidates after the miss are still found.
+        let s = [
+            instance(&[(2, 1.0), (4, 100.0), (8, 2.0), (16, 1.0)]),
+            instance(&[(2, 1.0), (8, 2.0), (16, 1.0)]),
+            instance(&[(2, 1.0), (4, 100.0), (8, 2.0), (16, 1.0)]),
+        ];
+        let cmp = best_fixed_config(&s);
+        assert_eq!(cmp.fixed_config, cfg(8));
+        assert_eq!(cmp.fixed_gflops, vec![2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn samples_out_of_enumeration_order_are_still_found() {
+        // The second instance lists its samples backwards, so every
+        // candidate after the first lies behind the cursor.
+        let s = [
+            instance(&[(2, 1.0), (4, 2.0), (8, 3.0)]),
+            instance(&[(8, 30.0), (4, 50.0), (2, 10.0)]),
+        ];
+        let cmp = best_fixed_config(&s);
+        assert_eq!(cmp.fixed_config, cfg(4));
+        assert_eq!(cmp.fixed_gflops, vec![2.0, 50.0]);
+        assert_eq!(cmp.tuned_gflops, vec![3.0, 50.0]);
     }
 }

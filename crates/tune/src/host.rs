@@ -82,8 +82,8 @@ impl Executor for HostExecutor<'_> {
         )
     }
 
-    fn configs(&self) -> Vec<KernelConfig> {
-        self.configs.clone()
+    fn configs(&self) -> &[KernelConfig] {
+        &self.configs
     }
 
     fn measure(&self, config: &KernelConfig) -> Option<f64> {

@@ -9,7 +9,7 @@
 //! constraint (Section IV-A).
 
 use dedisp_core::KernelConfig;
-use manycore_sim::{check_config, DeviceDescriptor, Workload};
+use manycore_sim::{Cell, DeviceDescriptor, Workload};
 use serde::{Deserialize, Serialize};
 
 /// The candidate value sets for the four tunable parameters.
@@ -79,9 +79,14 @@ impl ConfigSpace {
     /// Enumerates the *meaningful* configurations for a (device,
     /// workload) pair — the paper's tuning population.
     pub fn meaningful(&self, device: &DeviceDescriptor, workload: &Workload) -> Vec<KernelConfig> {
+        self.meaningful_in(&Cell::new(device, workload))
+    }
+
+    /// [`Self::meaningful`] for a cell whose context already exists.
+    pub(crate) fn meaningful_in(&self, cell: &Cell<'_>) -> Vec<KernelConfig> {
         self.raw_configs()
             .into_iter()
-            .filter(|c| check_config(device, workload, c).is_ok())
+            .filter(|c| cell.check(c).is_ok())
             .collect()
     }
 }

@@ -8,7 +8,7 @@
 //! configuration.
 
 use dedisp_core::KernelConfig;
-use manycore_sim::{CostModel, Workload};
+use manycore_sim::{Cell, CostModel, Workload};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -20,45 +20,88 @@ pub trait Executor: Sync {
     /// Label for reports (typically the device name).
     fn label(&self) -> String;
 
-    /// The meaningful configurations to search.
-    fn configs(&self) -> Vec<KernelConfig>;
+    /// The meaningful configurations to search, lent for the length of
+    /// the search.
+    fn configs(&self) -> &[KernelConfig];
 
     /// Scores one configuration; `None` if it fails at execution time.
     fn measure(&self, config: &KernelConfig) -> Option<f64>;
 }
 
+/// A tile's shape: `(tile_time, tile_dm)`.
+type Shape = (u32, u32);
+
+fn shape_of(config: &KernelConfig) -> Shape {
+    (config.tile_time(), config.tile_dm())
+}
+
 /// An [`Executor`] backed by the analytic device model.
+///
+/// Construction does everything about the cell that no configuration
+/// changes: one [`Cell`] context, the space filtered once, and the
+/// per-channel traffic sum of each distinct tile shape among the
+/// survivors ([`Cell::tile_lines`] — a few hundred shapes for a few
+/// thousand configurations). [`Executor::measure`] then reads that
+/// immutable table, so scoring a configuration never walks the
+/// workload's channels and concurrent scoring shares no lock.
 pub struct SimExecutor<'a> {
-    model: &'a CostModel,
-    workload: &'a Workload,
-    space: &'a ConfigSpace,
+    cell: Cell<'a>,
+    /// The space's meaningful configurations, in enumeration order.
+    configs: Vec<KernelConfig>,
+    /// Input lines per work-group of every tile shape in `configs`,
+    /// sorted by shape. One flat allocation on purpose: a node-based map
+    /// of the same few hundred entries fragments the heap enough to
+    /// raise a sweep's peak RSS by a tenth.
+    tile_lines: Vec<(Shape, f64)>,
 }
 
 impl<'a> SimExecutor<'a> {
     /// Wraps a cost model and workload as a tunable executor.
-    pub fn new(model: &'a CostModel, workload: &'a Workload, space: &'a ConfigSpace) -> Self {
+    pub fn new(model: &'a CostModel, workload: &'a Workload, space: &ConfigSpace) -> Self {
+        let cell = model.cell(workload);
+        let configs = space.meaningful_in(&cell);
+        let mut tile_lines = Vec::new();
+        for config in &configs {
+            let shape = shape_of(config);
+            if let Err(at) = find_shape(&tile_lines, shape) {
+                tile_lines.insert(at, (shape, cell.tile_lines(shape.0, shape.1)));
+            }
+        }
         Self {
-            model,
-            workload,
-            space,
+            cell,
+            configs,
+            tile_lines,
         }
     }
 }
 
+/// Where `shape` is in the sorted `table`, or where it would go.
+fn find_shape(table: &[(Shape, f64)], shape: Shape) -> Result<usize, usize> {
+    table.binary_search_by_key(&shape, |&(s, _)| s)
+}
+
 impl Executor for SimExecutor<'_> {
     fn label(&self) -> String {
-        format!("{} / {}", self.model.device().name, self.workload.name)
+        format!(
+            "{} / {}",
+            self.cell.device().name,
+            self.cell.workload().name
+        )
     }
 
-    fn configs(&self) -> Vec<KernelConfig> {
-        self.space.meaningful(self.model.device(), self.workload)
+    fn configs(&self) -> &[KernelConfig] {
+        &self.configs
     }
 
     fn measure(&self, config: &KernelConfig) -> Option<f64> {
-        self.model
-            .evaluate(self.workload, config)
-            .ok()
-            .map(|e| e.gflops)
+        self.cell.check(config).ok()?;
+        let shape = shape_of(config);
+        let tile_lines = match find_shape(&self.tile_lines, shape) {
+            Ok(at) => self.tile_lines[at].1,
+            // A valid configuration from outside the space.
+            Err(_) => self.cell.tile_lines(shape.0, shape.1),
+        };
+        Some(self.cell.price(config, tile_lines).gflops)
     }
 }
 
@@ -113,15 +156,10 @@ pub struct Tuner;
 
 impl Tuner {
     /// Scores every configuration of `executor` (in parallel) and
-    /// selects the optimum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no configuration can be measured — an empty optimization
-    /// space means the (device, workload) pair is misconfigured.
-    pub fn tune<E: Executor>(&self, executor: &E) -> TuningResult {
-        let configs = executor.configs();
-        let samples: Vec<Sample> = configs
+    /// selects the optimum; `None` if no configuration can be measured.
+    pub fn try_tune<E: Executor>(&self, executor: &E) -> Option<TuningResult> {
+        let samples: Vec<Sample> = executor
+            .configs()
             .par_iter()
             .filter_map(|c| {
                 executor
@@ -129,22 +167,28 @@ impl Tuner {
                     .map(|gflops| Sample { config: *c, gflops })
             })
             .collect();
-        assert!(
-            !samples.is_empty(),
-            "empty optimization space for {}",
-            executor.label()
-        );
         let best_index = samples
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.gflops.total_cmp(&b.1.gflops))
-            .expect("non-empty")
+            .max_by(|a, b| a.1.gflops.total_cmp(&b.1.gflops))?
             .0;
-        TuningResult {
+        Some(TuningResult {
             label: executor.label(),
             samples,
             best_index,
-        }
+        })
+    }
+
+    /// [`Self::try_tune`] for a cell known to have a meaningful
+    /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no configuration can be measured — an empty optimization
+    /// space means the (device, workload) pair is misconfigured.
+    pub fn tune<E: Executor>(&self, executor: &E) -> TuningResult {
+        self.try_tune(executor)
+            .unwrap_or_else(|| panic!("empty optimization space for {}", executor.label()))
     }
 }
 
@@ -270,5 +314,53 @@ mod tests {
         assert!(st.max <= r.best_gflops() + 1e-12);
         assert!(st.mean < st.max);
         assert!(st.snr_of_max() > 0.0);
+    }
+
+    /// A space whose only work-group is larger than any device accepts.
+    fn impossible_space() -> ConfigSpace {
+        ConfigSpace {
+            wi_time: vec![4096],
+            wi_dm: vec![1],
+            el_time: vec![1],
+            el_dm: vec![1],
+        }
+    }
+
+    #[test]
+    fn try_tune_reports_an_empty_space_without_panicking() {
+        let model = CostModel::new(amd_hd7970());
+        let w = workload("Apertif", 64);
+        let space = impossible_space();
+        let exec = SimExecutor::new(&model, &w, &space);
+        assert!(exec.configs().is_empty());
+        assert_eq!(Tuner.try_tune(&exec), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty optimization space for AMD HD7970 / Apertif")]
+    fn tune_panics_on_an_empty_space() {
+        let model = CostModel::new(amd_hd7970());
+        let w = workload("Apertif", 64);
+        let _ = Tuner.tune(&SimExecutor::new(&model, &w, &impossible_space()));
+    }
+
+    #[test]
+    fn measure_prices_any_valid_configuration_as_the_model_does() {
+        // The reduced space has no 25-wide tile: `outside` misses the
+        // shape table and is priced the one-off way; `inside` hits it.
+        let model = CostModel::new(nvidia_k20());
+        let w = workload("Apertif", 256);
+        let space = ConfigSpace::reduced();
+        let exec = SimExecutor::new(&model, &w, &space);
+        let inside = KernelConfig::new(64, 2, 4, 2).unwrap();
+        let outside = KernelConfig::new(25, 2, 5, 2).unwrap();
+        assert!(exec.configs().contains(&inside));
+        assert!(!exec.configs().contains(&outside));
+        for c in [inside, outside] {
+            let expect = model.evaluate(&w, &c).unwrap().gflops;
+            assert_eq!(exec.measure(&c).map(f64::to_bits), Some(expect.to_bits()));
+        }
+        let too_big = KernelConfig::new(1024, 4, 1, 1).unwrap();
+        assert_eq!(exec.measure(&too_big), None);
     }
 }

@@ -3,9 +3,55 @@
 //! pairs.
 
 use autotune::{best_fixed_config, ConfigSpace, OptimizationStats, SimExecutor, Tuner};
-use dedisp_core::{DmGrid, FrequencyBand};
+use dedisp_core::{DedispersionPlan, DmGrid, FrequencyBand};
 use manycore_sim::{all_devices, CostModel, Workload};
 use proptest::prelude::*;
+
+/// How a drawn workload gets its gradient.
+#[derive(Debug, Clone, Copy)]
+enum Gradient {
+    /// Eq. 1 evaluated per channel: smooth and strictly decreasing.
+    Analytic,
+    /// From a built plan's whole-sample delays: ties and plateaus.
+    FromPlan,
+    /// All zeros.
+    ZeroDm,
+}
+
+/// Small problems on purpose: few channels, instances and seconds short
+/// enough that the tile-exceeds-problem checks reject part of the space.
+fn arb_small_workload() -> impl Strategy<Value = Workload> {
+    (
+        100.0f64..1500.0, // low MHz
+        0.05f64..1.0,     // channel width
+        1usize..=96,      // channels
+        prop::sample::select(vec![40u32, 250, 1_000, 20_000]),
+        prop::sample::select(vec![1usize, 2, 3, 6, 16, 40]),
+        prop::sample::select(vec![
+            Gradient::Analytic,
+            Gradient::FromPlan,
+            Gradient::ZeroDm,
+        ]),
+    )
+        .prop_map(|(low, width, channels, rate, trials, gradient)| {
+            let band = FrequencyBand::new(low, width, channels).expect("valid band");
+            let grid = DmGrid::paper_grid(trials).expect("valid grid");
+            let analytic = || Workload::analytic("prop", &band, &grid, rate).expect("valid");
+            match gradient {
+                Gradient::Analytic => analytic(),
+                Gradient::ZeroDm => analytic().zero_dm(),
+                Gradient::FromPlan => {
+                    let plan = DedispersionPlan::builder()
+                        .band(band)
+                        .dm_grid(grid)
+                        .sample_rate(rate)
+                        .build()
+                        .expect("valid plan");
+                    Workload::from_plan("prop", &plan)
+                }
+            }
+        })
+}
 
 fn workload(channels: usize, rate: u32, trials: usize) -> Workload {
     Workload::analytic(
@@ -34,6 +80,33 @@ proptest! {
         prop_assert!(r.samples.iter().all(|s| s.gflops <= best));
         // The optimum never violates the tile-fits-problem constraint.
         prop_assert!(r.best_config().tile_dm() as usize <= trials);
+    }
+
+    #[test]
+    fn tuning_equals_the_straight_loop_bit_for_bit(
+        dev_idx in 0usize..5,
+        noisy in any::<bool>(),
+        w in arb_small_workload(),
+    ) {
+        // The executor filters once and prices each tile shape once; the
+        // reference asks the model about every configuration on its own.
+        let dev = all_devices().swap_remove(dev_idx);
+        let model = if noisy { CostModel::new(dev) } else { CostModel::exact(dev) };
+        let space = ConfigSpace::paper();
+        let straight: Vec<_> = space
+            .meaningful(model.device(), &w)
+            .into_iter()
+            .map(|c| (c, model.evaluate(&w, &c).expect("meaningful").gflops.to_bits()))
+            .collect();
+        prop_assert!(straight.len() < space.raw_size(), "nothing was rejected");
+        let tuned: Vec<_> = Tuner
+            .try_tune(&SimExecutor::new(&model, &w, &space))
+            .map(|r| r.samples)
+            .unwrap_or_default()
+            .iter()
+            .map(|s| (s.config, s.gflops.to_bits()))
+            .collect();
+        prop_assert_eq!(tuned, straight);
     }
 
     #[test]
