@@ -8,17 +8,21 @@
 //! ladder actually switches, and gates two properties with its own
 //! tolerances (the fleet baseline `BENCH_fleet.json` is untouched):
 //!
-//! 1. **Planner overhead (gated)** — wall-clock of the identical run
-//!    under ladder-on vs ladder-off stays within a generous ceiling;
-//!    the admission plane must never become the hot path.
+//! 1. **Planning cost (gated, `planner_us_per_tick`)** — wall-clock of
+//!    the identical run under ladder-on less ladder-off, per tick: what
+//!    one tick's cascade simulations cost. (As a share of the
+//!    ladder-off run — the gate while that run was 70 ms of thread
+//!    handoffs — the same 0.3 ms reads as +100 % of a 0.3 ms run; the
+//!    percentage is recorded and no longer gated.)
 //! 2. **Science outcome (gated, exact)** — the ladder run sheds
 //!    strictly fewer trial DMs than the greedy baseline and misses no
 //!    more deadlines: the Pareto rule, re-checked on the benched
 //!    workload itself.
 //!
-//! Not a criterion harness: the CI job wants `--json <out>` (and must
-//! tolerate the `--bench` flag cargo passes), so `main` is hand-rolled.
+//! `main` is hand-rolled: the CI job wants `--json <out>` (and must
+//! tolerate the `--bench` flag cargo passes).
 
+use bench::time_paired;
 use dedisp_fleet::{
     Algorithm, AlgorithmLadder, FleetRun, LoadSource, PerDeviceGreedy, ResolvedFleet, Scheduler,
     TelemetryEvent,
@@ -26,7 +30,6 @@ use dedisp_fleet::{
 use serde::Serialize;
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Devices in the benched fleet.
 const DEVICES: usize = 16;
@@ -37,14 +40,13 @@ const TRIALS: usize = 2000;
 /// Ticks in the bursty horizon.
 const TICKS: usize = 12;
 
-/// Repetitions per policy (the minimum is reported).
-const REPS: usize = 5;
+/// Alternating ladder-off / ladder-on runs (medians reported).
+const REPS: usize = 201;
 
-/// Ceiling on the ladder's wall-clock overhead over the greedy
-/// baseline. The ladder plans against device counts, not beam counts,
-/// so double-digit percentages would mean the cascade simulation
-/// regressed into the hot path.
-const OVERHEAD_CEILING_PCT: f64 = 25.0;
+/// Ceiling on `planner_us_per_tick`. EXPERIMENTS.md has the runs it
+/// was set from: above their spread, under twice their median, and
+/// under what a ladder that plans every tick twice reads.
+const PLANNER_US_PER_TICK_CEILING: f64 = 40.0;
 
 /// Calm/burst alternating load: calm inside brute-force capacity,
 /// bursts ~60% over it (and inside the demoted fleet's capacity).
@@ -101,17 +103,6 @@ fn run(fleet: &ResolvedFleet, ladder: bool) -> FleetRun {
     run
 }
 
-/// Min-of-reps wall time, seconds.
-fn time_min(fleet: &ResolvedFleet, ladder: bool) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        black_box(run(fleet, ladder));
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// The recorded artifact (`--json`); gated on its own tolerances, not
 /// against `BENCH_fleet.json`.
 #[derive(Debug, Serialize)]
@@ -121,7 +112,9 @@ struct Results {
     ticks: usize,
     ladder_off_secs: f64,
     ladder_on_secs: f64,
-    /// Gated: ladder-on wall time over ladder-off wall time.
+    /// Gated: ladder-on less ladder-off wall time, per tick.
+    planner_us_per_tick: f64,
+    /// Recorded: the same delta as a share of the ladder-off run.
     planner_overhead_pct: f64,
     baseline_shed_trials: usize,
     ladder_shed_trials: usize,
@@ -141,10 +134,12 @@ fn main() -> ExitCode {
     }
 
     let rated = fleet();
-    eprintln!("algorithms-bench: ladder-off ({REPS} reps) ...");
-    let off_secs = time_min(&rated, false);
-    eprintln!("algorithms-bench: ladder-on ({REPS} reps) ...");
-    let on_secs = time_min(&rated, true);
+    eprintln!("algorithms-bench: ladder-off vs ladder-on ({REPS} alternating pairs) ...");
+    let timed = time_paired(
+        REPS,
+        || run(&rated, false).log.len(),
+        || run(&rated, true).log.len(),
+    );
 
     // One checked run per policy for the science outcome.
     let baseline = run(&rated, false);
@@ -156,12 +151,13 @@ fn main() -> ExitCode {
         .count();
 
     let results = Results {
-        schema: "dedisp-bench-algorithms-v1".to_string(),
+        schema: "dedisp-bench-algorithms-v2".to_string(),
         devices: DEVICES,
         ticks: TICKS,
-        ladder_off_secs: off_secs,
-        ladder_on_secs: on_secs,
-        planner_overhead_pct: (on_secs - off_secs) / off_secs * 100.0,
+        ladder_off_secs: timed.base_secs,
+        ladder_on_secs: timed.with_secs,
+        planner_us_per_tick: timed.delta_secs / TICKS as f64 * 1e6,
+        planner_overhead_pct: timed.delta_secs / timed.base_secs * 100.0,
         baseline_shed_trials: baseline.report.total_shed_trials,
         ladder_shed_trials: ladder.report.total_shed_trials,
         baseline_misses: baseline.report.deadline_misses,
@@ -174,11 +170,13 @@ fn main() -> ExitCode {
         results.devices, results.ticks
     );
     println!(
-        "  ladder-off  {:.3}s | ladder-on {:.3}s -> {:+.2}% planner overhead (ceiling {:.0}%)",
-        results.ladder_off_secs,
-        results.ladder_on_secs,
-        results.planner_overhead_pct,
-        OVERHEAD_CEILING_PCT
+        "  ladder-off {:.2} ms | ladder-on {:.2} ms -> {:.1} us of planning per tick \
+         (ceiling {:.0}), {:+.0}% of the ladder-off run",
+        results.ladder_off_secs * 1e3,
+        results.ladder_on_secs * 1e3,
+        results.planner_us_per_tick,
+        PLANNER_US_PER_TICK_CEILING,
+        results.planner_overhead_pct
     );
     println!(
         "  shed trial DMs {} -> {} | misses {} -> {} | {} switches",
@@ -199,10 +197,10 @@ fn main() -> ExitCode {
     }
 
     let mut failures = Vec::new();
-    if results.planner_overhead_pct > OVERHEAD_CEILING_PCT {
+    if results.planner_us_per_tick > PLANNER_US_PER_TICK_CEILING {
         failures.push(format!(
-            "planner_overhead_pct {:.2}% exceeds the {OVERHEAD_CEILING_PCT:.0}% ceiling",
-            results.planner_overhead_pct
+            "planner_us_per_tick {:.1} exceeds the {PLANNER_US_PER_TICK_CEILING:.0} us ceiling",
+            results.planner_us_per_tick
         ));
     }
     if results.ladder_shed_trials >= results.baseline_shed_trials {

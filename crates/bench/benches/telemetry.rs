@@ -13,20 +13,25 @@
 //!    stream driven through the pipeline the dispatcher runs
 //!    ([`TickBatch`] row encoding, one `observe_batch` per tick,
 //!    [`EventLog::push_batch`] move). Bounded by raw encode bandwidth.
-//! 3. **Observer-attached scheduler overhead (gated, `<= 5%`)** — the
-//!    real scheduler runs the `observe` bench's fleet workload under
-//!    `NullObserver` and under the full fanned-out stack; the
-//!    wall-clock delta must stay within the ceiling.
+//! 3. **Observer cost on a live scheduler (gated,
+//!    `observer_ns_per_event`)** — the real scheduler runs a 32-device
+//!    fleet at 90 % load under `NullObserver` and under the full
+//!    fanned-out stack; the wall-clock delta, divided by the events the
+//!    run delivered, is what one event costs on its way through the
+//!    attached stack.
 //!
-//! A ratio, not a raw rate, is what the CI gate compares: events/sec
-//! varies machine to machine, but the observer overhead is a property
-//! of the code. Raw rates are still recorded for humans and for the
-//! trajectory.
+//! The gate is in the unit of what it guards. It used to be the delta
+//! as a percentage of the null run, which priced the sinks against the
+//! scheduler's per-device thread handoffs (70 ms a run); with those
+//! gone a run is 1.2 ms of placement arithmetic and the same 0.3 ms of
+//! sinks reads as +25 %, so the percentage is recorded and no longer
+//! gated.
 //!
-//! Not a criterion harness: the gate needs `--json <out>` and
+//! `main` is hand-rolled: the gate needs `--json <out>` and
 //! `--check <baseline>` arguments (and must tolerate the extra
-//! `--bench` flag cargo passes), so `main` is hand-rolled.
+//! `--bench` flag cargo passes).
 
+use bench::{time_min, time_paired, BASELINE_DRIFT};
 use dedisp_fleet::obs::{Fanout, FlightRecorder, LiveStatus, MetricsRegistry, RegistryObserver};
 use dedisp_fleet::{
     BeamOutcome, BeamRecord, EventLog, HealthCause, HealthEvent, HealthState, NullObserver,
@@ -36,7 +41,6 @@ use dedisp_fleet::{
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Devices the synthetic stream spreads placements over.
 const DEVICES: usize = 32;
@@ -44,23 +48,16 @@ const DEVICES: usize = 32;
 /// Encode-path repetitions (the minimum is reported).
 const ENCODE_REPS: usize = 3;
 
-/// Scheduler-run repetitions per observer configuration.
-const SCHED_REPS: usize = 7;
+/// Alternating null / full-stack scheduler runs (medians reported).
+const SCHED_REPS: usize = 201;
 
-/// Ticks in the scheduler-overhead workload. The `observe` bench's
-/// 3-tick run finishes in single-digit milliseconds, which is noise
-/// territory for a percentage gate; 24 ticks of the same per-tick
-/// load pushes each run well past that while keeping the bench quick.
+/// Ticks in the scheduler workload.
 const SCHED_TICKS: usize = 24;
 
-/// The hard ceiling the batched seam promised.
-const OVERHEAD_CEILING_PCT: f64 = 5.0;
-
-/// Baseline drift slack for the CI gate, in percentage points. Wide
-/// because the measured overhead swings a few points either side of
-/// zero run to run — the absolute ceiling above stays the binding
-/// gate; the baseline diff only has to catch step-change regressions.
-const OVERHEAD_SLACK_PCT: f64 = 5.0;
+/// Ceiling on `observer_ns_per_event`. EXPERIMENTS.md has the runs it
+/// was set from: above their spread, under twice their median, and
+/// under what the stack attached twice reads.
+const NS_PER_EVENT_CEILING: f64 = 40.0;
 
 /// One tick's worth of synthetic telemetry, shaped like a healthy
 /// high-volume run: per beam a `Placed` and a terminal `Beam`, with a
@@ -176,26 +173,14 @@ fn drive_batched(stream: &[Vec<TelemetryEvent>], fanout: &mut Fanout) -> usize {
     black_box(log.len())
 }
 
-/// Min-of-reps wall time for `f`, seconds.
-fn time_min<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// One watched fleet run (same workload as the `observe` bench, so
-/// numbers are comparable); returns completions so the work can't fold.
+/// One watched fleet run; returns the events it delivered.
 fn run_watched(fleet: &ResolvedFleet, load: &SurveyLoad, observer: &mut dyn Observer) -> usize {
     let run = Scheduler::session(black_box(fleet))
         .load(black_box(load))
         .run_with(observer)
         .unwrap();
     assert!(run.report.conservation_ok());
-    run.report.completed
+    run.log.len()
 }
 
 /// Asserts the encoded stream decodes to what went in and that the
@@ -236,7 +221,7 @@ struct Results {
     events_total: usize,
     devices: usize,
     /// Machine-dependent rates (million events/sec), recorded for
-    /// humans; the CI gate compares only the overhead below.
+    /// humans; the CI gate compares only `observer_ns_per_event`.
     ///
     /// `deliver` prices the observer seam alone (sink folds over an
     /// already-encoded log); `emit` prices the full pipeline (encode
@@ -245,7 +230,11 @@ struct Results {
     emit_batched_meps: f64,
     scheduler_null_secs: f64,
     scheduler_full_stack_secs: f64,
-    /// Gated: full-stack scheduler time over `NullObserver` time.
+    /// Events one scheduler run delivers to its observer.
+    scheduler_events_per_run: usize,
+    /// Gated: full-stack time less `NullObserver` time, per event.
+    observer_ns_per_event: f64,
+    /// Recorded: the same delta as a share of the `NullObserver` run.
     observer_overhead_pct: f64,
 }
 
@@ -306,12 +295,12 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
     drop(encoded);
 
     eprintln!(
-        "telemetry-bench: scheduler overhead (null vs full stack, {SCHED_REPS} reps each) ..."
+        "telemetry-bench: scheduler, null vs full stack ({SCHED_REPS} alternating pairs) ..."
     );
     let spb: Vec<f64> = (0..32).map(|d| 0.09 + 0.002 * (d % 5) as f64).collect();
     let fleet = ResolvedFleet::synthetic(2000, &spb);
     let load = SurveyLoad::custom(2000, fleet.beams_capacity() * 9 / 10, SCHED_TICKS);
-    let null_secs = time_min(SCHED_REPS, || run_watched(&fleet, &load, &mut NullObserver));
+    let events_per_run = run_watched(&fleet, &load, &mut NullObserver);
     // Sink construction (metric registration in particular) happens
     // once, outside the timed region — the gate prices observation,
     // not setup. State accumulating across reps does not change the
@@ -324,20 +313,26 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
         .with(&mut metrics)
         .with(&mut recorder)
         .with(&mut live);
-    let full_stack_secs = time_min(SCHED_REPS, || run_watched(&fleet, &load, &mut fanout));
+    let sched = time_paired(
+        SCHED_REPS,
+        || run_watched(&fleet, &load, &mut NullObserver),
+        || run_watched(&fleet, &load, &mut fanout),
+    );
 
     let meps = |secs: f64| events_total as f64 / secs / 1e6;
     Results {
-        schema: "dedisp-bench-telemetry-v2".to_string(),
+        schema: "dedisp-bench-telemetry-v3".to_string(),
         beams_per_tick,
         ticks,
         events_total,
         devices: DEVICES,
         deliver_batched_meps: meps(deliver_batched_secs),
         emit_batched_meps: meps(emit_batched_secs),
-        scheduler_null_secs: null_secs,
-        scheduler_full_stack_secs: full_stack_secs,
-        observer_overhead_pct: (full_stack_secs - null_secs) / null_secs * 100.0,
+        scheduler_null_secs: sched.base_secs,
+        scheduler_full_stack_secs: sched.with_secs,
+        scheduler_events_per_run: events_per_run,
+        observer_ns_per_event: sched.delta_secs / events_per_run as f64 * 1e9,
+        observer_overhead_pct: sched.delta_secs / sched.base_secs * 100.0,
     }
 }
 
@@ -345,17 +340,17 @@ fn measure(beams_per_tick: usize, ticks: usize) -> Results {
 /// a committed baseline is given. Returns the failures.
 fn gate(r: &Results, baseline: Option<&Results>) -> Vec<String> {
     let mut failures = Vec::new();
-    if r.observer_overhead_pct > OVERHEAD_CEILING_PCT {
+    if r.observer_ns_per_event > NS_PER_EVENT_CEILING {
         failures.push(format!(
-            "observer_overhead_pct {:.2}% exceeds the {OVERHEAD_CEILING_PCT:.0}% ceiling",
-            r.observer_overhead_pct
+            "observer_ns_per_event {:.1} exceeds the {NS_PER_EVENT_CEILING:.0} ns ceiling",
+            r.observer_ns_per_event
         ));
     }
     if let Some(base) = baseline {
-        if r.observer_overhead_pct > base.observer_overhead_pct + OVERHEAD_SLACK_PCT {
+        if r.observer_ns_per_event > base.observer_ns_per_event * BASELINE_DRIFT {
             failures.push(format!(
-                "observer_overhead_pct {:.2}% exceeds baseline {:.2}% by more than {OVERHEAD_SLACK_PCT:.0} points",
-                r.observer_overhead_pct, base.observer_overhead_pct,
+                "observer_ns_per_event {:.1} is more than {BASELINE_DRIFT}x the baseline's {:.1}",
+                r.observer_ns_per_event, base.observer_ns_per_event,
             ));
         }
     }
@@ -402,11 +397,14 @@ fn main() -> ExitCode {
         results.emit_batched_meps
     );
     println!(
-        "scheduler overhead: null {:.3}s vs full stack {:.3}s -> {:+.2}% (ceiling {:.0}%)",
-        results.scheduler_null_secs,
-        results.scheduler_full_stack_secs,
-        results.observer_overhead_pct,
-        OVERHEAD_CEILING_PCT
+        "scheduler: null {:.2} ms vs full stack {:.2} ms over {} events -> \
+         {:.1} ns/event (ceiling {:.0}), {:+.1}% of the null run",
+        results.scheduler_null_secs * 1e3,
+        results.scheduler_full_stack_secs * 1e3,
+        results.scheduler_events_per_run,
+        results.observer_ns_per_event,
+        NS_PER_EVENT_CEILING,
+        results.observer_overhead_pct
     );
 
     if let Some(path) = &json_out {

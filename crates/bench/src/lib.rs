@@ -1,37 +1,74 @@
-//! Shared fixtures for the Criterion benchmarks.
-//!
-//! Benchmarks run the *real* host kernels on scaled-down versions of the
-//! paper's observational setups (the frequency structure — and therefore
-//! the delay/data-reuse geometry — is preserved; only the time
-//! resolution is reduced so a Criterion run finishes in minutes).
+//! Timing helpers shared by the self-gating fleet benches.
 
-use dedisp_core::{DedispersionPlan, InputBuffer};
-use radioastro::{ObservationalSetup, SignalGenerator};
+use std::hint::black_box;
+use std::time::Instant;
 
-/// A scaled Apertif plan: full 1,024-channel band, reduced sample rate.
-pub fn apertif_plan(sample_rate: u32, trials: usize) -> DedispersionPlan {
-    ObservationalSetup::apertif()
-        .scaled(sample_rate)
-        .plan(trials)
-        .expect("valid scaled Apertif plan")
+/// With `--check`, the most a gated number may exceed the committed
+/// baseline's by: the baseline ratchets down with the code, a bench's
+/// own ceiling does not.
+pub const BASELINE_DRIFT: f64 = 2.0;
+
+/// Min-of-reps wall time for `f`, seconds.
+pub fn time_min(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        best = best.min(time_once(&mut f));
+    }
+    best
 }
 
-/// A scaled LOFAR plan: full 32-channel band, reduced sample rate.
-pub fn lofar_plan(sample_rate: u32, trials: usize) -> DedispersionPlan {
-    ObservationalSetup::lofar()
-        .scaled(sample_rate)
-        .plan(trials)
-        .expect("valid scaled LOFAR plan")
+/// What [`time_paired`] measured, seconds: the median run of each side
+/// and the median of the per-pair differences `with - base`.
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Median run of the reference side.
+    pub base_secs: f64,
+    /// Median run of the side carrying the cost under test.
+    pub with_secs: f64,
+    /// Median of `with - base` over the pairs.
+    pub delta_secs: f64,
 }
 
-/// Deterministic noisy input for a plan.
-pub fn noisy_input(plan: &DedispersionPlan, seed: u64) -> InputBuffer {
-    SignalGenerator::new(seed).generate(plan)
+/// Times `base` and `with` alternately, `reps` times each.
+///
+/// The gated quantities are differences of two runs that are each a
+/// millisecond or so, on a machine that slows by a quarter for minutes
+/// at a time and stalls for milliseconds at a time. Alternating puts
+/// both sides of a pair in the same phase and the median drops the
+/// stalls, which is steadier than a difference of two minima taken one
+/// after the other.
+pub fn time_paired(
+    reps: usize,
+    mut base: impl FnMut() -> usize,
+    mut with: impl FnMut() -> usize,
+) -> Paired {
+    let mut base_secs = Vec::with_capacity(reps);
+    let mut with_secs = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        base_secs.push(time_once(&mut base));
+        with_secs.push(time_once(&mut with));
+    }
+    let mut deltas: Vec<f64> = with_secs
+        .iter()
+        .zip(&base_secs)
+        .map(|(w, b)| w - b)
+        .collect();
+    Paired {
+        base_secs: median(&mut base_secs),
+        with_secs: median(&mut with_secs),
+        delta_secs: median(&mut deltas),
+    }
 }
 
-/// The useful flop of one invocation, for throughput reporting.
-pub fn flop(plan: &DedispersionPlan) -> u64 {
-    plan.flop()
+fn time_once(f: &mut impl FnMut() -> usize) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed().as_secs_f64()
+}
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 #[cfg(test)]
@@ -39,15 +76,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixtures_are_consistent() {
-        let plan = apertif_plan(500, 8);
-        assert_eq!(plan.channels(), 1024);
-        assert_eq!(plan.out_samples(), 500);
-        let input = noisy_input(&plan, 1);
-        assert_eq!(input.channels(), plan.channels());
-        assert_eq!(flop(&plan), 8 * 500 * 1024);
-
-        let lofar = lofar_plan(500, 8);
-        assert_eq!(lofar.channels(), 32);
+    fn medians_ignore_a_stalled_run() {
+        let mut values = [3.0, 1.0, 100.0, 2.0, 1.5];
+        assert_eq!(median(&mut values), 2.0);
+        // A side that does work is slower than one that does none, by
+        // about what the pairs differ by.
+        let paired = time_paired(9, || 0, || (0..200_000).map(black_box).sum());
+        assert!(paired.with_secs > paired.base_secs);
+        assert!(paired.delta_secs > 0.0 && paired.delta_secs <= paired.with_secs);
     }
 }

@@ -172,27 +172,14 @@ fn main() {
     );
 
     // --- determinism fingerprint -------------------------------------
-    // Every field of the report is deterministic except each device's
-    // `max_queue_depth`, which the real worker thread observes under OS
-    // scheduling — the dispatcher replays verdicts at fixed sync points
-    // in virtual-time order, but how deep the bounded queue gets before
-    // the worker drains it depends on real thread interleaving. Zero
-    // that field and print the rest as JSON so CI can run this binary
-    // twice and diff the two outputs byte-for-byte.
-    //
-    // The observability layer records the same high-water marks as
-    // `fleet_device_max_queue_depth` gauges (see
-    // `RegistryObserver::record_report` and DESIGN.md §12): operators
-    // *should* see them — a deep queue is a capacity signal — but they
-    // are exactly the values this fingerprint excludes, so they must
-    // never be folded into it (or into any other byte-diffed artifact).
-    let mut normalized = r.clone();
-    for device in &mut normalized.devices {
-        device.max_queue_depth = 0;
-    }
+    // Every field of the report is a function of the inputs alone, so
+    // the whole report is printed as JSON and CI runs this binary twice
+    // and diffs the two outputs byte-for-byte. (The heading still says
+    // "normalized" because stdout is pinned against earlier runs, which
+    // zeroed a queue high-water that was 0 already.)
     headline("recovery report, normalized (JSON)");
-    println!("{}", normalized.to_json());
-    // `--json` writes the same normalized fingerprint, so scripted runs
-    // can diff files instead of scraping stdout.
-    experiments::out::write_json_report(&normalized);
+    println!("{}", r.to_json());
+    // `--json` writes the same fingerprint, so scripted runs can diff
+    // files instead of scraping stdout.
+    experiments::out::write_json_report(r);
 }

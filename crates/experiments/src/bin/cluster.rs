@@ -98,25 +98,13 @@ fn child_config() -> ProcConfig {
         .liveness(Duration::from_secs(30))
 }
 
-/// One normalized report: the racy per-device queue high-water zeroed,
-/// exactly as the chaos determinism fingerprint does.
-fn normalized(report: &GridReport) -> GridReport {
-    let mut n = report.clone();
-    for shard in &mut n.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    n
-}
-
 /// Asserts a process-backed run is ledger-identical to its in-thread
-/// twin: same merged report (modulo the racy high-water mark), same
-/// global beam ledger, same telemetry stream.
+/// twin: same merged report, same global beam ledger, same telemetry
+/// stream.
 fn assert_same_run(proc_run: &GridRun, thread_run: &GridRun, what: &str) {
     assert_eq!(
-        normalized(&proc_run.report).to_json(),
-        normalized(&thread_run.report).to_json(),
+        proc_run.report.to_json(),
+        thread_run.report.to_json(),
         "{what}: process and in-thread reports must agree"
     );
     assert_eq!(proc_run.records, thread_run.records, "{what}: beam ledgers");
@@ -204,12 +192,12 @@ fn get_404(addr: SocketAddr, path: &str) -> String {
 }
 
 /// The machine-readable fingerprint the CI cluster job byte-diffs:
-/// normalized ledgers plus the full supervision story.
+/// the merged ledgers plus the full supervision story.
 #[derive(Serialize)]
 struct ClusterReport {
-    /// The healthy process-grid report, high-water marks zeroed.
+    /// The healthy process-grid report.
     healthy: GridReport,
-    /// The chaos (SIGKILL + simulated flap) report, normalized.
+    /// The chaos (SIGKILL + simulated flap) report.
     chaos: GridReport,
     /// The chaos run's supervision ledger — restarts, dedupes, backoffs.
     supervision: ProcGridLedger,
@@ -327,10 +315,7 @@ fn main() {
         again.proc, chaos_run.proc,
         "fixed chaos schedule => identical supervision ledger"
     );
-    assert_eq!(
-        normalized(&again.report).to_json(),
-        normalized(&chaos_run.report).to_json()
-    );
+    assert_eq!(again.report, chaos_run.report);
     println!("second chaos run: identical supervision ledger, identical report");
 
     // --- Scenario 4: one obs plane over two concurrent grids ---------
@@ -456,9 +441,9 @@ fn main() {
     server.shutdown();
 
     experiments::out::write_json_report(&ClusterReport {
-        healthy: normalized(&proc_run.report),
-        chaos: normalized(&chaos_run.report),
-        supervision: chaos_run.proc.clone().expect("ledger present"),
+        healthy: proc_run.report,
+        chaos: chaos_run.report,
+        supervision: chaos_run.proc.expect("ledger present"),
     });
     println!("\nall cluster assertions passed");
 }

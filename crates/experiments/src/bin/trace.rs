@@ -11,8 +11,7 @@
 //!    profile explains where ticks go, it does not gesture at them.
 //! 2. **Observation is free of side effects** — the traced run's
 //!    report, beam ledger, and event log are identical to an untraced
-//!    run of the same inputs (the racy per-device queue high-water
-//!    zeroed, exactly as the determinism fingerprint does).
+//!    run of the same inputs.
 //! 3. **One timeline across processes** — the §V-D grid runs with
 //!    every shard a supervised child; shard 0's child `SIGKILL`s
 //!    itself mid-run and is restarted. The supervisor's trace sink
@@ -39,9 +38,9 @@ use dedisp_fleet::obs::{
 };
 use dedisp_fleet::proc::{serve_stdio, ProcOutcome};
 use dedisp_fleet::{
-    BeamOutcome, BeamRecord, ChaosSpec, FaultPlan, FleetReport, FleetSpec, Grid, GridReport,
-    GridRun, ProcConfig, ProcGridLedger, ResolvedFleet, Scheduler, ShardBackend, SurveyLoad,
-    TelemetryEvent, TickBatch,
+    BeamOutcome, BeamRecord, ChaosSpec, FaultPlan, FleetSpec, Grid, GridReport, GridRun,
+    ProcConfig, ProcGridLedger, ResolvedFleet, Scheduler, ShardBackend, SurveyLoad, TelemetryEvent,
+    TickBatch,
 };
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
@@ -112,26 +111,6 @@ fn trace_out_path(args: &[String]) -> Option<PathBuf> {
     None
 }
 
-/// A fleet report with the racy per-device queue high-water zeroed.
-fn normalized_fleet(report: &FleetReport) -> FleetReport {
-    let mut n = report.clone();
-    for d in &mut n.devices {
-        d.max_queue_depth = 0;
-    }
-    n
-}
-
-/// The grid-report analogue of [`normalized_fleet`].
-fn normalized(report: &GridReport) -> GridReport {
-    let mut n = report.clone();
-    for shard in &mut n.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    n
-}
-
 /// `n` terminal beams as one batch, `step` virtual seconds apart from
 /// `start`, all missed or all clean — the raw material the SLO
 /// scenario feeds the fold.
@@ -158,7 +137,7 @@ fn beam_batch(n: usize, start: f64, step: f64, missed: bool) -> TickBatch {
 }
 
 /// The machine-readable fingerprint the CI tracing job byte-diffs:
-/// only deterministic facts — normalized ledgers, the supervision
+/// only deterministic facts — the merged ledger, the supervision
 /// story, span *counts* where they are deterministic, and the SLO
 /// fold's virtual-time snapshot. Never span durations.
 #[derive(Serialize)]
@@ -167,7 +146,7 @@ struct TraceReport {
     coverage_ok: bool,
     /// Tick spans the traced single-fleet run recorded (== ticks).
     tick_spans: u64,
-    /// The chaos cluster report, high-water marks zeroed.
+    /// The chaos cluster report.
     chaos: GridReport,
     /// The chaos run's supervision ledger — restarts, dedupes, backoffs.
     supervision: ProcGridLedger,
@@ -186,8 +165,12 @@ fn main() {
 
     // --- Scenario 1: phase spans explain tick wall time --------------
     headline("phase coverage: spans explain >95% of tick wall time");
-    let fleet = ResolvedFleet::synthetic(2000, &[0.08, 0.1, 0.12, 0.1, 0.09, 0.11, 0.1, 0.1]);
-    let load = SurveyLoad::custom(2000, 24, 6);
+    // The §V-D shape. A tick has to be long enough that the five
+    // phases' clock reads are noise beside it: on 8 devices × 24 beams
+    // a whole tick is a few microseconds and the reads are a fifth of
+    // it.
+    let fleet = ResolvedFleet::synthetic(2000, &[MEASURED_SECONDS_PER_BEAM; 50]);
+    let load = SurveyLoad::custom(2000, 450, 6);
     let faults = FaultPlan::none().with_kill(2, 1.4).with_flap(4, 0.6, 2.1);
     let sink = TraceSink::new(1 << 15);
     let traced = Scheduler::session(&fleet)
@@ -242,8 +225,8 @@ fn main() {
         .run()
         .expect("untraced run completes");
     assert_eq!(
-        normalized_fleet(&traced.report).to_json(),
-        normalized_fleet(&bare.report).to_json(),
+        traced.report.to_json(),
+        bare.report.to_json(),
         "tracing perturbed the report"
     );
     assert_eq!(traced.records, bare.records, "tracing perturbed the ledger");
@@ -284,8 +267,8 @@ fn main() {
         .run()
         .expect("traced chaos cluster completes");
     assert_eq!(
-        normalized(&proc_run.report).to_json(),
-        normalized(&thread_twin.report).to_json(),
+        proc_run.report.to_json(),
+        thread_twin.report.to_json(),
         "tracing or supervision perturbed the merged report"
     );
     assert_eq!(proc_run.records, thread_twin.records);
@@ -422,7 +405,7 @@ fn main() {
     experiments::out::write_json_report(&TraceReport {
         coverage_ok: true,
         tick_spans,
-        chaos: normalized(&proc_run.report),
+        chaos: proc_run.report,
         supervision,
         slo_at_page,
         slo_recovered,

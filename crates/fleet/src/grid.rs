@@ -82,9 +82,8 @@ pub enum ShardBackend {
     /// One supervised child process per shard, speaking the framed
     /// protocol of [`crate::proc`]: liveness deadlines, bounded
     /// restart with backoff, and in-thread degradation when spawning
-    /// fails. The run's ledgers are identical to [`Self::InThread`]
-    /// (modulo the wall-clock `max_queue_depth` field); the
-    /// supervision story lands in [`GridRun::proc`].
+    /// fails. The run's ledgers are identical to [`Self::InThread`];
+    /// the supervision story lands in [`GridRun::proc`].
     Process(ProcConfig),
 }
 
@@ -248,9 +247,9 @@ impl<'a> GridSession<'a> {
             observer.observe_grid_batch(None, &prelude);
         }
 
-        // One real thread per shard; each shard session spawns its own
-        // per-device workers underneath (in-thread backend) or hands
-        // the shard to a supervised child process (process backend).
+        // One real thread per shard; each runs its shard's session to
+        // completion (in-thread backend) or hands the shard to a
+        // supervised child process (process backend).
         // Either way the thread re-keys its shard's stream to global
         // beam identity before forwarding, so the shared observer sees
         // the same identities the post-run `ShardEvent` stream carries.
@@ -903,23 +902,13 @@ mod tests {
             .run_with(&GridFanout::new(&sinks))
             .unwrap();
         // Live observation never perturbs scheduling: the report
-        // matches an unobserved run byte for byte (modulo the racy
-        // queue high-water the determinism guarantee excludes).
+        // matches an unobserved run field for field.
         let plain = Grid::session(&shards)
             .load(&load)
             .faults(&faults)
             .run()
             .unwrap();
-        let normalize = |r: &GridReport| {
-            let mut n = r.clone();
-            for shard in &mut n.shards {
-                for d in &mut shard.devices {
-                    d.max_queue_depth = 0;
-                }
-            }
-            n
-        };
-        assert_eq!(normalize(&observed.report), normalize(&plain.report));
+        assert_eq!(observed.report, plain.report);
 
         // The recorder saw exactly the post-run stream's events (ring
         // large enough to drop nothing), and the live aggregate folded

@@ -11,9 +11,10 @@
 //!   falling back to the nearest tuned instance or a fresh tuning run.
 //!   Groups may instead carry a *measured* rate ([`RateSource`]), so one
 //!   fleet mixes benchmarked and modeled platforms.
-//! * [`Scheduler`] — a crossbeam work-queue dispatcher placing beam
-//!   batches by cost-model predicted throughput, with admission control
-//!   and real backpressure against the real-time deadline budget. Runs
+//! * [`Scheduler`] — a virtual-time dispatcher placing beam batches by
+//!   cost-model predicted throughput, with admission control against
+//!   the real-time deadline budget; each device is a value it calls and
+//!   whose verdict it handles before placing the next beam. Runs
 //!   are configured as builder-style sessions
 //!   (`Scheduler::session(&fleet).load(&load).run()`), and any
 //!   [`LoadSource`] — a [`SurveyLoad`] cadence, a grid shard, a future
@@ -47,10 +48,9 @@
 //!   [`StatusSnapshot`] — serde round-trippable, derivable from any
 //!   stream prefix — gives operators the queryable point-in-time view
 //!   behind the planned status endpoint.
-//! * [`FleetReport`] — per-device utilization, queue depth, deadline
-//!   misses, the full shed ledger, and the recovery ledger (bounces,
-//!   retries, probes, canaries, [`HealthEvent`] transitions) as a
-//!   serde artifact.
+//! * [`FleetReport`] — per-device utilization, deadline misses, the
+//!   full shed ledger, and the recovery ledger (bounces, retries,
+//!   probes, canaries, [`HealthEvent`] transitions) as a serde artifact.
 //! * [`obs`] — the live operator plane: a lock-cheap
 //!   [`obs::MetricsRegistry`] fed from the stream by
 //!   [`obs::RegistryObserver`], a bounded [`obs::FlightRecorder`]
@@ -71,14 +71,14 @@
 //!   fleet-wide before any shard sheds two — by handing each shard
 //!   per-tick admission ceilings.
 //!
-//! The scheduling simulation runs in virtual time on real threads: one
-//! worker per device behind a bounded queue, so dispatcher backpressure
-//! and failure detection by bounced work are exercised by the real
-//! concurrency machinery. Runs are nonetheless *deterministic*: the
-//! dispatcher observes worker verdicts at fixed synchronization points
-//! and processes them in virtual-time order, so identical
-//! `(fleet, load, plan, config)` inputs yield identical reports — only
-//! the observed `max_queue_depth` of each worker may vary between runs.
+//! A session is a virtual-time simulation on the caller's thread: the
+//! devices own their compiled fault schedules, so the dispatcher still
+//! detects failures only from bounced work and late completions, but
+//! nothing in it waits on another thread. Runs are therefore
+//! *deterministic*: identical `(fleet, load, plan, config)` inputs
+//! yield identical reports, every field. The real concurrency is one
+//! level up — the grid's thread per shard, the supervised child
+//! processes, the obs server.
 //!
 //! ```
 //! use dedisp_fleet::{ResolvedFleet, Scheduler, SurveyLoad};

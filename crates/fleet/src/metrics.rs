@@ -168,14 +168,11 @@ pub struct DeviceMetrics {
     pub busy_s: f64,
     /// `busy_s / makespan` — fraction of the run spent working.
     pub utilization: f64,
-    /// Deepest its work queue ever got (admitted, not yet started).
-    ///
-    /// Observed by the real worker thread as it drains the bounded
-    /// queue, so it can vary run-to-run with OS scheduling; every
-    /// other field of the report is deterministic (the dispatcher
-    /// observes worker verdicts at fixed synchronization points and
-    /// orders them by virtual time), so compare reports modulo this
-    /// field when asserting determinism.
+    /// Always 0. The dispatcher handles a device's verdict before it
+    /// places the next beam, so no device ever holds work it has not
+    /// started; the field stays because serialized reports carry it.
+    /// The placement backlog an operator would watch is the
+    /// stream-folded `fleet_device_queue_depth_peak` gauge.
     pub max_queue_depth: usize,
     /// Beams that bounced off this device, as observed.
     pub bounces: usize,
@@ -236,8 +233,8 @@ pub struct FleetReport {
 /// This is itself an [`Observer`], so the same accumulation can run
 /// live during a session or after the fact over a collected stream —
 /// the report is *defined* as this fold plus the per-load and
-/// per-worker context that never enters the stream (setup shape, busy
-/// seconds, queue high-water marks).
+/// per-device context that never enters the stream (setup shape, busy
+/// seconds).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ReportFold {
     completed: usize,
@@ -331,13 +328,13 @@ impl Observer for ReportFold {
 
 impl FleetReport {
     /// Builds the report by folding the telemetry stream, then joining
-    /// the worker statistics and fault context that never enter the
+    /// the per-device statistics and fault context that never enter the
     /// stream.
     pub(crate) fn build(
         fleet: &ResolvedFleet,
         load: &dyn LoadSource,
         log: &EventLog,
-        stats: &[WorkerStats],
+        stats: &[DeviceStats],
         died_at: &[Option<f64>],
     ) -> Self {
         let mut fold = ReportFold::new(fleet.len());
@@ -362,7 +359,7 @@ impl FleetReport {
                 } else {
                     0.0
                 },
-                max_queue_depth: stats[d.id].max_queue_depth,
+                max_queue_depth: 0,
                 bounces: fold.device_bounces.get(d.id).copied().unwrap_or(0),
                 final_health: fold.final_health.get(d.id).copied().unwrap_or_default(),
                 died_at: died_at[d.id],
@@ -434,12 +431,11 @@ impl FleetReport {
     }
 }
 
-/// Final statistics a worker thread reports as it retires.
+/// What a device did over the run, read off it when the session ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct WorkerStats {
+pub(crate) struct DeviceStats {
     pub busy_s: f64,
     pub beams_done: usize,
-    pub max_queue_depth: usize,
 }
 
 #[cfg(test)]
@@ -503,15 +499,13 @@ mod tests {
             }),
         ];
         let stats = vec![
-            WorkerStats {
+            DeviceStats {
                 busy_s: 0.2,
                 beams_done: 1,
-                max_queue_depth: 1,
             },
-            WorkerStats {
+            DeviceStats {
                 busy_s: 0.5,
                 beams_done: 1,
-                max_queue_depth: 1,
             },
         ];
         let log = EventLog::from_events(&events);
@@ -560,7 +554,7 @@ mod tests {
     fn conservation_detects_loss() {
         let fleet = ResolvedFleet::synthetic(10, &[0.5]);
         let load = SurveyLoad::custom(10, 2, 1);
-        let stats = vec![WorkerStats::default()];
+        let stats = vec![DeviceStats::default()];
         // Only one of two admitted beams in the stream.
         let events = vec![
             TelemetryEvent::Shed(ShedRecord {
@@ -593,7 +587,7 @@ mod tests {
     fn mean_surviving_utilization_is_zero_when_every_device_died() {
         let fleet = ResolvedFleet::synthetic(10, &[0.5, 0.5]);
         let load = SurveyLoad::custom(10, 1, 1);
-        let stats = vec![WorkerStats::default(); 2];
+        let stats = vec![DeviceStats::default(); 2];
         let report = FleetReport::build(
             &fleet,
             &load,

@@ -23,9 +23,9 @@
 //!
 //! # The never-fingerprinted rule
 //!
-//! Spans measure wall-clock time and therefore vary run to run. Like
-//! the racy per-device `max_queue_depth`, they live strictly *outside*
-//! the deterministic ledgers: a span never becomes a
+//! Spans measure wall-clock time and therefore vary run to run — the
+//! only thing a run produces that does — so they live strictly
+//! *outside* the deterministic ledgers: a span never becomes a
 //! [`crate::TelemetryEvent`], never enters a [`crate::TickBatch`] or
 //! [`crate::EventLog`], and never lands in a report. Runs with a
 //! `TraceSink` attached produce byte-identical ledgers to runs
@@ -51,7 +51,7 @@ pub enum SpanKind {
     Admit,
     /// The per-beam placement/shed loop of a tick.
     Dispatch,
-    /// Draining worker verdicts (probes sent + events observed).
+    /// Draining device verdicts (probes sent + replies handled).
     Drain,
     /// Sealing the tick's columnar batch into the run log.
     BatchEncode,

@@ -289,13 +289,7 @@ mod tests {
             .faults(&spec.plan)
             .run()
             .unwrap();
-        let normalize = |mut r: crate::metrics::FleetReport| {
-            for d in &mut r.devices {
-                d.max_queue_depth = 0;
-            }
-            r
-        };
-        assert_eq!(normalize(ledger.report), normalize(reference.report));
+        assert_eq!(ledger.report, reference.report);
         assert_eq!(ledger.records, reference.records);
         let mut log = crate::batch::EventLog::new();
         for batch in batches {

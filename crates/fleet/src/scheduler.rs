@@ -1,9 +1,13 @@
 //! The beam scheduler: placement, admission control, and recovery.
 //!
-//! The scheduler runs a virtual-time simulation on real threads: one
-//! worker thread per device, fed through a bounded crossbeam channel
-//! (the device's work queue — a full queue blocks the dispatcher, which
-//! is the backpressure), with an unbounded event channel flowing back.
+//! The scheduler is a virtual-time simulation on the caller's thread.
+//! Each device is a value the dispatcher calls (`DeviceSim`): it owns
+//! the device's compiled fault schedule and its local clock, takes one
+//! assignment or one health probe, and returns a verdict. The
+//! dispatcher queues each verdict and handles it before it places the
+//! next beam, so at most one beam is ever in flight fleet-wide — a
+//! device has no queue to fill, and nothing a run reports depends on
+//! the machine it ran on (DESIGN.md §21).
 //!
 //! A run is configured as a builder-style *session*:
 //!
@@ -51,8 +55,8 @@
 //!
 //! # Faults, evidence, and health
 //!
-//! Faults are discovered, not announced: the [`FaultPlan`] is wired
-//! into the workers, and a down device *bounces* everything it is
+//! Faults are discovered, not announced: the [`FaultPlan`] is compiled
+//! into the device values, and a down device *bounces* everything it is
 //! handed. The dispatcher never reads the plan; it runs a per-device
 //! health state machine driven purely by observed evidence:
 //!
@@ -74,14 +78,12 @@
 //!
 //! # Determinism
 //!
-//! The dispatcher *synchronously observes* worker verdicts: after each
-//! placement (and after each tick's probe burst) it collects every
-//! outstanding reply and handles them ordered by virtual time. Worker
-//! threads still execute concurrently between synchronization points,
-//! but no scheduling decision ever depends on OS thread timing, so
-//! identical `(fleet, load, plan, config)` inputs produce identical
-//! reports and ledgers — faulted runs included. The only field real
-//! threads still smear is each worker's observed `max_queue_depth`.
+//! A run is a pure function of `(fleet, load, plan, config)`: identical
+//! inputs produce an identical report — every field — and identical
+//! ledgers, faulted runs included. The dispatcher is the only thread;
+//! it handles each beam's verdict right after placing the beam and each
+//! tick's probe replies in device order, so the order of the telemetry
+//! stream is fixed by the inputs alone.
 
 use crate::admission::{
     AdmissionDecision, AdmissionPolicy, BeamDemand, CapacityView, DeviceCapacity, PerDeviceGreedy,
@@ -93,23 +95,19 @@ use crate::descriptor::{AlgorithmRate, FleetError, ResolvedFleet};
 use crate::fault::{DeviceFaults, FaultPlan, Gate};
 use crate::load::LoadSource;
 use crate::metrics::{
-    BeamOutcome, BeamRecord, FleetReport, HealthCause, HealthEvent, HealthState, ShedReason,
-    ShedRecord, WorkerStats,
+    BeamOutcome, BeamRecord, DeviceStats, FleetReport, HealthCause, HealthEvent, HealthState,
+    ShedReason, ShedRecord,
 };
 use crate::obs::trace::{SpanKind, TraceSink};
 use crate::survey::BeamJob;
 use crate::telemetry::{NullObserver, Observer, StatusSnapshot, TelemetryEvent};
-use crossbeam::channel::{self, Receiver, Sender};
 use manycore_sim::Algorithm;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Tunables for the scheduler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerConfig {
-    /// Bounded per-device queue capacity; a full queue blocks the
-    /// dispatcher (backpressure).
-    pub queue_depth: usize,
     /// Number of equal DM tiers a beam is divided into for shedding.
     pub shed_tiers: usize,
     /// Most tiers admission control may shed from one beam.
@@ -133,7 +131,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            queue_depth: 4,
             shed_tiers: 8,
             max_shed_tiers: 4,
             retry_budget: 16,
@@ -182,16 +179,7 @@ struct Assignment {
     canary: bool,
 }
 
-/// What the dispatcher hands a worker.
-enum Work {
-    /// Run (or bounce) one beam.
-    Beam(Assignment),
-    /// Zero-cost health check evaluated at virtual time `at`; never
-    /// touches the beam ledger.
-    Probe { at: f64 },
-}
-
-/// What workers report back — exactly one reply per work item.
+/// A device's verdict — exactly one per assignment or probe.
 enum Event {
     /// A beam ran to completion (possibly late, possibly past its
     /// deadline).
@@ -204,21 +192,6 @@ enum Event {
     Bounced { assignment: Assignment, at: f64 },
     /// A health probe came back.
     Probed { device: usize, at: f64, up: bool },
-}
-
-impl Event {
-    /// Total order for deterministic processing: virtual time, then
-    /// kind, then device, then beam.
-    fn key(&self) -> (f64, u8, usize, usize) {
-        match self {
-            Event::Bounced { assignment, at } => (*at, 0, assignment.device, assignment.job.index),
-            Event::Finished {
-                assignment,
-                actual_finish,
-            } => (*actual_finish, 1, assignment.device, assignment.job.index),
-            Event::Probed { device, at, .. } => (*at, 2, *device, 0),
-        }
-    }
 }
 
 /// Entry point for fleet scheduling.
@@ -354,7 +327,8 @@ impl<'a> Session<'a> {
     /// # Errors
     ///
     /// Returns a [`FleetError`] for a session without a load, an empty
-    /// fleet, a zero-trial load, a negative per-beam cost, an invalid
+    /// fleet, a zero-trial load, a negative or non-finite per-beam cost
+    /// (on a device or in any row of its rate table), an invalid
     /// fault plan (empty flap/slowdown windows, sub-unity slowdown
     /// factors, zero-beam transients, non-finite times), or
     /// (defensively) if any beam fails to reach a terminal state.
@@ -385,26 +359,27 @@ impl<'a> Session<'a> {
         if load.trials() == 0 {
             return Err(FleetError::new("load must have at least one trial DM"));
         }
-        if fleet.devices.iter().any(|d| d.seconds_per_beam < 0.0) {
-            return Err(FleetError::new("negative seconds-per-beam"));
+        // `choose` keeps the first device unless another finishes
+        // strictly sooner, which a NaN cost never lets happen.
+        for device in &fleet.devices {
+            let alternates = device.rates.iter().map(|r| r.seconds_per_beam);
+            if std::iter::once(device.seconds_per_beam)
+                .chain(alternates)
+                .any(|spb| !spb.is_finite() || spb < 0.0)
+            {
+                return Err(FleetError::new(format!(
+                    "device {} ({}) has a negative or non-finite seconds-per-beam",
+                    device.id, device.name
+                )));
+            }
         }
-        let n = fleet.len();
-        let stats = Mutex::new(vec![WorkerStats::default(); n]);
         // The sink is wall-clock-only instrumentation: the dispatcher
         // holds a clone for its flush-phase spans, the loop below one
         // for the tick phases. Nothing a span records ever reaches
         // the batch, the log, or the report.
         let trace = self.trace.clone();
         let trace_shard = self.trace_shard;
-        let mut dispatcher = Dispatcher::new(
-            fleet,
-            load,
-            &self.config,
-            self.policy,
-            self.ceilings,
-            observer,
-            (self.trace, self.trace_shard),
-        );
+        let mut dispatcher = Dispatcher::new(&self, load, faults, observer);
         // A capture-fed session replays the ingest-side events first:
         // the capture stream predates every scheduling decision. The
         // prelude arrives already batched (one block per drain
@@ -413,79 +388,63 @@ impl<'a> Session<'a> {
             dispatcher.replay_prelude(prelude);
         }
 
-        let records = std::thread::scope(|scope| {
-            let (event_tx, event_rx) = channel::unbounded::<Event>();
-            let mut senders = Vec::with_capacity(n);
-            for device in &fleet.devices {
-                let (tx, rx) = channel::bounded::<Work>(self.config.queue_depth.max(1));
-                senders.push(tx);
-                let events = event_tx.clone();
-                let device_faults = faults.compile(device.id);
-                let id = device.id;
-                let stats = &stats;
-                scope.spawn(move || worker(id, rx, events, device_faults, stats));
-            }
-            drop(event_tx);
-            dispatcher.senders = senders;
-
-            let mut next_index = 0usize;
-            let span = |kind: SpanKind, tick: usize| {
-                trace
-                    .as_ref()
-                    .map(|t| t.start(kind, trace_shard, tick as u64))
-            };
-            for tick in 0..load.ticks() {
-                let tick_span = span(SpanKind::Tick, tick);
-                dispatcher.tick = tick as u64;
-                let release = load.release(tick);
-                let deadline = load.deadline(tick);
-                let beams = load.beams_at(tick);
-                let drain_span = span(SpanKind::Drain, tick);
-                dispatcher.send_due_probes(release);
-                dispatcher.observe(&event_rx);
-                drop(drain_span);
-                let admit_span = span(SpanKind::Admit, tick);
-                let directive = dispatcher.admit_tick_reserving(tick, release, deadline, beams);
-                drop(admit_span);
-                let dispatch_span = span(SpanKind::Dispatch, tick);
-                for beam in 0..beams {
-                    let job = BeamJob {
-                        index: next_index,
-                        tick,
-                        beam,
-                        release,
-                        deadline,
-                    };
-                    next_index += 1;
-                    match directive {
-                        TickDirective::Place { kept, cascade } => {
-                            dispatcher.place(job, job.release, kept, 1, cascade);
-                        }
-                        TickDirective::ShedAll(reason) => dispatcher.shed_whole(job, reason),
+        let mut next_index = 0usize;
+        let span = |kind: SpanKind, tick: usize| {
+            trace
+                .as_ref()
+                .map(|t| t.start(kind, trace_shard, tick as u64))
+        };
+        for tick in 0..load.ticks() {
+            let tick_span = span(SpanKind::Tick, tick);
+            dispatcher.tick = tick as u64;
+            let release = load.release(tick);
+            let deadline = load.deadline(tick);
+            let beams = load.beams_at(tick);
+            let drain_span = span(SpanKind::Drain, tick);
+            dispatcher.send_due_probes(release);
+            dispatcher.observe();
+            drop(drain_span);
+            let admit_span = span(SpanKind::Admit, tick);
+            let directive = dispatcher.admit_tick_reserving(tick, release, deadline, beams);
+            drop(admit_span);
+            let dispatch_span = span(SpanKind::Dispatch, tick);
+            for beam in 0..beams {
+                let job = BeamJob {
+                    index: next_index,
+                    tick,
+                    beam,
+                    release,
+                    deadline,
+                };
+                next_index += 1;
+                match directive {
+                    TickDirective::Place { kept, cascade } => {
+                        dispatcher.place(job, job.release, kept, 1, cascade);
                     }
-                    dispatcher.observe(&event_rx);
+                    TickDirective::ShedAll(reason) => dispatcher.shed_whole(job, reason),
                 }
-                drop(dispatch_span);
-                // One tick, one batch: every event this tick encoded
-                // reaches the live observer at this deterministic
-                // boundary and lands in the run log as one block.
-                dispatcher.flush();
-                drop(tick_span);
+                dispatcher.observe();
             }
-            dispatcher.observe(&event_rx); // defensive: nothing may stay in flight
+            drop(dispatch_span);
+            // One tick, one batch: every event this tick encoded
+            // reaches the live observer at this deterministic
+            // boundary and lands in the run log as one block.
             dispatcher.flush();
-            dispatcher.senders.clear(); // hang up; workers drain and retire
-            std::mem::take(&mut dispatcher.records)
-        });
+            drop(tick_span);
+        }
 
+        let Dispatcher {
+            records,
+            devices,
+            log,
+            ..
+        } = dispatcher;
         let records: Vec<BeamRecord> = records
             .into_iter()
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| FleetError::new("beam lost without a terminal outcome"))?;
-        let stats = stats.into_inner();
-        let died_at: Vec<Option<f64>> = (0..n).map(|d| faults.kill_time(d)).collect();
-        let log = std::mem::take(&mut dispatcher.log);
-        drop(dispatcher);
+        let stats: Vec<DeviceStats> = devices.iter().map(|d| d.stats).collect();
+        let died_at: Vec<Option<f64>> = (0..fleet.len()).map(|d| faults.kill_time(d)).collect();
         let report = FleetReport::build(fleet, load, &log, &stats, &died_at);
         Ok(FleetRun {
             report,
@@ -519,14 +478,16 @@ struct Dispatcher<'s> {
     algorithm: Vec<Algorithm>,
     /// Per-device rate tables, fidelity order (primary first).
     rates: Vec<Vec<AlgorithmRate>>,
-    /// Work queues (populated inside the thread scope).
-    senders: Vec<Sender<Work>>,
+    /// The devices themselves. Only they know the fault schedule: the
+    /// dispatcher learns of a fault from a verdict, never from the plan.
+    devices: Vec<DeviceSim>,
+    /// Verdicts not yet handled, oldest first; [`Dispatcher::observe`]
+    /// drains them.
+    pending: VecDeque<Event>,
     /// One slot per admitted beam.
     records: Vec<Option<BeamRecord>>,
     /// Beams with a terminal outcome so far.
     accounted: usize,
-    /// Work items sent whose reply has not been observed yet.
-    outstanding: usize,
     trials: usize,
     /// The load's shed-tier ladder.
     ladder: TierLadder,
@@ -566,14 +527,13 @@ struct Dispatcher<'s> {
 
 impl<'s> Dispatcher<'s> {
     fn new(
-        fleet: &ResolvedFleet,
+        session: &Session<'s>,
         load: &dyn LoadSource,
-        config: &SchedulerConfig,
-        policy: &'s dyn AdmissionPolicy,
-        ceilings: Option<&'s [usize]>,
+        faults: &FaultPlan,
         observer: &'s mut dyn Observer,
-        (trace, trace_shard): (Option<TraceSink>, Option<usize>),
     ) -> Self {
+        let fleet = session.fleet;
+        let config = &session.config;
         let trials = load.trials();
         let n = fleet.len();
         Self {
@@ -590,19 +550,23 @@ impl<'s> Dispatcher<'s> {
                 })
                 .collect(),
             rates: fleet.devices.iter().map(|d| d.rates.clone()).collect(),
-            senders: Vec::new(),
+            devices: fleet
+                .devices
+                .iter()
+                .map(|d| DeviceSim::new(d.id, faults.compile(d.id)))
+                .collect(),
+            pending: VecDeque::new(),
             records: vec![None; load.total_beams()],
             accounted: 0,
-            outstanding: 0,
             trials,
             ladder: TierLadder::new(trials, config),
-            policy,
-            ceilings,
+            policy: session.policy,
+            ceilings: session.ceilings,
             batch: TickBatch::new(),
             log: EventLog::new(),
             observer,
-            trace,
-            trace_shard,
+            trace: session.trace.clone(),
+            trace_shard: session.trace_shard,
             tick: 0,
             late_strikes: vec![0; n],
             probe_pending: vec![false; n],
@@ -861,7 +825,8 @@ impl<'s> Dispatcher<'s> {
         self.assign(job, device, self.trials, start, finish, attempt);
     }
 
-    /// Commits a placement and hands it to the device's worker. A
+    /// Commits a placement and runs it on the device; the verdict
+    /// waits in `pending` for the next [`Dispatcher::observe`]. A
     /// placement on a probation device is its canary.
     fn assign(
         &mut self,
@@ -883,75 +848,42 @@ impl<'s> Dispatcher<'s> {
             attempt,
             canary,
         };
-        if self.senders[device].send(Work::Beam(assignment)).is_ok() {
-            if canary {
-                self.canary_in_flight[device] = true;
-            }
-            self.outstanding += 1;
-            self.emit(TelemetryEvent::Placed {
-                index: job.index,
-                device,
-                at: start,
-                kept_trials: kept,
-                attempt,
-                canary,
-            });
-        } else {
-            // Worker hung up (cannot happen before teardown, but never
-            // drop a beam): treat as a bounce and place elsewhere.
-            self.transition(device, HealthState::Quarantined, HealthCause::Bounce, start);
-            self.place(job, start, kept, attempt, true);
+        if canary {
+            self.canary_in_flight[device] = true;
+        }
+        self.emit(TelemetryEvent::Placed {
+            index: job.index,
+            device,
+            at: start,
+            kept_trials: kept,
+            attempt,
+            canary,
+        });
+        self.pending.push_back(self.devices[device].run(assignment));
+    }
+
+    /// Handles every pending verdict, oldest first, until none is left:
+    /// a bounce re-places its beam, and that placement's verdict queues
+    /// behind whatever is still waiting. What waits is either one
+    /// beam's verdict or one tick's probe replies in device order, so
+    /// the order needs no sort.
+    fn observe(&mut self) {
+        while let Some(verdict) = self.pending.pop_front() {
+            self.handle(verdict);
         }
     }
 
-    /// Collects every outstanding worker reply and handles them in
-    /// virtual-time order; repeats until nothing is in flight. This is
-    /// the synchronization point that makes runs deterministic.
-    fn observe(&mut self, rx: &Receiver<Event>) {
-        while self.outstanding > 0 {
-            let mut batch = Vec::with_capacity(self.outstanding);
-            while self.outstanding > 0 {
-                match rx.recv() {
-                    Ok(ev) => {
-                        self.outstanding -= 1;
-                        batch.push(ev);
-                    }
-                    Err(_) => {
-                        // All workers retired; loss is caught later.
-                        self.outstanding = 0;
-                        break;
-                    }
-                }
-            }
-            batch.sort_by(|a, b| {
-                let (ta, ka, da, ia) = a.key();
-                let (tb, kb, db, ib) = b.key();
-                ta.total_cmp(&tb)
-                    .then(ka.cmp(&kb))
-                    .then(da.cmp(&db))
-                    .then(ia.cmp(&ib))
-            });
-            for ev in batch {
-                self.handle(ev);
-            }
-        }
-    }
-
-    /// Sends health probes to every suspect/quarantined device whose
-    /// backoff has elapsed by `release`.
+    /// Probes every suspect/quarantined device whose backoff has
+    /// elapsed by `release`, in device order.
     fn send_due_probes(&mut self, release: f64) {
         for d in 0..self.health.len() {
             let probing = matches!(
                 self.health[d],
                 HealthState::Suspect | HealthState::Quarantined
             );
-            if probing
-                && !self.probe_pending[d]
-                && self.probe_at[d] <= release + DEADLINE_EPS
-                && self.senders[d].send(Work::Probe { at: release }).is_ok()
-            {
+            if probing && !self.probe_pending[d] && self.probe_at[d] <= release + DEADLINE_EPS {
                 self.probe_pending[d] = true;
-                self.outstanding += 1;
+                self.pending.push_back(self.devices[d].probe(release));
             }
         }
     }
@@ -1158,64 +1090,66 @@ impl<'s> Dispatcher<'s> {
     }
 }
 
-/// Device worker: executes assignments in virtual time, answers health
-/// probes, and bounces work its compiled fault schedule forbids. The
-/// worker owns the only copy of the schedule — the dispatcher sees
-/// faults exclusively through these replies.
-fn worker(
+/// One simulated device: executes assignments in virtual time, answers
+/// health probes, and bounces work its compiled fault schedule forbids.
+/// It owns the only copy of the schedule — the dispatcher sees faults
+/// exclusively through the verdicts returned here.
+struct DeviceSim {
     id: usize,
-    rx: Receiver<Work>,
-    events: Sender<Event>,
-    mut faults: DeviceFaults,
-    stats: &Mutex<Vec<WorkerStats>>,
-) {
-    let mut busy = 0.0;
-    let mut done = 0usize;
-    let mut max_depth = 0usize;
-    // Local virtual clock: when the device actually frees up, which
-    // drifts past the dispatcher's prediction under slowdowns.
-    let mut clock = 0.0f64;
-    for work in rx.iter() {
-        max_depth = max_depth.max(rx.len());
-        match work {
-            Work::Probe { at } => {
-                let _ = events.send(Event::Probed {
-                    device: id,
-                    at,
-                    up: faults.up_at(at),
-                });
+    faults: DeviceFaults,
+    /// Local virtual clock: when the device actually frees up, which
+    /// drifts past the dispatcher's prediction under slowdowns.
+    clock: f64,
+    /// Busy seconds (wasted partial work included) and beams run to
+    /// completion so far.
+    stats: DeviceStats,
+}
+
+impl DeviceSim {
+    fn new(id: usize, faults: DeviceFaults) -> Self {
+        Self {
+            id,
+            faults,
+            clock: 0.0,
+            stats: DeviceStats::default(),
+        }
+    }
+
+    /// Runs (or bounces) one beam.
+    fn run(&mut self, assignment: Assignment) -> Event {
+        let start = assignment.start.max(self.clock);
+        let nominal = assignment.finish - assignment.start;
+        match self.faults.gate(start, nominal) {
+            Gate::Bounce { at, wasted } => {
+                // Partial work before a mid-beam death is spent but
+                // produces nothing.
+                self.stats.busy_s += wasted;
+                if wasted > 0.0 {
+                    self.clock = at;
+                }
+                Event::Bounced { assignment, at }
             }
-            Work::Beam(assignment) => {
-                let start = assignment.start.max(clock);
-                let nominal = assignment.finish - assignment.start;
-                match faults.gate(start, nominal) {
-                    Gate::Bounce { at, wasted } => {
-                        // Partial work before a mid-beam death is spent
-                        // but produces nothing.
-                        busy += wasted;
-                        if wasted > 0.0 {
-                            clock = at;
-                        }
-                        let _ = events.send(Event::Bounced { assignment, at });
-                    }
-                    Gate::Run { duration } => {
-                        busy += duration;
-                        done += 1;
-                        clock = start + duration;
-                        let _ = events.send(Event::Finished {
-                            assignment,
-                            actual_finish: clock,
-                        });
-                    }
+            Gate::Run { duration } => {
+                self.stats.busy_s += duration;
+                self.stats.beams_done += 1;
+                self.clock = start + duration;
+                Event::Finished {
+                    assignment,
+                    actual_finish: self.clock,
                 }
             }
         }
     }
-    stats.lock()[id] = WorkerStats {
-        busy_s: busy,
-        beams_done: done,
-        max_queue_depth: max_depth,
-    };
+
+    /// Zero-cost health check evaluated at virtual time `at`; never
+    /// touches the beam ledger.
+    fn probe(&self, at: f64) -> Event {
+        Event::Probed {
+            device: self.id,
+            at,
+            up: self.faults.up_at(at),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1545,23 +1479,11 @@ mod tests {
     fn repeated_sessions_produce_identical_ledgers() {
         let fleet = ResolvedFleet::synthetic(800, &[0.2, 0.3]);
         let load = SurveyLoad::custom(800, 6, 2);
-        // Runs are deterministic (the dispatcher observes worker
-        // verdicts at fixed synchronization points), so two sessions
-        // over identical inputs must produce identical ledgers. Only
-        // max_queue_depth is observed by the real worker threads and
-        // may vary with OS scheduling — compare modulo that field.
+        // A run is a pure function of its inputs, so two sessions over
+        // identical inputs produce identical reports and ledgers.
         let first = Scheduler::session(&fleet).load(&load).run().unwrap();
         let second = Scheduler::session(&fleet).load(&load).run().unwrap();
-        let mut first_report = first.report.clone();
-        let mut second_report = second.report.clone();
-        for d in first_report
-            .devices
-            .iter_mut()
-            .chain(second_report.devices.iter_mut())
-        {
-            d.max_queue_depth = 0;
-        }
-        assert_eq!(first_report, second_report);
+        assert_eq!(first.report, second.report);
         assert_eq!(first.records, second.records);
         assert_eq!(first.log, second.log, "the stream is deterministic");
         // Faulted runs are deterministic too.
@@ -1577,12 +1499,79 @@ mod tests {
             .run()
             .unwrap();
         assert!(first.report.conservation_ok());
-        assert!(second.report.conservation_ok());
+        assert_eq!(first.report, second.report);
         assert_eq!(first.records, second.records);
         assert_eq!(first.log, second.log);
-        assert_eq!(
-            first.report.devices[1].died_at,
-            second.report.devices[1].died_at
+    }
+
+    #[test]
+    fn a_probe_burst_is_handled_in_device_order() {
+        // Devices 0–2 are dead from the start and device 3 carries the
+        // survey. Tick 0's first beam bounces off each in turn, so from
+        // tick 1 on every tick opens with one probe per distrusted
+        // device at the same virtual time. `observe` handles verdicts
+        // in the order `send_due_probes` queued them — device order —
+        // which is why it needs no sort.
+        let faults = FaultPlan::none()
+            .with_kill(0, 0.0)
+            .with_kill(1, 0.0)
+            .with_kill(2, 0.0);
+        let run = run(&[0.1; 4], 100, 2, 4, &faults);
+        assert!(run.report.conservation_ok());
+        let probes: Vec<(f64, usize)> = run
+            .log
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::Probe { device, at, up } => {
+                    assert!(!up, "a killed device answers no probe");
+                    Some((at, device))
+                }
+                _ => None,
+            })
+            .collect();
+        let bursts: Vec<(f64, usize)> = [1.0, 2.0, 3.0]
+            .iter()
+            .flat_map(|&at| (0..3).map(move |device| (at, device)))
+            .collect();
+        assert_eq!(probes, bursts);
+        // Tick 1's burst finds three suspects down: each probe is
+        // followed by its own device's quarantine, not by the next
+        // device's probe.
+        let quarantined: Vec<usize> = run
+            .report
+            .health_events
+            .iter()
+            .filter(|e| e.cause == HealthCause::ProbeDown)
+            .map(|e| e.device)
+            .collect();
+        assert_eq!(quarantined, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn non_finite_and_negative_rates_are_errors_naming_the_device() {
+        // A NaN cost is never displaced by `choose`'s `finish < best`:
+        // unchecked, `[NaN, 0.2]` sends every beam to device 0 and
+        // reports all of them missed with the healthy device idle.
+        let load = SurveyLoad::custom(100, 4, 2);
+        let rejected = |fleet: &ResolvedFleet, device: usize| {
+            let err = Scheduler::session(fleet).load(&load).run().unwrap_err();
+            let named = format!("device {device} ");
+            assert!(err.to_string().contains(&named), "{err}");
+        };
+        for bad in [f64::NAN, f64::INFINITY, -0.1] {
+            rejected(&ResolvedFleet::synthetic(100, &[bad, 0.2]), 0);
+            rejected(&ResolvedFleet::synthetic(100, &[0.2, bad]), 1);
+        }
+        // The alternate rows are what a demotion re-rates a device
+        // from, so they are checked too.
+        let sound: &[(Algorithm, f64)] = &[(Algorithm::BruteForce, 0.2)];
+        let infinite_alternate: &[(Algorithm, f64)] = &[
+            (Algorithm::BruteForce, 0.2),
+            (Algorithm::Subband { factor: 32 }, f64::INFINITY),
+        ];
+        rejected(
+            &ResolvedFleet::synthetic_with_algorithms(100, &[sound, infinite_alternate]),
+            1,
         );
     }
 

@@ -1,26 +1,24 @@
 //! Run-to-run determinism and legacy (kill-only) equivalence.
 //!
-//! The scheduler runs on real threads, but the dispatcher observes
-//! worker verdicts at fixed synchronization points and processes them
-//! in virtual-time order, so the *report* is a pure function of
-//! `(fleet, load, plan, config)` — with exactly one exception: each
-//! device's `max_queue_depth` is sampled by the worker thread as it
-//! drains a real bounded channel, so it may vary with OS scheduling.
-//! These tests pin that contract: `max_queue_depth` is the **only**
-//! run-to-run-variable field of a faulted report.
+//! The dispatcher is the only thread of a session: each device is a
+//! value it calls, and it handles a verdict before it places the next
+//! beam. The *report* is therefore a pure function of
+//! `(fleet, load, plan, config)`, and these tests pin that contract: a
+//! faulted report repeats field for field, with nothing normalized
+//! away.
 //!
 //! Historical note: the pre-health-machine scheduler drained its event
-//! channel opportunistically (`try_recv` racing the workers), and was
-//! *not* deterministic — repeated runs of the §V-D experiment binaries
-//! moved headline counts by ±1 beam and shuffled per-device
-//! `beams_done`/`busy_s` between near-tied devices. The current
-//! scheduler deterministically reproduces that scheduler's *modal*
-//! ledger (aggregates, itemized sheds, makespan) for kill-only plans;
-//! the per-device jitter the old code couldn't hold stable is exactly
-//! what the lockstep observation removed.
+//! channel opportunistically (`try_recv` racing per-device worker
+//! threads), and was *not* deterministic — repeated runs of the §V-D
+//! experiment binaries moved headline counts by ±1 beam and shuffled
+//! per-device `beams_done`/`busy_s` between near-tied devices. Lockstep
+//! observation removed that jitter and reproduces that scheduler's
+//! *modal* ledger (aggregates, itemized sheds, makespan) for kill-only
+//! plans; it also left the threads nothing to do concurrently, which is
+//! why they are gone (DESIGN.md §21).
 
 use dedisp_fleet::{
-    FaultPlan, FleetReport, FleetRun, HealthState, ResolvedFleet, Scheduler, ShedReason, SurveyLoad,
+    FaultPlan, FleetRun, HealthState, ResolvedFleet, Scheduler, ShedReason, SurveyLoad,
 };
 
 fn faulted_run() -> FleetRun {
@@ -41,51 +39,22 @@ fn faulted_run() -> FleetRun {
         .expect("valid inputs")
 }
 
-/// Clones a report with `max_queue_depth` zeroed on every device.
-fn modulo_queue_depth(report: &FleetReport) -> FleetReport {
-    let mut normalized = report.clone();
-    for d in &mut normalized.devices {
-        d.max_queue_depth = 0;
-    }
-    normalized
-}
-
-/// `max_queue_depth` is the only field of a faulted report allowed to
-/// vary between runs: everything else — aggregates, recovery ledger,
-/// health transitions, itemized sheds, per-device stats, makespan, and
-/// the full beam ledger — must be identical across repeated runs.
+/// Every field of a faulted report — aggregates, recovery ledger,
+/// health transitions, itemized sheds, per-device stats, makespan — and
+/// the full beam ledger are identical across repeated runs.
 #[test]
-fn max_queue_depth_is_the_only_run_to_run_variable_field() {
+fn a_faulted_report_repeats_field_for_field() {
     let first = faulted_run();
     for attempt in 0..4 {
         let next = faulted_run();
         assert_eq!(
-            modulo_queue_depth(&next.report),
-            modulo_queue_depth(&first.report),
+            next.report, first.report,
             "faulted report diverged on repeat run {attempt}"
         );
         assert_eq!(
             next.records, first.records,
             "beam ledger diverged on repeat run {attempt}"
         );
-        // Spell the contract out field-by-field for the aggregates so
-        // a future field addition has to opt in deliberately.
-        let (a, b) = (&next.report, &first.report);
-        assert_eq!(a.admitted, b.admitted);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.degraded, b.degraded);
-        assert_eq!(a.deadline_misses, b.deadline_misses);
-        assert_eq!(a.shed_whole, b.shed_whole);
-        assert_eq!(a.total_shed_trials, b.total_shed_trials);
-        assert_eq!(a.bounced, b.bounced);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.retry_exhausted, b.retry_exhausted);
-        assert_eq!(a.probes, b.probes);
-        assert_eq!(a.canaries, b.canaries);
-        assert_eq!(a.recoveries, b.recoveries);
-        assert_eq!(a.health_events, b.health_events);
-        assert_eq!(a.sheds, b.sheds);
-        assert_eq!(a.makespan, b.makespan);
     }
 }
 
@@ -147,6 +116,6 @@ fn all_kill_plans_reproduce_the_legacy_contract() {
         .faults(&faults)
         .run()
         .expect("valid inputs");
-    assert_eq!(modulo_queue_depth(&again.report), modulo_queue_depth(r));
+    assert_eq!(&again.report, r);
     assert_eq!(again.records, run.records);
 }

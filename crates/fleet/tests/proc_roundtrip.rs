@@ -11,9 +11,7 @@
 //! libtest's trailing chatter is never even read.
 
 use dedisp_fleet::proc::{serve_stdio, ChaosSpec, ProcConfig, ProcOutcome};
-use dedisp_fleet::{
-    Grid, GridFaultPlan, GridReport, GridRun, ResolvedFleet, ShardBackend, SurveyLoad,
-};
+use dedisp_fleet::{Grid, GridFaultPlan, GridRun, ResolvedFleet, ShardBackend, SurveyLoad};
 use std::time::Duration;
 
 /// The child entry point, disguised as an ignored test. Runs one shard
@@ -40,18 +38,8 @@ fn child_config() -> ProcConfig {
         .liveness(Duration::from_secs(30))
 }
 
-fn normalize(report: &GridReport) -> GridReport {
-    let mut n = report.clone();
-    for shard in &mut n.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    n
-}
-
 fn assert_same_run(proc_run: &GridRun, thread_run: &GridRun) {
-    assert_eq!(normalize(&proc_run.report), normalize(&thread_run.report));
+    assert_eq!(proc_run.report, thread_run.report);
     assert_eq!(proc_run.records, thread_run.records);
     assert_eq!(proc_run.events, thread_run.events);
     assert!(proc_run.report.conservation_ok());

@@ -5,10 +5,8 @@
 //! the deterministic ledger surface. These properties run the same
 //! inputs twice — once bare, once with a [`TraceSink`] attached (and,
 //! for the grid, a [`BurnRate`] SLO observer folding every event) —
-//! and require the reports, beam records, and telemetry logs to be
-//! identical, modulo only each worker's racy `max_queue_depth` (the
-//! one pre-existing nondeterministic field, zeroed exactly as the
-//! determinism suite does):
+//! and require the whole reports, beam records, and telemetry logs to
+//! be identical:
 //!
 //! 1. **Session transparency** — a traced single-fleet run reproduces
 //!    the untraced run's report/records/log byte-for-byte, while the
@@ -22,31 +20,9 @@
 use dedisp_fleet::capture::{Arrival, ArrivalTrace, BlockFormat, CaptureConfig, CaptureSession};
 use dedisp_fleet::obs::{BurnRate, SloConfig, TraceSink};
 use dedisp_fleet::{
-    FaultPlan, FleetReport, Grid, GridFaultPlan, GridReport, RebalancePolicy, ResolvedFleet,
-    Scheduler, SurveyLoad,
+    FaultPlan, Grid, GridFaultPlan, RebalancePolicy, ResolvedFleet, Scheduler, SurveyLoad,
 };
 use proptest::prelude::*;
-
-/// A fleet report with the racy `max_queue_depth` zeroed — the one
-/// field the determinism contract exempts.
-fn modulo_queue_depth(report: &FleetReport) -> FleetReport {
-    let mut normalized = report.clone();
-    for d in &mut normalized.devices {
-        d.max_queue_depth = 0;
-    }
-    normalized
-}
-
-/// The grid-report analogue of [`modulo_queue_depth`].
-fn grid_modulo_queue_depth(report: &GridReport) -> GridReport {
-    let mut normalized = report.clone();
-    for shard in &mut normalized.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    normalized
-}
 
 /// Deals `spb` devices round-robin into shard fleets, skipping shards
 /// that would end up empty.
@@ -111,12 +87,9 @@ proptest! {
             .run()
             .expect("valid inputs");
 
-        // Byte-identity of the serialized report (queue depth zeroed),
-        // exact equality of records and of the decoded event stream.
-        prop_assert_eq!(
-            modulo_queue_depth(&traced.report).to_json(),
-            modulo_queue_depth(&bare.report).to_json()
-        );
+        // Byte-identity of the serialized report, exact equality of
+        // records and of the decoded event stream.
+        prop_assert_eq!(traced.report.to_json(), bare.report.to_json());
         prop_assert_eq!(&traced.records, &bare.records);
         prop_assert_eq!(&traced.log, &bare.log);
         // And the observation actually happened: every tick opened a
@@ -160,10 +133,7 @@ proptest! {
             .run_with(&slo)
             .expect("valid inputs");
 
-        prop_assert_eq!(
-            grid_modulo_queue_depth(&traced.report).to_json(),
-            grid_modulo_queue_depth(&bare.report).to_json()
-        );
+        prop_assert_eq!(traced.report.to_json(), bare.report.to_json());
         prop_assert_eq!(&traced.records, &bare.records);
         prop_assert_eq!(&traced.events, &bare.events);
         prop_assert!(sink.recorded() > 0, "trace sink saw no spans");
