@@ -18,7 +18,6 @@
 //! * [`dmplan`] — DDplan-style trial-grid planning from smearing
 //!   analysis (sampling, intra-channel, pulse width, step).
 //! * [`boxcar`] — matched-filter single-pulse search over width ladders.
-//! * [`fold`](mod@fold) — epoch folding and χ² period search for pulsars.
 //! * [`rfi`] — interference excision (channel masking, zero-DM clipping).
 //! * [`realtime`] — the real-time constraint of Figures 6–7 and the
 //!   survey sizing arithmetic of Section V-D.
@@ -32,7 +31,6 @@ pub mod boxcar;
 pub mod detect;
 pub mod dmplan;
 pub mod filterbank;
-pub mod fold;
 pub mod realtime;
 pub mod rfi;
 pub mod setup;
@@ -42,7 +40,6 @@ pub use boxcar::{scan_output, scan_series, width_ladder, BoxcarHit, BoxcarScan};
 pub use detect::{detect_best_trial, Detection, TrialStat};
 pub use dmplan::{DmPlan, DmPlanner, DmSegment};
 pub use filterbank::Filterbank;
-pub use fold::{fold, search_periods, FoldedProfile, PeriodSearch};
 pub use realtime::{RealtimeCheck, SurveySizing};
 pub use rfi::{clip_samples, mask_channels, ExcisionReport};
 pub use setup::{ObservationalSetup, PAPER_INSTANCES};

@@ -7,10 +7,10 @@
 //! [`AdmissionPolicy`] trait so the *same* decision procedure can run
 //! at two scopes:
 //!
-//! * **Per-fleet** — the dispatcher builds a [`CapacityView`] of its
-//!   own devices each tick and asks the session's policy (default
+//! * **Per-fleet** — the dispatcher lends the session's policy (default
 //!   [`PerDeviceGreedy`], which reproduces the historical behaviour
-//!   exactly) for an [`AdmissionDecision`].
+//!   exactly) a [`CapacityView`] of the device table it keeps, each
+//!   tick, for an [`AdmissionDecision`].
 //! * **Per-grid** — with [`GridAdmission::Coordinated`], a grid-scope
 //!   controller runs the policy over the union of every shard's
 //!   capacity view at partition time, trades shed tiers across shards
@@ -19,11 +19,15 @@
 //!
 //! The tier arithmetic itself lives in [`TierLadder`]: `shed_tiers`
 //! equal DM tiers per beam, at most `max_shed_tiers` of which may be
-//! shed, never below the floor.
+//! shed, never below the floor. Where a beam goes once a level is
+//! ruled is [`crate::placement`]'s one function; the planners here
+//! predict a tick by playing its beams through that same function.
 
-use crate::descriptor::AlgorithmRate;
+use crate::descriptor::{AlgorithmRate, ResolvedFleet};
 use crate::metrics::ShedReason;
+use crate::placement::place_beam;
 use crate::scheduler::SchedulerConfig;
+use crate::shard::dhondt;
 use manycore_sim::Algorithm;
 use serde::{Deserialize, Serialize};
 
@@ -138,8 +142,12 @@ pub struct BeamDemand {
 }
 
 /// One device's remaining capacity, as the admission policy sees it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceCapacity {
+///
+/// A row of the table a dispatcher keeps per device and updates in
+/// place; the rate table is borrowed from the fleet, so a row is `Copy`
+/// and a planner's what-if copy of a fleet is one `memcpy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceCapacity<'a> {
     /// Predicted virtual time the device's queue drains.
     pub avail: f64,
     /// Full-resolution seconds per beam *on the current algorithm*.
@@ -150,13 +158,13 @@ pub struct DeviceCapacity {
     pub healthy: bool,
     /// The algorithm the device is currently running.
     pub algorithm: Algorithm,
-    /// The device's full rate table, fidelity order (primary first).
-    /// Single-entry unless the fleet declared alternates; policies
-    /// without an algorithm axis ignore it.
-    pub rates: Vec<AlgorithmRate>,
+    /// The device's rate table, fidelity order (primary first): the
+    /// rows a policy with an algorithm axis may switch it between.
+    /// Empty or single-entry when there is nothing to switch to.
+    pub rates: &'a [AlgorithmRate],
 }
 
-impl DeviceCapacity {
+impl<'a> DeviceCapacity<'a> {
     /// A single-algorithm capacity: brute force at `seconds_per_beam`,
     /// no alternates — exactly the pre-table shape.
     pub fn new(avail: f64, seconds_per_beam: f64, healthy: bool) -> Self {
@@ -165,10 +173,7 @@ impl DeviceCapacity {
             seconds_per_beam,
             healthy,
             algorithm: Algorithm::BruteForce,
-            rates: vec![AlgorithmRate {
-                algorithm: Algorithm::BruteForce,
-                seconds_per_beam,
-            }],
+            rates: &[],
         }
     }
 
@@ -176,13 +181,19 @@ impl DeviceCapacity {
     /// re-deriving `seconds_per_beam` from the matching row when the
     /// table lists it.
     #[must_use]
-    pub fn with_rates(mut self, algorithm: Algorithm, rates: Vec<AlgorithmRate>) -> Self {
+    pub fn with_rates(mut self, algorithm: Algorithm, rates: &'a [AlgorithmRate]) -> Self {
         self.algorithm = algorithm;
         if let Some(row) = rates.iter().find(|r| r.algorithm == algorithm) {
             self.seconds_per_beam = row.seconds_per_beam;
         }
         self.rates = rates;
         self
+    }
+
+    /// Switches the device to `row`'s algorithm at `row`'s rate.
+    pub(crate) fn rerate(&mut self, row: AlgorithmRate) {
+        self.algorithm = row.algorithm;
+        self.seconds_per_beam = row.seconds_per_beam;
     }
 
     /// The current algorithm's position in the rate table.
@@ -211,7 +222,7 @@ pub struct CapacityView<'a> {
     /// The load's shed-tier ladder.
     pub ladder: &'a TierLadder,
     /// Per-device capacity, in device order.
-    pub devices: &'a [DeviceCapacity],
+    pub devices: &'a [DeviceCapacity<'a>],
 }
 
 impl CapacityView<'_> {
@@ -301,14 +312,20 @@ pub trait AdmissionPolicy: Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerDeviceGreedy;
 
+impl PerDeviceGreedy {
+    /// The kept-trials level the rule admits `demand` at.
+    fn level(demand: &BeamDemand, view: &CapacityView<'_>) -> usize {
+        let fits = |&kept: &usize| view.feasible_beams(demand, kept) >= demand.beams;
+        view.ladder
+            .levels()
+            .find(fits)
+            .unwrap_or_else(|| view.ladder.floor())
+    }
+}
+
 impl AdmissionPolicy for PerDeviceGreedy {
     fn decide(&self, demand: &BeamDemand, view: &CapacityView<'_>) -> AdmissionDecision {
-        for (tiers, kept) in view.ladder.levels().enumerate() {
-            if view.feasible_beams(demand, kept) >= demand.beams {
-                return AdmissionDecision::admit(tiers);
-            }
-        }
-        AdmissionDecision::admit(view.ladder.kept_options().len())
+        AdmissionDecision::admit(view.ladder.tiers_for(Self::level(demand, view)))
     }
 }
 
@@ -348,14 +365,12 @@ impl AdmissionPolicy for AlgorithmLadder {
         }
 
         let ladder = view.ladder;
-        let base_kept = greedy_kept(ladder, demand, view);
-        let base_cost = fleet_cost(demand, ladder, view.devices, base_kept);
-        let zero = PlanCost {
-            misses: 0,
-            shed_trials: 0,
-        };
+        let full = ladder.trials();
+        let score = |devices: &mut [DeviceCapacity<'_>]| play_tick(demand, ladder, devices, full);
+        let (base_kept, base_cost) = score(&mut view.devices.to_vec());
+        let zero = PlanCost::default();
 
-        if base_cost == zero && base_kept == ladder.trials() {
+        if base_cost == zero && base_kept == full {
             // No pressure: try promoting one demoted device back up.
             for (d, cap) in view.devices.iter().enumerate() {
                 if !cap.healthy {
@@ -363,14 +378,12 @@ impl AdmissionPolicy for AlgorithmLadder {
                 }
                 let Some(up) = cap.promotion() else { continue };
                 let mut trial = view.devices.to_vec();
-                trial[d].algorithm = up.algorithm;
-                trial[d].seconds_per_beam = up.seconds_per_beam;
-                let trial_view = CapacityView {
-                    ladder,
-                    devices: &trial,
-                };
-                let kept = greedy_kept(ladder, demand, &trial_view);
-                if kept == ladder.trials() && fleet_cost(demand, ladder, &trial, kept) == zero {
+                trial[d].rerate(up);
+                // A promotion that would shed is not worth playing out.
+                let devices = &trial;
+                if PerDeviceGreedy::level(demand, &CapacityView { ladder, devices }) == full
+                    && score(&mut trial) == (full, zero)
+                {
                     return AdmissionDecision::Admit {
                         shed_tiers: 0,
                         switches: vec![(d, up.algorithm)],
@@ -387,61 +400,41 @@ impl AdmissionPolicy for AlgorithmLadder {
         // candidate ties the bar — probe a fleet-wide step (every
         // healthy device down one entry together) before giving up:
         // capacity has to cross the tier boundary collectively.
-        let mut devices: Vec<DeviceCapacity> = view.devices.to_vec();
+        let mut devices: Vec<DeviceCapacity<'_>> = view.devices.to_vec();
         let mut switches: Vec<(usize, Algorithm)> = Vec::new();
         let mut best_cost = base_cost;
         let mut best_kept = base_kept;
         loop {
-            let mut step: Option<LadderStep> = None;
-            for (d, cap) in devices.iter().enumerate() {
-                if !cap.healthy {
-                    continue;
-                }
-                let Some(down) = cap.demotion() else { continue };
+            // Every healthy device's next step down its table.
+            let steps: Vec<(usize, AlgorithmRate)> = devices
+                .iter()
+                .enumerate()
+                .filter(|(_, cap)| cap.healthy)
+                .filter_map(|(d, cap)| cap.demotion().map(|down| (d, down)))
+                .collect();
+            // The plan with `group` demoted, if it Pareto-improves `bar`.
+            let attempt = |group: &[(usize, AlgorithmRate)], bar: PlanCost| {
                 let mut trial = devices.clone();
-                trial[d].algorithm = down.algorithm;
-                trial[d].seconds_per_beam = down.seconds_per_beam;
-                let trial_view = CapacityView {
-                    ladder,
-                    devices: &trial,
-                };
-                let kept = greedy_kept(ladder, demand, &trial_view);
-                let cost = fleet_cost(demand, ladder, &trial, kept);
-                let bar = step.as_ref().map_or(&best_cost, |(.., c)| c);
-                if cost.pareto_improves(bar) {
-                    step = Some((vec![(d, down)], kept, cost));
+                for &(d, down) in group {
+                    trial[d].rerate(down);
                 }
+                let (kept, cost) = score(&mut trial);
+                cost.pareto_improves(&bar)
+                    .then(|| (group.to_vec(), kept, cost))
+            };
+            let mut step: Option<LadderStep> = None;
+            for single in steps.chunks(1) {
+                let bar = step.as_ref().map_or(best_cost, |&(.., cost)| cost);
+                step = attempt(single, bar).or(step);
             }
-            if step.is_none() {
-                let group: Vec<(usize, AlgorithmRate)> = devices
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cap)| cap.healthy)
-                    .filter_map(|(d, cap)| cap.demotion().map(|down| (d, down)))
-                    .collect();
-                if group.len() > 1 {
-                    let mut trial = devices.clone();
-                    for &(d, down) in &group {
-                        trial[d].algorithm = down.algorithm;
-                        trial[d].seconds_per_beam = down.seconds_per_beam;
-                    }
-                    let trial_view = CapacityView {
-                        ladder,
-                        devices: &trial,
-                    };
-                    let kept = greedy_kept(ladder, demand, &trial_view);
-                    let cost = fleet_cost(demand, ladder, &trial, kept);
-                    if cost.pareto_improves(&best_cost) {
-                        step = Some((group, kept, cost));
-                    }
-                }
+            if step.is_none() && steps.len() > 1 {
+                step = attempt(&steps, best_cost);
             }
             let Some((group, kept, cost)) = step else {
                 break;
             };
             for &(d, down) in &group {
-                devices[d].algorithm = down.algorithm;
-                devices[d].seconds_per_beam = down.seconds_per_beam;
+                devices[d].rerate(down);
                 match switches.iter_mut().find(|(i, _)| *i == d) {
                     Some(entry) => entry.1 = down.algorithm,
                     None => switches.push((d, down.algorithm)),
@@ -464,81 +457,37 @@ impl AdmissionPolicy for AlgorithmLadder {
     }
 }
 
-/// Runs [`PerDeviceGreedy`] over a view and resolves the decision to a
-/// kept-trials level.
-fn greedy_kept(ladder: &TierLadder, demand: &BeamDemand, view: &CapacityView<'_>) -> usize {
-    match PerDeviceGreedy.decide(demand, view) {
-        AdmissionDecision::Admit { shed_tiers, .. } => ladder.kept_for(shed_tiers),
-        AdmissionDecision::Defer => ladder.trials(),
-        AdmissionDecision::Shed(_) => ladder.floor(),
-    }
-}
-
-/// The healthy device with the earliest predicted finish for a beam of
-/// `kept` trials released at `release`, ties to the lowest index — the
-/// dispatcher's greedy choice over a capacity slice.
-fn choose_device(
-    avail: &[f64],
-    devices: &[DeviceCapacity],
-    release: f64,
-    kept: usize,
-    trials: usize,
-) -> Option<(usize, f64)> {
-    let frac = kept as f64 / trials as f64;
-    let mut best: Option<(usize, f64)> = None;
-    for (d, cap) in devices.iter().enumerate() {
-        if !cap.healthy {
-            continue;
-        }
-        let finish = avail[d].max(release) + cap.seconds_per_beam * frac;
-        if best.is_none_or(|(_, bf)| finish < bf) {
-            best = Some((d, finish));
-        }
-    }
-    best
-}
-
-/// Plays one tick's beams through cloned device clocks at admission
-/// level `preferred`, mirroring the dispatcher's per-beam shed cascade
-/// exactly, and returns the predicted cost.
-fn fleet_cost(
+/// What a fault-free [`PerDeviceGreedy`] dispatcher over `devices` does
+/// with one tick: admit at the lower of its own level and the
+/// `ceiling`, then place every beam with [`place_beam`] — the function
+/// the dispatcher runs, so the prediction is exact. Only `healthy`
+/// devices are eligible: a planner cannot see a probation device's
+/// canary slot. Advances the device clocks; returns the admitted level
+/// and the predicted cost.
+fn play_tick(
     demand: &BeamDemand,
     ladder: &TierLadder,
-    devices: &[DeviceCapacity],
-    preferred: usize,
-) -> PlanCost {
-    let trials = ladder.trials();
-    let mut avail: Vec<f64> = devices.iter().map(|d| d.avail).collect();
-    let mut cost = PlanCost {
-        misses: 0,
-        shed_trials: 0,
-    };
+    devices: &mut [DeviceCapacity<'_>],
+    ceiling: usize,
+) -> (usize, PlanCost) {
+    let view = CapacityView { ladder, devices };
+    let kept = PerDeviceGreedy::level(demand, &view).min(ladder.snap(ceiling));
+    let mut cost = PlanCost::default();
+    let healthy = |_: usize, cap: &DeviceCapacity<'_>| cap.healthy;
+    let (release, deadline) = (demand.release, demand.deadline);
     for _ in 0..demand.beams {
-        let mut placed = false;
-        for level in ladder.levels() {
-            if level > preferred {
-                continue;
-            }
-            if let Some((d, finish)) = choose_device(&avail, devices, demand.release, level, trials)
-            {
-                if finish <= demand.deadline + DEADLINE_EPS {
-                    avail[d] = finish;
-                    cost.shed_trials += trials - level;
-                    placed = true;
-                    break;
-                }
-            }
-        }
-        if !placed {
-            if let Some((d, finish)) =
-                choose_device(&avail, devices, demand.release, trials, trials)
-            {
-                avail[d] = finish;
-            }
+        let Some(p) = place_beam(devices, healthy, ladder, release, deadline, kept, true) else {
+            cost.misses += 1;
+            continue;
+        };
+        devices[p.device].avail = p.finish;
+        if p.on_time {
+            cost.shed_trials += ladder.trials() - p.kept;
+        } else {
             cost.misses += 1;
         }
     }
-    cost
+    (kept, cost)
 }
 
 /// How a grid session runs admission control.
@@ -558,42 +507,13 @@ pub enum GridAdmission {
     Coordinated,
 }
 
-// ---------------------------------------------------------------------
-// Grid-scope planning: the coordinated controller.
-// ---------------------------------------------------------------------
-
-/// Virtual clocks for one shard's devices during grid-scope planning:
-/// a fault-free mirror of the shard dispatcher's placement arithmetic.
-#[derive(Debug, Clone)]
-struct ShardSim {
-    avail: Vec<f64>,
-    spb: Vec<f64>,
-}
-
-impl ShardSim {
-    /// The device with the earliest predicted finish for a beam of
-    /// `kept` trials released at `release` — the dispatcher's greedy
-    /// choice, ties to the lowest index.
-    fn choose(&self, release: f64, kept: usize, trials: usize) -> Option<(usize, f64)> {
-        let frac = kept as f64 / trials as f64;
-        let mut best: Option<(usize, f64)> = None;
-        for (d, (&avail, &spb)) in self.avail.iter().zip(&self.spb).enumerate() {
-            let finish = avail.max(release) + spb * frac;
-            if best.is_none_or(|(_, bf)| finish < bf) {
-                best = Some((d, finish));
-            }
-        }
-        best
-    }
-}
-
 /// One candidate demotion step in the ladder walk: the device-level
 /// switches it applies, the kept-trials level the demoted fleet
 /// settles at, and the predicted cost of that plan.
 type LadderStep = (Vec<(usize, AlgorithmRate)>, usize, PlanCost);
 
 /// The predicted cost of one candidate plan for one tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PlanCost {
     misses: usize,
     shed_trials: usize,
@@ -609,10 +529,12 @@ impl PlanCost {
     }
 }
 
-/// The coordinated grid admission planner: per-shard fault-free clock
-/// simulations that mirror the dispatcher's placement arithmetic, used
-/// to score a cross-shard plan against the per-shard baseline each
-/// tick.
+/// One shard's capacity table during grid-scope planning.
+type ShardTable = Vec<DeviceCapacity<'static>>;
+
+/// The coordinated grid admission planner: one capacity table per
+/// shard, advanced by [`play_tick`], used to score a cross-shard plan
+/// against the per-shard baseline each tick.
 ///
 /// The planner only ever hands shards admission *ceilings* — a shard's
 /// dispatcher still runs its own policy and takes the lower of the two
@@ -624,9 +546,10 @@ impl PlanCost {
 /// single-shard grid under coordination is *identical* to per-shard
 /// admission by construction.
 pub(crate) struct GridPlanner {
-    sims: Vec<ShardSim>,
+    /// Planning assumes every device healthy on its primary algorithm:
+    /// runtime faults are the shard's own business.
+    shards: Vec<ShardTable>,
     ladder: TierLadder,
-    trials: usize,
 }
 
 /// What the planner rules for one tick.
@@ -639,21 +562,18 @@ pub(crate) struct TickPlan {
 }
 
 impl GridPlanner {
-    pub(crate) fn new(
-        shards: &[crate::descriptor::ResolvedFleet],
-        trials: usize,
-        config: &SchedulerConfig,
-    ) -> Self {
+    pub(crate) fn new(shards: &[ResolvedFleet], trials: usize, config: &SchedulerConfig) -> Self {
         Self {
-            sims: shards
+            shards: shards
                 .iter()
-                .map(|s| ShardSim {
-                    avail: vec![0.0; s.len()],
-                    spb: s.devices.iter().map(|d| d.seconds_per_beam).collect(),
+                .map(|s| {
+                    s.devices
+                        .iter()
+                        .map(|d| DeviceCapacity::new(0.0, d.seconds_per_beam, true))
+                        .collect()
                 })
                 .collect(),
             ladder: TierLadder::new(trials, config),
-            trials,
         }
     }
 
@@ -669,8 +589,9 @@ impl GridPlanner {
         alive: &[bool],
         baseline_routes: Vec<usize>,
     ) -> TickPlan {
-        let n = self.sims.len();
-        let demand_total = BeamDemand {
+        let n = self.shards.len();
+        let ladder = &self.ladder;
+        let demand = BeamDemand {
             release,
             deadline,
             beams: baseline_routes.len(),
@@ -678,53 +599,48 @@ impl GridPlanner {
 
         // Baseline candidate: the grid's own routing, each shard
         // shedding locally (no ceiling).
-        let unconstrained = vec![self.trials; n];
-        let (baseline_cost, baseline_sims) =
-            self.evaluate(&baseline_routes, &unconstrained, release, deadline);
+        let unconstrained = vec![ladder.trials(); n];
+        let (baseline_cost, baseline_shards) =
+            self.evaluate(&baseline_routes, &unconstrained, &demand);
 
         // Coordinated candidate: one fleet-wide shed level from the
         // union view of every alive shard, routed by remaining headroom.
-        let union: Vec<DeviceCapacity> = (0..n)
+        let union: ShardTable = (0..n)
             .filter(|&s| alive[s])
-            .flat_map(|s| self.device_view(s))
+            .flat_map(|s| self.shards[s].iter().copied())
             .collect();
-        let view = CapacityView {
-            ladder: &self.ladder,
-            devices: &union,
-        };
-        let global_kept = greedy_kept(&self.ladder, &demand_total, &view);
+        let devices = &union;
+        let global_kept = PerDeviceGreedy::level(&demand, &CapacityView { ladder, devices });
         let headroom: Vec<usize> = (0..n)
             .map(|s| {
                 if !alive[s] {
                     return 0;
                 }
-                let devices = self.device_view(s);
-                let shard_view = CapacityView {
-                    ladder: &self.ladder,
-                    devices: &devices,
-                };
-                shard_view.feasible_beams(&demand_total, global_kept)
+                let devices = &self.shards[s];
+                CapacityView { ladder, devices }.feasible_beams(&demand, global_kept)
             })
             .collect();
-        let coordinated_routes = dhondt_routes(demand_total.beams, &headroom, alive);
+        let coordinated_routes = dhondt(demand.beams, &headroom, alive);
         let coordinated_ceilings: Vec<usize> = (0..n)
-            .map(|s| if alive[s] { global_kept } else { self.trials })
+            .map(|s| {
+                if alive[s] {
+                    global_kept
+                } else {
+                    ladder.trials()
+                }
+            })
             .collect();
-        let (coordinated_cost, coordinated_sims) = self.evaluate(
-            &coordinated_routes,
-            &coordinated_ceilings,
-            release,
-            deadline,
-        );
+        let (coordinated_cost, coordinated_shards) =
+            self.evaluate(&coordinated_routes, &coordinated_ceilings, &demand);
 
         if coordinated_cost.pareto_improves(&baseline_cost) {
-            self.sims = coordinated_sims;
+            self.shards = coordinated_shards;
             TickPlan {
                 routes: coordinated_routes,
                 kept: coordinated_ceilings,
             }
         } else {
-            self.sims = baseline_sims;
+            self.shards = baseline_shards;
             TickPlan {
                 routes: baseline_routes,
                 kept: unconstrained,
@@ -732,115 +648,30 @@ impl GridPlanner {
         }
     }
 
-    /// One shard's devices as a capacity view (planning assumes they
-    /// are healthy: runtime faults are the shard's own business).
-    fn device_view(&self, shard: usize) -> Vec<DeviceCapacity> {
-        let sim = &self.sims[shard];
-        sim.avail
-            .iter()
-            .zip(&sim.spb)
-            .map(|(&avail, &spb)| DeviceCapacity::new(avail, spb, true))
-            .collect()
-    }
-
-    /// The level shard `s` would admit `beams` beams at, locally.
-    fn shard_kept(&self, shard: usize, release: f64, deadline: f64, beams: usize) -> usize {
-        let devices = self.device_view(shard);
-        let view = CapacityView {
-            ladder: &self.ladder,
-            devices: &devices,
-        };
-        let demand = BeamDemand {
-            release,
-            deadline,
-            beams,
-        };
-        greedy_kept(&self.ladder, &demand, &view)
-    }
-
-    /// Plays one tick's routed beams through cloned shard clocks under
-    /// per-shard ceilings, mirroring the dispatchers exactly: each
-    /// shard admits at the lower of its own greedy level and the
-    /// ceiling, then runs the per-beam shed cascade. Returns the
-    /// predicted cost plus the advanced clocks.
+    /// Plays one tick's routed beams through a copy of every shard's
+    /// table under per-shard ceilings — shards are independent, so each
+    /// plays its own share of the tick — and returns the summed
+    /// predicted cost plus the advanced tables.
     fn evaluate(
         &self,
         routes: &[usize],
         ceilings: &[usize],
-        release: f64,
-        deadline: f64,
-    ) -> (PlanCost, Vec<ShardSim>) {
-        let n = self.sims.len();
-        let mut counts = vec![0usize; n];
+        demand: &BeamDemand,
+    ) -> (PlanCost, Vec<ShardTable>) {
+        let mut counts = vec![0usize; self.shards.len()];
         for &s in routes {
             counts[s] += 1;
         }
-        let effective: Vec<usize> = (0..n)
-            .map(|s| {
-                self.shard_kept(s, release, deadline, counts[s])
-                    .min(self.ladder.snap(ceilings[s]))
-            })
-            .collect();
-        let mut sims = self.sims.clone();
-        let mut cost = PlanCost {
-            misses: 0,
-            shed_trials: 0,
-        };
-        for &shard in routes {
-            let sim = &mut sims[shard];
-            let preferred = effective[shard];
-            let mut placed = false;
-            // The dispatcher's cascade: the tick's admission level
-            // first, then deeper tiers, then a full-resolution miss.
-            for level in self.ladder.levels() {
-                if level > preferred {
-                    continue;
-                }
-                if let Some((d, finish)) = sim.choose(release, level, self.trials) {
-                    if finish <= deadline + DEADLINE_EPS {
-                        sim.avail[d] = finish;
-                        cost.shed_trials += self.trials - level;
-                        placed = true;
-                        break;
-                    }
-                }
-            }
-            if !placed {
-                if let Some((d, finish)) = sim.choose(release, self.trials, self.trials) {
-                    sim.avail[d] = finish;
-                }
-                cost.misses += 1;
-            }
+        let mut shards = self.shards.clone();
+        let mut total = PlanCost::default();
+        for ((devices, &beams), &ceiling) in shards.iter_mut().zip(&counts).zip(ceilings) {
+            let share = BeamDemand { beams, ..*demand };
+            let (_, cost) = play_tick(&share, &self.ladder, devices, ceiling);
+            total.misses += cost.misses;
+            total.shed_trials += cost.shed_trials;
         }
-        (cost, sims)
+        (total, shards)
     }
-}
-
-/// D'Hondt apportionment of one tick's beams over alive shards by
-/// weight — the same quotient rule as
-/// [`crate::RebalancePolicy::LoadAware`], here fed with *remaining
-/// headroom* instead of static capacity.
-fn dhondt_routes(beams: usize, weights: &[usize], alive: &[bool]) -> Vec<usize> {
-    let n = weights.len();
-    let mut assigned = vec![0usize; n];
-    (0..beams)
-        .map(|_| {
-            let mut best = 0usize;
-            let mut best_quotient = f64::NEG_INFINITY;
-            for (s, (&w, &up)) in weights.iter().zip(alive).enumerate() {
-                if !up {
-                    continue;
-                }
-                let quotient = w.max(1) as f64 / (assigned[s] + 1) as f64;
-                if quotient > best_quotient {
-                    best_quotient = quotient;
-                    best = s;
-                }
-            }
-            assigned[best] += 1;
-            best
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -894,7 +725,7 @@ mod tests {
         CapacityView { ladder, devices }
     }
 
-    fn dev(avail: f64, spb: f64) -> DeviceCapacity {
+    fn dev(avail: f64, spb: f64) -> DeviceCapacity<'static> {
         DeviceCapacity::new(avail, spb, true)
     }
 
@@ -995,13 +826,11 @@ mod tests {
     #[test]
     fn algorithm_ladder_demotes_instead_of_shedding() {
         let l = ladder(1000, 8, 4);
-        let devices = [dev(0.0, 0.25).with_rates(
-            Algorithm::BruteForce,
-            vec![
-                rate(Algorithm::BruteForce, 0.25),
-                rate(Algorithm::Subband { factor: 32 }, 0.125),
-            ],
-        )];
+        let table = [
+            rate(Algorithm::BruteForce, 0.25),
+            rate(Algorithm::Subband { factor: 32 }, 0.125),
+        ];
+        let devices = [dev(0.0, 0.25).with_rates(Algorithm::BruteForce, &table)];
         let view = view_of(&l, &devices);
         // 5 beams by 1.0 s: brute force must shed to 750 (the greedy
         // test above); subband at 0.125 s/beam fits all 5 at full
@@ -1025,13 +854,11 @@ mod tests {
         let l = ladder(1000, 8, 4);
         // The alternate is *slower* than the primary: demoting can only
         // hurt, so the baseline ruling must come back unchanged.
-        let devices = [dev(0.0, 0.25).with_rates(
-            Algorithm::BruteForce,
-            vec![
-                rate(Algorithm::BruteForce, 0.25),
-                rate(Algorithm::Subband { factor: 2 }, 0.4),
-            ],
-        )];
+        let table = [
+            rate(Algorithm::BruteForce, 0.25),
+            rate(Algorithm::Subband { factor: 2 }, 0.4),
+        ];
+        let devices = [dev(0.0, 0.25).with_rates(Algorithm::BruteForce, &table)];
         let view = view_of(&l, &devices);
         let demand = BeamDemand {
             release: 0.0,
@@ -1049,13 +876,11 @@ mod tests {
         let l = ladder(1000, 8, 4);
         // Device already demoted to subband; one beam with a generous
         // deadline fits at full fidelity, so the ladder promotes.
-        let devices = [dev(0.0, 0.25).with_rates(
-            Algorithm::Subband { factor: 32 },
-            vec![
-                rate(Algorithm::BruteForce, 0.25),
-                rate(Algorithm::Subband { factor: 32 }, 0.125),
-            ],
-        )];
+        let table = [
+            rate(Algorithm::BruteForce, 0.25),
+            rate(Algorithm::Subband { factor: 32 }, 0.125),
+        ];
+        let devices = [dev(0.0, 0.25).with_rates(Algorithm::Subband { factor: 32 }, &table)];
         assert_eq!(devices[0].seconds_per_beam, 0.125);
         let view = view_of(&l, &devices);
         let calm = BeamDemand {
@@ -1086,14 +911,12 @@ mod tests {
         // Neither the primary nor the middle row fits 5 beams at full
         // resolution by the deadline; the bottom row does, so the
         // ladder walks two steps in a single tick.
-        let devices = [dev(0.0, 0.5).with_rates(
-            Algorithm::BruteForce,
-            vec![
-                rate(Algorithm::BruteForce, 0.5),
-                rate(Algorithm::Subband { factor: 32 }, 0.3),
-                rate(Algorithm::FourierDomain, 0.125),
-            ],
-        )];
+        let table = [
+            rate(Algorithm::BruteForce, 0.5),
+            rate(Algorithm::Subband { factor: 32 }, 0.3),
+            rate(Algorithm::FourierDomain, 0.125),
+        ];
+        let devices = [dev(0.0, 0.5).with_rates(Algorithm::BruteForce, &table)];
         let view = view_of(&l, &devices);
         let demand = BeamDemand {
             release: 0.0,
@@ -1144,6 +967,170 @@ mod tests {
             let json = serde_json::to_string(&mode).unwrap();
             let back: GridAdmission = serde_json::from_str(&json).unwrap();
             assert_eq!(back, mode);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // What the planners predict is what the dispatcher's ledger reports.
+    // -----------------------------------------------------------------
+
+    use crate::grid::Grid;
+    use crate::load::LoadSource;
+    use crate::metrics::BeamOutcome;
+    use crate::scheduler::Scheduler;
+    use crate::survey::SurveyLoad;
+    use proptest::prelude::*;
+
+    /// The dispatcher's side: what each tick of a fault-free run cost,
+    /// read off the beam ledger.
+    fn ledger_cost(
+        ticks: usize,
+        outcomes: impl Iterator<Item = (usize, BeamOutcome)>,
+    ) -> Vec<PlanCost> {
+        let mut cost = vec![PlanCost::default(); ticks];
+        for (tick, outcome) in outcomes {
+            match outcome {
+                BeamOutcome::Completed { .. } => {}
+                BeamOutcome::Degraded { shed_trials, .. } => cost[tick].shed_trials += shed_trials,
+                BeamOutcome::Missed { .. } => cost[tick].misses += 1,
+                BeamOutcome::ShedWhole { .. } => panic!("a fault-free run sheds nothing whole"),
+            }
+        }
+        cost
+    }
+
+    fn demand_at(load: &SurveyLoad, tick: usize) -> BeamDemand {
+        BeamDemand {
+            release: load.release(tick),
+            deadline: load.deadline(tick),
+            beams: load.beams_at(tick),
+        }
+    }
+
+    /// The planners' side: the dispatcher's tick loop with [`play_tick`]
+    /// where the dispatcher places beams — rule, apply the switches,
+    /// take the lower of the ruled level and the ceiling, play.
+    fn predicted_cost(
+        policy: &dyn AdmissionPolicy,
+        fleet: &ResolvedFleet,
+        load: &SurveyLoad,
+        ceilings: &[usize],
+    ) -> Vec<PlanCost> {
+        let ladder = TierLadder::new(load.trials(), &SchedulerConfig::default());
+        let mut table: Vec<DeviceCapacity<'_>> = fleet
+            .devices
+            .iter()
+            .map(|d| DeviceCapacity::new(0.0, 0.0, true).with_rates(d.rates[0].algorithm, &d.rates))
+            .collect();
+        let tick_cost = |tick: usize| {
+            let demand = demand_at(load, tick);
+            let AdmissionDecision::Admit {
+                shed_tiers,
+                switches,
+            } = policy.decide(&demand, &view_of(&ladder, &table))
+            else {
+                panic!("neither in-tree policy defers or sheds a batch");
+            };
+            for (d, to) in switches {
+                let row = table[d].rates.iter().find(|r| r.algorithm == to).unwrap();
+                table[d].rerate(*row);
+            }
+            let ceiling = ceilings
+                .get(tick)
+                .map_or(load.trials(), |&c| ladder.snap(c));
+            let level = ladder.kept_for(shed_tiers).min(ceiling);
+            play_tick(&demand, &ladder, &mut table, level).1
+        };
+        (0..load.ticks()).map(tick_cost).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both in-tree policies, free and under per-tick ceilings (on
+        /// and off the ladder, fewer than there are ticks), on
+        /// three-row tables whose alternates may be faster or slower
+        /// than the primary: feasible, shedding and hopeless loads,
+        /// backlog carried across ticks. Whatever plan the policy
+        /// adopts — level and switches — costs the dispatcher what
+        /// playing it predicted.
+        #[test]
+        fn a_policys_prediction_equals_the_ledger_with_and_without_ceilings(
+            rows in prop::collection::vec((0.02f64..1.5, 0.3f64..1.2, 0.3f64..1.2), 1..8),
+            trials in 8usize..2048,
+            beams in 1usize..30,
+            ticks in 1usize..5,
+            ceilings in prop::collection::vec(0usize..2200, 0..5),
+        ) {
+            let tables: Vec<[(Algorithm, f64); 3]> = rows
+                .iter()
+                .map(|&(spb, sub, fdd)| [
+                    (Algorithm::BruteForce, spb),
+                    (Algorithm::Subband { factor: 32 }, spb * sub),
+                    (Algorithm::FourierDomain, spb * sub * fdd),
+                ])
+                .collect();
+            let tables: Vec<&[(Algorithm, f64)]> = tables.iter().map(|t| &t[..]).collect();
+            let fleet = ResolvedFleet::synthetic_with_algorithms(trials, &tables);
+            let load = SurveyLoad::custom(trials, beams, ticks);
+            let policies: [&dyn AdmissionPolicy; 2] = [&PerDeviceGreedy, &AlgorithmLadder];
+            for (policy, ceilings) in policies.iter().flat_map(|&p| [(p, &[][..]), (p, &ceilings)]) {
+                let run = Scheduler::session(&fleet)
+                    .load(&load)
+                    .policy(policy)
+                    .admission_ceilings(ceilings)
+                    .run()
+                    .unwrap();
+                prop_assert_eq!(
+                    predicted_cost(policy, &fleet, &load, ceilings),
+                    ledger_cost(ticks, run.records.iter().map(|r| (r.tick, r.outcome)))
+                );
+            }
+        }
+
+        /// The coordinated planner on a 3-shard grid: whichever
+        /// candidate `plan_tick` commits, its clocks are that
+        /// candidate's and its summed cost is what the three shard
+        /// dispatchers go on to report.
+        #[test]
+        fn grid_plan_prediction_equals_the_merged_ledger(
+            spb in prop::collection::vec(0.05f64..1.2, 3..10),
+            trials in 8usize..2048,
+            beams in 1usize..30,
+            ticks in 1usize..5,
+        ) {
+            let shards: Vec<ResolvedFleet> = (0..3)
+                .map(|s| {
+                    let share: Vec<f64> = spb.iter().copied().skip(s).step_by(3).collect();
+                    ResolvedFleet::synthetic(trials, &share)
+                })
+                .collect();
+            let load = SurveyLoad::custom(trials, beams, ticks);
+            let config = SchedulerConfig::default();
+            let mut planner = GridPlanner::new(&shards, trials, &config);
+            let predicted: Vec<PlanCost> = (0..ticks)
+                .map(|tick| {
+                    let demand = demand_at(&load, tick);
+                    let before = GridPlanner {
+                        shards: planner.shards.clone(),
+                        ladder: planner.ladder.clone(),
+                    };
+                    // `StaticHash`, the grid's default routing.
+                    let routes = (0..beams).map(|b| b % 3).collect();
+                    let plan =
+                        planner.plan_tick(demand.release, demand.deadline, &[true; 3], routes);
+                    let (cost, clocks) = before.evaluate(&plan.routes, &plan.kept, &demand);
+                    assert_eq!(clocks, planner.shards);
+                    cost
+                })
+                .collect();
+            let run = Grid::session(&shards)
+                .load(&load)
+                .admission(GridAdmission::Coordinated)
+                .run()
+                .unwrap();
+            let reported = ledger_cost(ticks, run.records.iter().map(|r| (r.tick, r.outcome)));
+            prop_assert_eq!(predicted, reported);
         }
     }
 }

@@ -441,27 +441,12 @@ impl ResolvedFleet {
     /// A fleet built directly from per-device beam costs, bypassing
     /// tuning — for tests and benchmarks of the scheduler itself.
     pub fn synthetic(trials: usize, seconds_per_beam: &[f64]) -> Self {
-        let devices = seconds_per_beam
+        let tables: Vec<[(Algorithm, f64); 1]> = seconds_per_beam
             .iter()
-            .enumerate()
-            .map(|(id, &spb)| ResolvedDevice {
-                id,
-                name: format!("synthetic #{id}"),
-                platform: "synthetic".to_string(),
-                gflops: if spb > 0.0 { 1.0 / spb } else { f64::INFINITY },
-                config: KernelConfig::new(1, 1, 1, 1).expect("non-zero"),
-                seconds_per_beam: spb,
-                rates: vec![AlgorithmRate {
-                    algorithm: Algorithm::BruteForce,
-                    seconds_per_beam: spb,
-                }],
-            })
+            .map(|&spb| [(Algorithm::BruteForce, spb)])
             .collect();
-        Self {
-            setup: "synthetic".to_string(),
-            trials,
-            devices,
-        }
+        let tables: Vec<&[(Algorithm, f64)]> = tables.iter().map(|t| &t[..]).collect();
+        Self::synthetic_with_algorithms(trials, &tables)
     }
 
     /// A synthetic fleet with a full per-algorithm rate table per

@@ -31,8 +31,8 @@
 //!   trailing DM tiers are shed (and recorded) before deadlines are
 //!   missed.
 //! * [`AdmissionPolicy`] — the admission layer, pulled out of the
-//!   scheduler: a policy sees one tick's [`BeamDemand`] and a
-//!   [`CapacityView`] of the fleet and rules
+//!   scheduler: a policy sees one tick's [`BeamDemand`] and is lent a
+//!   [`CapacityView`] of the dispatcher's own device table, and rules
 //!   Admit-with-tiers/Defer/Shed. [`PerDeviceGreedy`] (the default)
 //!   reproduces the historical §V-D behaviour exactly; sessions accept
 //!   custom policies via [`Session::policy`].
@@ -118,6 +118,7 @@ mod grid;
 mod load;
 mod metrics;
 pub mod obs;
+mod placement;
 pub mod proc;
 mod scheduler;
 mod shard;

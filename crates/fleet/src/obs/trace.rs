@@ -47,7 +47,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 pub enum SpanKind {
     /// One whole scheduler tick (the umbrella the phase spans cover).
     Tick,
-    /// The admission ruling for a tick (`admit_tick_reserving`).
+    /// The admission ruling for a tick (`admit_tick`).
     Admit,
     /// The per-beam placement/shed loop of a tick.
     Dispatch,

@@ -337,16 +337,24 @@ mod tests {
 
     #[test]
     fn a_bad_spec_yields_a_fatal_frame_and_an_error() {
-        let mut spec = spec_for_test();
-        spec.plan = FaultPlan::none().with_flap(0, 2.0, 1.0); // empty window
-        let mut request = Vec::new();
-        write_msg(&mut request, &spec).unwrap();
-        let mut response = Vec::new();
-        assert!(serve(request.as_slice(), &mut response, None).is_err());
-        let mut reader = FrameReader::new(response.as_slice());
-        match reader.read_msg::<ShardFrame>().unwrap() {
-            Some(ShardFrame::Fatal(why)) => assert!(!why.is_empty()),
-            other => panic!("expected a fatal frame, got {other:?}"),
+        let mut empty_window = spec_for_test();
+        empty_window.plan = FaultPlan::none().with_flap(0, 2.0, 1.0);
+        // A fleet whose ids do not match its positions — one past the
+        // end used to panic the child while it built the report.
+        let mut stray_id = spec_for_test();
+        stray_id.fleet.devices[1].id = 5;
+        for (spec, names) in [(empty_window, ""), (stray_id, "device 5 ")] {
+            let mut request = Vec::new();
+            write_msg(&mut request, &spec).unwrap();
+            let mut response = Vec::new();
+            assert!(serve(request.as_slice(), &mut response, None).is_err());
+            let mut reader = FrameReader::new(response.as_slice());
+            match reader.read_msg::<ShardFrame>().unwrap() {
+                Some(ShardFrame::Fatal(why)) => {
+                    assert!(!why.is_empty() && why.contains(names), "{why}");
+                }
+                other => panic!("expected a fatal frame, got {other:?}"),
+            }
         }
     }
 

@@ -28,13 +28,16 @@
 //! a feasible fleet this is optimal in the §V-D sense — if per-device
 //! capacities sum to at least the batch size, some device can always
 //! absorb one more beam within the period, so the minimum-finish device
-//! certainly can.
+//! certainly can. The choice and the shed cascade behind it are
+//! [`crate::placement`]'s one function, which the admission planners
+//! call too.
 //!
 //! Admission control works against the real-time deadline budget at
-//! batch granularity, but the decision itself is delegated: before a
-//! tick's beams are placed, the dispatcher builds a
-//! [`CapacityView`](crate::CapacityView) of its devices and asks the
-//! session's [`AdmissionPolicy`] (default
+//! batch granularity, but the decision itself is delegated: the
+//! dispatcher keeps one [`DeviceCapacity`] row per device, updated in
+//! place, and before a tick's beams are placed it lends that table to
+//! the session's [`AdmissionPolicy`] as a
+//! [`CapacityView`](crate::CapacityView) (default policy
 //! [`PerDeviceGreedy`](crate::PerDeviceGreedy), which reproduces the
 //! historical inline arithmetic exactly) for a ruling. Individual beams
 //! under further pressure (e.g. re-placed orphans) shed extra tiers on
@@ -99,6 +102,7 @@ use crate::metrics::{
     ShedReason, ShedRecord,
 };
 use crate::obs::trace::{SpanKind, TraceSink};
+use crate::placement::{place_beam, Placement};
 use crate::survey::BeamJob;
 use crate::telemetry::{NullObserver, Observer, StatusSnapshot, TelemetryEvent};
 use manycore_sim::Algorithm;
@@ -169,10 +173,8 @@ impl FleetRun {
 #[derive(Debug, Clone, Copy)]
 struct Assignment {
     job: BeamJob,
-    device: usize,
-    kept_trials: usize,
-    start: f64,
-    finish: f64,
+    /// Where [`place_beam`] put it.
+    at: Placement,
     /// How many times this beam has been placed (1 on first placement).
     attempt: usize,
     /// Whether this is the probation canary for its device.
@@ -327,8 +329,10 @@ impl<'a> Session<'a> {
     /// # Errors
     ///
     /// Returns a [`FleetError`] for a session without a load, an empty
-    /// fleet, a zero-trial load, a negative or non-finite per-beam cost
-    /// (on a device or in any row of its rate table), an invalid
+    /// fleet, a zero-trial load, a device whose `id` is not its position
+    /// in the fleet, whose rate table is empty or holds a negative or
+    /// non-finite per-beam cost, or whose `seconds_per_beam` is not its
+    /// primary row's, an invalid
     /// fault plan (empty flap/slowdown windows, sub-unity slowdown
     /// factors, zero-beam transients, non-finite times), or
     /// (defensively) if any beam fails to reach a terminal state.
@@ -359,27 +363,14 @@ impl<'a> Session<'a> {
         if load.trials() == 0 {
             return Err(FleetError::new("load must have at least one trial DM"));
         }
-        // `choose` keeps the first device unless another finishes
-        // strictly sooner, which a NaN cost never lets happen.
-        for device in &fleet.devices {
-            let alternates = device.rates.iter().map(|r| r.seconds_per_beam);
-            if std::iter::once(device.seconds_per_beam)
-                .chain(alternates)
-                .any(|spb| !spb.is_finite() || spb < 0.0)
-            {
-                return Err(FleetError::new(format!(
-                    "device {} ({}) has a negative or non-finite seconds-per-beam",
-                    device.id, device.name
-                )));
-            }
-        }
+        let capacity = capacity_table(fleet)?;
         // The sink is wall-clock-only instrumentation: the dispatcher
         // holds a clone for its flush-phase spans, the loop below one
         // for the tick phases. Nothing a span records ever reaches
         // the batch, the log, or the report.
         let trace = self.trace.clone();
         let trace_shard = self.trace_shard;
-        let mut dispatcher = Dispatcher::new(&self, load, faults, observer);
+        let mut dispatcher = Dispatcher::new(&self, load, faults, capacity, observer);
         // A capture-fed session replays the ingest-side events first:
         // the capture stream predates every scheduling decision. The
         // prelude arrives already batched (one block per drain
@@ -405,7 +396,7 @@ impl<'a> Session<'a> {
             dispatcher.observe();
             drop(drain_span);
             let admit_span = span(SpanKind::Admit, tick);
-            let directive = dispatcher.admit_tick_reserving(tick, release, deadline, beams);
+            let directive = dispatcher.admit_tick(tick, release, deadline, beams);
             drop(admit_span);
             let dispatch_span = span(SpanKind::Dispatch, tick);
             for beam in 0..beams {
@@ -421,7 +412,9 @@ impl<'a> Session<'a> {
                     TickDirective::Place { kept, cascade } => {
                         dispatcher.place(job, job.release, kept, 1, cascade);
                     }
-                    TickDirective::ShedAll(reason) => dispatcher.shed_whole(job, reason),
+                    TickDirective::ShedAll(reason) => {
+                        dispatcher.shed_whole(job, job.release, reason);
+                    }
                 }
                 dispatcher.observe();
             }
@@ -454,6 +447,50 @@ impl<'a> Session<'a> {
     }
 }
 
+/// Checks every device the session is about to trust and builds the
+/// dispatcher's starting capacity table from the rows it checked: each
+/// device idle, healthy, on its primary (`rates[0]`) algorithm at that
+/// row's rate.
+///
+/// A fleet can arrive from outside the program (inside a
+/// [`crate::proc`] shard spec), so nothing about it is assumed: the
+/// report and the fault schedules index devices by `id`, the policy
+/// prices a device from its table and placement from the same row, and
+/// [`place_beam`] keeps the first device unless another finishes
+/// strictly sooner, which a NaN cost never lets happen.
+fn capacity_table(fleet: &ResolvedFleet) -> Result<Vec<DeviceCapacity<'_>>, FleetError> {
+    let mut table = Vec::with_capacity(fleet.len());
+    for (position, device) in fleet.devices.iter().enumerate() {
+        let reject =
+            |what: &str| FleetError::new(format!("device {} ({}) {what}", device.id, device.name));
+        if device.id != position {
+            return Err(reject(&format!(
+                "sits at position {position}: ids must count up from 0 in fleet order"
+            )));
+        }
+        let primary = device
+            .rates
+            .first()
+            .ok_or_else(|| reject("has an empty rate table"))?;
+        let unusable =
+            |r: &AlgorithmRate| !r.seconds_per_beam.is_finite() || r.seconds_per_beam < 0.0;
+        if device.rates.iter().any(unusable) {
+            return Err(reject("has a negative or non-finite seconds-per-beam"));
+        }
+        if device.seconds_per_beam != primary.seconds_per_beam {
+            return Err(reject(&format!(
+                "declares {} seconds per beam but its primary rate row says {}",
+                device.seconds_per_beam, primary.seconds_per_beam
+            )));
+        }
+        table.push(
+            DeviceCapacity::new(0.0, primary.seconds_per_beam, true)
+                .with_rates(primary.algorithm, &device.rates),
+        );
+    }
+    Ok(table)
+}
+
 /// What the admission policy's ruling means for the tick's beams.
 #[derive(Debug, Clone, Copy)]
 enum TickDirective {
@@ -467,17 +504,12 @@ enum TickDirective {
 /// Dispatcher state: the virtual clocks, health beliefs, and the beam
 /// ledger.
 struct Dispatcher<'s> {
-    /// Per-device predicted time the queue drains.
-    avail: Vec<f64>,
+    /// One row per device — predicted drain time, current algorithm and
+    /// its rate, whether it counts toward admission capacity — updated
+    /// in place and lent to the admission policy as its `CapacityView`.
+    capacity: Vec<DeviceCapacity<'s>>,
     /// Per-device health belief, from observed evidence only.
     health: Vec<HealthState>,
-    /// Full-resolution seconds-per-beam, per device, *on the current
-    /// algorithm*.
-    spb: Vec<f64>,
-    /// The algorithm each device is currently running.
-    algorithm: Vec<Algorithm>,
-    /// Per-device rate tables, fidelity order (primary first).
-    rates: Vec<Vec<AlgorithmRate>>,
     /// The devices themselves. Only they know the fault schedule: the
     /// dispatcher learns of a fault from a verdict, never from the plan.
     devices: Vec<DeviceSim>,
@@ -530,30 +562,17 @@ impl<'s> Dispatcher<'s> {
         session: &Session<'s>,
         load: &dyn LoadSource,
         faults: &FaultPlan,
+        capacity: Vec<DeviceCapacity<'s>>,
         observer: &'s mut dyn Observer,
     ) -> Self {
-        let fleet = session.fleet;
         let config = &session.config;
         let trials = load.trials();
-        let n = fleet.len();
+        let n = capacity.len();
         Self {
-            avail: vec![0.0; n],
+            capacity,
             health: vec![HealthState::Healthy; n],
-            spb: fleet.devices.iter().map(|d| d.seconds_per_beam).collect(),
-            algorithm: fleet
-                .devices
-                .iter()
-                .map(|d| {
-                    d.rates
-                        .first()
-                        .map_or(Algorithm::BruteForce, |r| r.algorithm)
-                })
-                .collect(),
-            rates: fleet.devices.iter().map(|d| d.rates.clone()).collect(),
-            devices: fleet
-                .devices
-                .iter()
-                .map(|d| DeviceSim::new(d.id, faults.compile(d.id)))
+            devices: (0..n)
+                .map(|d| DeviceSim::new(d, faults.compile(d)))
                 .collect(),
             pending: VecDeque::new(),
             records: vec![None; load.total_beams()],
@@ -619,39 +638,10 @@ impl<'s> Dispatcher<'s> {
         }
     }
 
-    /// Whether `d` may be handed a beam right now: healthy, or on
-    /// probation with its canary slot free.
-    fn eligible(&self, d: usize) -> bool {
-        match self.health[d] {
-            HealthState::Healthy => true,
-            HealthState::Probation => !self.canary_in_flight[d],
-            _ => false,
-        }
-    }
-
-    /// The eligible device with the earliest predicted finish for a
-    /// beam of `kept` trials released at `release`.
-    fn choose(&self, release: f64, kept: usize) -> Option<(usize, f64, f64)> {
-        let frac = kept as f64 / self.trials as f64;
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (d, (&avail, &spb)) in self.avail.iter().zip(&self.spb).enumerate() {
-            if !self.eligible(d) {
-                continue;
-            }
-            let start = avail.max(release);
-            let finish = start + spb * frac;
-            if best.is_none_or(|(_, _, bf)| finish < bf) {
-                best = Some((d, start, finish));
-            }
-        }
-        best
-    }
-
-    /// Admission control for one tick's batch: builds the capacity
-    /// view, asks the session's policy for a ruling, applies any
-    /// grid-scope ceiling, and emits the [`TelemetryEvent::Admission`]
-    /// ruling.
-    fn admit_tick_reserving(
+    /// Admission control for one tick's batch: lends the capacity table
+    /// to the session's policy for a ruling, applies any grid-scope
+    /// ceiling, and emits the [`TelemetryEvent::Admission`] ruling.
+    fn admit_tick(
         &mut self,
         tick: usize,
         release: f64,
@@ -662,37 +652,14 @@ impl<'s> Dispatcher<'s> {
         // `Placed` plus one terminal `Beam` per admitted beam) so the
         // columnar append never reallocates mid-tick.
         self.batch.reserve_tick(beams);
-        self.admit_tick(tick, release, deadline, beams)
-    }
-
-    fn admit_tick(
-        &mut self,
-        tick: usize,
-        release: f64,
-        deadline: f64,
-        beams: usize,
-    ) -> TickDirective {
         let demand = BeamDemand {
             release,
             deadline,
             beams,
         };
-        let devices: Vec<DeviceCapacity> = self
-            .avail
-            .iter()
-            .zip(&self.spb)
-            .enumerate()
-            .map(|(d, (&avail, &spb))| {
-                // Probation devices are not counted: they have one
-                // unproven canary slot, not real capacity.
-                let healthy = self.health[d] == HealthState::Healthy;
-                DeviceCapacity::new(avail, spb, healthy)
-                    .with_rates(self.algorithm[d], self.rates[d].clone())
-            })
-            .collect();
         let view = CapacityView {
             ladder: &self.ladder,
-            devices: &devices,
+            devices: &self.capacity,
         };
         let directive = match self.policy.decide(&demand, &view) {
             AdmissionDecision::Admit {
@@ -738,15 +705,17 @@ impl<'s> Dispatcher<'s> {
     /// without an algorithm axis leaves the stream byte-identical.
     fn apply_switches(&mut self, tick: usize, release: f64, switches: &[(usize, Algorithm)]) {
         for &(device, to) in switches {
-            if device >= self.algorithm.len() || self.algorithm[device] == to {
-                continue;
-            }
-            let Some(row) = self.rates[device].iter().find(|r| r.algorithm == to) else {
+            let Some(cap) = self.capacity.get_mut(device) else {
                 continue;
             };
-            let from = self.algorithm[device];
-            self.algorithm[device] = to;
-            self.spb[device] = row.seconds_per_beam;
+            let from = cap.algorithm;
+            if from == to {
+                continue;
+            }
+            let Some(&row) = cap.rates.iter().find(|r| r.algorithm == to) else {
+                continue;
+            };
+            cap.rerate(row);
             self.emit(TelemetryEvent::AlgorithmSwitch {
                 tick,
                 device,
@@ -757,16 +726,13 @@ impl<'s> Dispatcher<'s> {
         }
     }
 
-    /// Records one beam dropped whole at its release.
-    fn shed_whole(&mut self, job: BeamJob, reason: ShedReason) {
+    /// Records one beam dropped whole at virtual time `at`.
+    fn shed_whole(&mut self, job: BeamJob, at: f64, reason: ShedReason) {
         self.record(BeamRecord {
             index: job.index,
             tick: job.tick,
             beam: job.beam,
-            outcome: BeamOutcome::ShedWhole {
-                at: job.release,
-                reason,
-            },
+            outcome: BeamOutcome::ShedWhole { at, reason },
         });
     }
 
@@ -775,7 +741,8 @@ impl<'s> Dispatcher<'s> {
     /// `attempt` counts placements of this beam (1 on first). With
     /// `cascade` false (a [`AdmissionDecision::Defer`] ruling) the beam
     /// never sheds further tiers of its own: it fits at `preferred` or
-    /// runs to a miss.
+    /// runs to a miss. A device may be handed the beam when it is
+    /// healthy, or on probation with its canary slot free.
     fn place(
         &mut self,
         job: BeamJob,
@@ -784,81 +751,48 @@ impl<'s> Dispatcher<'s> {
         attempt: usize,
         cascade: bool,
     ) {
-        if self.choose(release, self.trials).is_none() {
-            self.record(BeamRecord {
-                index: job.index,
-                tick: job.tick,
-                beam: job.beam,
-                outcome: BeamOutcome::ShedWhole {
-                    at: release,
-                    reason: ShedReason::NoAliveDevices,
-                },
-            });
-            return;
+        let eligible = |d: usize, cap: &DeviceCapacity<'_>| {
+            cap.healthy || (self.health[d] == HealthState::Probation && !self.canary_in_flight[d])
+        };
+        let placement = place_beam(
+            &self.capacity,
+            eligible,
+            &self.ladder,
+            release,
+            job.deadline,
+            preferred,
+            cascade,
+        );
+        match placement {
+            Some(placement) => self.assign(job, placement, attempt),
+            None => self.shed_whole(job, release, ShedReason::NoAliveDevices),
         }
-        if let Some((device, start, finish)) = self.choose(release, preferred) {
-            if finish <= job.deadline + DEADLINE_EPS {
-                self.assign(job, device, preferred, start, finish, attempt);
-                return;
-            }
-        }
-        // Deadline pressure beyond the tick level: shed further trailing
-        // tiers until the beam fits.
-        if cascade {
-            for i in 0..self.ladder.kept_options().len() {
-                let kept = self.ladder.kept_options()[i];
-                if kept >= preferred {
-                    continue;
-                }
-                if let Some((d, s, f)) = self.choose(release, kept) {
-                    if f <= job.deadline + DEADLINE_EPS {
-                        self.assign(job, d, kept, s, f, attempt);
-                        return;
-                    }
-                }
-            }
-        }
-        // Even maximum shedding misses: run in full and report the miss.
-        let (device, start, finish) = self
-            .choose(release, self.trials)
-            .expect("eligible device checked above");
-        self.assign(job, device, self.trials, start, finish, attempt);
     }
 
     /// Commits a placement and runs it on the device; the verdict
     /// waits in `pending` for the next [`Dispatcher::observe`]. A
     /// placement on a probation device is its canary.
-    fn assign(
-        &mut self,
-        job: BeamJob,
-        device: usize,
-        kept: usize,
-        start: f64,
-        finish: f64,
-        attempt: usize,
-    ) {
-        self.avail[device] = finish;
+    fn assign(&mut self, job: BeamJob, at: Placement, attempt: usize) {
+        let device = at.device;
+        self.capacity[device].avail = at.finish;
         let canary = self.health[device] == HealthState::Probation;
-        let assignment = Assignment {
-            job,
-            device,
-            kept_trials: kept,
-            start,
-            finish,
-            attempt,
-            canary,
-        };
         if canary {
             self.canary_in_flight[device] = true;
         }
         self.emit(TelemetryEvent::Placed {
             index: job.index,
             device,
-            at: start,
-            kept_trials: kept,
+            at: at.start,
+            kept_trials: at.kept,
             attempt,
             canary,
         });
+        let assignment = Assignment {
+            job,
+            at,
+            attempt,
+            canary,
+        };
         self.pending.push_back(self.devices[device].run(assignment));
     }
 
@@ -896,6 +830,7 @@ impl<'s> Dispatcher<'s> {
             return;
         }
         self.health[device] = to;
+        self.capacity[device].healthy = to == HealthState::Healthy;
         self.emit(TelemetryEvent::Health(HealthEvent {
             at,
             device,
@@ -919,11 +854,12 @@ impl<'s> Dispatcher<'s> {
                 assignment,
                 actual_finish,
             } => {
-                let d = assignment.device;
+                let d = assignment.at.device;
                 let job = assignment.job;
                 // A late actual finish corrects the optimistic clock.
-                self.avail[d] = self.avail[d].max(actual_finish);
-                let late = actual_finish > assignment.finish + DEADLINE_EPS;
+                let cap = &mut self.capacity[d];
+                cap.avail = cap.avail.max(actual_finish);
+                let late = actual_finish > assignment.at.finish + DEADLINE_EPS;
                 if assignment.canary {
                     self.canary_in_flight[d] = false;
                     if late {
@@ -962,7 +898,7 @@ impl<'s> Dispatcher<'s> {
                     self.late_strikes[d] = 0;
                 }
                 let outcome = if actual_finish <= job.deadline + DEADLINE_EPS {
-                    if assignment.kept_trials == self.trials {
+                    if assignment.at.kept == self.trials {
                         BeamOutcome::Completed {
                             device: d,
                             finish: actual_finish,
@@ -971,15 +907,15 @@ impl<'s> Dispatcher<'s> {
                         BeamOutcome::Degraded {
                             device: d,
                             finish: actual_finish,
-                            kept_trials: assignment.kept_trials,
-                            shed_trials: self.trials - assignment.kept_trials,
+                            kept_trials: assignment.at.kept,
+                            shed_trials: self.trials - assignment.at.kept,
                         }
                     }
                 } else {
                     BeamOutcome::Missed {
                         device: d,
                         finish: actual_finish,
-                        kept_trials: assignment.kept_trials,
+                        kept_trials: assignment.at.kept,
                     }
                 };
                 self.record(BeamRecord {
@@ -990,7 +926,7 @@ impl<'s> Dispatcher<'s> {
                 });
             }
             Event::Bounced { assignment, at } => {
-                let d = assignment.device;
+                let d = assignment.at.device;
                 self.emit(TelemetryEvent::Bounce {
                     index: assignment.job.index,
                     device: d,
@@ -1013,15 +949,7 @@ impl<'s> Dispatcher<'s> {
                 // once its retry budget is gone.
                 let job = assignment.job;
                 if assignment.attempt > self.retry_budget {
-                    self.record(BeamRecord {
-                        index: job.index,
-                        tick: job.tick,
-                        beam: job.beam,
-                        outcome: BeamOutcome::ShedWhole {
-                            at,
-                            reason: ShedReason::RetryBudgetExhausted,
-                        },
-                    });
+                    self.shed_whole(job, at, ShedReason::RetryBudgetExhausted);
                 } else {
                     let delay = if assignment.attempt >= 2 {
                         self.retry_backoff_s * f64::powi(2.0, assignment.attempt as i32 - 2)
@@ -1117,8 +1045,8 @@ impl DeviceSim {
 
     /// Runs (or bounces) one beam.
     fn run(&mut self, assignment: Assignment) -> Event {
-        let start = assignment.start.max(self.clock);
-        let nominal = assignment.finish - assignment.start;
+        let start = assignment.at.start.max(self.clock);
+        let nominal = assignment.at.finish - assignment.at.start;
         match self.faults.gate(start, nominal) {
             Gate::Bounce { at, wasted } => {
                 // Partial work before a mid-beam death is spent but
@@ -1548,19 +1476,18 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_and_negative_rates_are_errors_naming_the_device() {
-        // A NaN cost is never displaced by `choose`'s `finish < best`:
+    fn unusable_fleets_are_errors_naming_the_device() {
+        let load = SurveyLoad::custom(100, 4, 2);
+        let rejected = |fleet: &ResolvedFleet, named: &str| {
+            let err = Scheduler::session(fleet).load(&load).run().unwrap_err();
+            assert!(err.to_string().contains(named), "{err}");
+        };
+        // A NaN cost is never displaced by `place_beam`'s `finish < best`:
         // unchecked, `[NaN, 0.2]` sends every beam to device 0 and
         // reports all of them missed with the healthy device idle.
-        let load = SurveyLoad::custom(100, 4, 2);
-        let rejected = |fleet: &ResolvedFleet, device: usize| {
-            let err = Scheduler::session(fleet).load(&load).run().unwrap_err();
-            let named = format!("device {device} ");
-            assert!(err.to_string().contains(&named), "{err}");
-        };
         for bad in [f64::NAN, f64::INFINITY, -0.1] {
-            rejected(&ResolvedFleet::synthetic(100, &[bad, 0.2]), 0);
-            rejected(&ResolvedFleet::synthetic(100, &[0.2, bad]), 1);
+            rejected(&ResolvedFleet::synthetic(100, &[bad, 0.2]), "device 0 ");
+            rejected(&ResolvedFleet::synthetic(100, &[0.2, bad]), "device 1 ");
         }
         // The alternate rows are what a demotion re-rates a device
         // from, so they are checked too.
@@ -1571,8 +1498,31 @@ mod tests {
         ];
         rejected(
             &ResolvedFleet::synthetic_with_algorithms(100, &[sound, infinite_alternate]),
-            1,
+            "device 1 ",
         );
+        // A `ResolvedFleet` deserializes from outside (a shard spec), so
+        // `id`, the scalar rate and the table are three claims that
+        // must agree before anything indexes or prices by them.
+        let sound = ResolvedFleet::synthetic(100, &[0.2, 0.3]);
+        assert!(Scheduler::session(&sound).load(&load).run().is_ok());
+        // Permuted ids would cross the two devices' fault schedules and
+        // report rows; an id past the end used to index out of bounds.
+        let mut permuted = sound.clone();
+        permuted.devices[0].id = 1;
+        permuted.devices[1].id = 0;
+        rejected(&permuted, "device 1 (synthetic #0) sits at position 0");
+        let mut beyond = sound.clone();
+        beyond.devices[1].id = 7;
+        rejected(&beyond, "device 7 (synthetic #1) sits at position 1");
+        // The policy prices a device from its table, placement from the
+        // same row: a scalar that says otherwise has no meaning.
+        let mut two_rates = sound.clone();
+        two_rates.devices[1].seconds_per_beam = 0.1;
+        rejected(&two_rates, "device 1 (synthetic #1) declares 0.1 seconds");
+        // No table, no starting algorithm — not a silent brute force.
+        let mut no_table = sound.clone();
+        no_table.devices[0].rates.clear();
+        rejected(&no_table, "device 0 (synthetic #0) has an empty rate table");
     }
 
     /// A policy that sheds every batch outright.

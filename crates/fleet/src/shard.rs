@@ -424,31 +424,36 @@ fn route_tick(
                     .unwrap_or(home)
             })
             .collect(),
-        RebalancePolicy::LoadAware => {
-            // D'Hondt apportionment: each beam goes to the alive shard
-            // with the largest capacity-per-assigned-beam quotient, so
-            // the tick ends distributed proportionally to capacity.
-            let mut assigned = vec![0usize; n];
-            (0..beams)
-                .map(|_| {
-                    let mut best = 0usize;
-                    let mut best_quotient = f64::NEG_INFINITY;
-                    for (s, (&w, &up)) in weights.iter().zip(alive).enumerate() {
-                        if !up {
-                            continue;
-                        }
-                        let quotient = w.max(1) as f64 / (assigned[s] + 1) as f64;
-                        if quotient > best_quotient {
-                            best_quotient = quotient;
-                            best = s;
-                        }
-                    }
-                    assigned[best] += 1;
-                    best
-                })
-                .collect()
-        }
+        RebalancePolicy::LoadAware => dhondt(beams, weights, alive),
     }
+}
+
+/// D'Hondt apportionment of one tick's beams over alive shards by
+/// weight: each beam goes to the alive shard with the largest
+/// weight-per-assigned-beam quotient (lowest shard id wins ties), so
+/// the tick ends distributed proportionally to weight. `LoadAware`
+/// feeds it static capacity, the coordinated planner remaining
+/// headroom.
+pub(crate) fn dhondt(beams: usize, weights: &[usize], alive: &[bool]) -> Vec<usize> {
+    let mut assigned = vec![0usize; weights.len()];
+    (0..beams)
+        .map(|_| {
+            let mut best = 0usize;
+            let mut best_quotient = f64::NEG_INFINITY;
+            for (s, (&w, &up)) in weights.iter().zip(alive).enumerate() {
+                if !up {
+                    continue;
+                }
+                let quotient = w.max(1) as f64 / (assigned[s] + 1) as f64;
+                if quotient > best_quotient {
+                    best_quotient = quotient;
+                    best = s;
+                }
+            }
+            assigned[best] += 1;
+            best
+        })
+        .collect()
 }
 
 #[cfg(test)]
