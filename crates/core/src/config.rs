@@ -23,7 +23,10 @@ use serde::{Deserialize, Serialize};
 use crate::error::{DedispError, Result};
 
 /// A concrete instantiation of the four tunable kernel parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Every value went through [`KernelConfig::new`] — deserializing
+/// included — so the four products the accessors return fit a `u32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct KernelConfig {
     wi_time: u32,
     wi_dm: u32,
@@ -32,11 +35,14 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
-    /// Creates a configuration; all four parameters must be non-zero.
+    /// Creates a configuration; all four parameters must be non-zero,
+    /// and the work-group size, the tile's two sides and the per-item
+    /// accumulator count must each fit a `u32`.
     ///
     /// # Errors
     ///
-    /// Returns [`DedispError::InvalidParameter`] if any parameter is zero.
+    /// Returns [`DedispError::InvalidParameter`] if any parameter is
+    /// zero or any of those products overflows.
     pub fn new(wi_time: u32, wi_dm: u32, el_time: u32, el_dm: u32) -> Result<Self> {
         for (name, v) in [
             ("wi_time", wi_time),
@@ -46,6 +52,19 @@ impl KernelConfig {
         ] {
             if v == 0 {
                 return Err(DedispError::invalid(name, "must be non-zero"));
+            }
+        }
+        for (name, a, b) in [
+            ("work_items", wi_time, wi_dm),
+            ("tile_time", wi_time, el_time),
+            ("tile_dm", wi_dm, el_dm),
+            ("registers_per_item", el_time, el_dm),
+        ] {
+            if a.checked_mul(b).is_none() {
+                return Err(DedispError::invalid(
+                    name,
+                    format!("{a} x {b} overflows u32"),
+                ));
             }
         }
         Ok(Self {
@@ -161,6 +180,28 @@ impl KernelConfig {
     }
 }
 
+// Hand-written serde: the derive would build the struct field by field
+// and let a zero (a divide by zero in `grid`) or an overflowing product
+// in from a file or a wire frame. Same object shape as the derive's.
+impl Deserialize for KernelConfig {
+    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let map = value
+            .as_object()
+            .ok_or_else(|| serde::DeError::new("expected object for KernelConfig"))?;
+        let field = |name: &str| {
+            u32::from_value(map.get(name).unwrap_or(&serde::Value::Null))
+                .map_err(|e| e.context(&format!("KernelConfig.{name}")))
+        };
+        Self::new(
+            field("wi_time")?,
+            field("wi_dm")?,
+            field("el_time")?,
+            field("el_dm")?,
+        )
+        .map_err(|e| serde::DeError::new(format!("KernelConfig: {e}")))
+    }
+}
+
 impl fmt::Display for KernelConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -215,6 +256,58 @@ mod tests {
         assert!(KernelConfig::new(1, 0, 1, 1).is_err());
         assert!(KernelConfig::new(1, 1, 0, 1).is_err());
         assert!(KernelConfig::new(1, 1, 1, 0).is_err());
+    }
+
+    #[test]
+    fn rejects_overflowing_products() {
+        // u32::MAX × 2 time samples used to wrap to 4,294,967,294.
+        for (params, name) in [
+            ((u32::MAX, 1, 2, 1), "tile_time"),
+            ((u32::MAX, 2, 1, 1), "work_items"),
+            ((1, 65_536, 1, 65_536), "tile_dm"),
+            ((1, 1, 65_536, 65_536), "registers_per_item"),
+        ] {
+            let (wt, wd, et, ed) = params;
+            match KernelConfig::new(wt, wd, et, ed) {
+                Err(DedispError::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+                other => panic!("{params:?}: {other:?}"),
+            }
+        }
+        // The largest products that fit are fine.
+        let c = KernelConfig::new(u32::MAX, 1, 1, 1).unwrap();
+        assert_eq!(c.tile_time(), u32::MAX);
+        assert!(KernelConfig::new(65_536, 65_535, 1, 1).is_ok());
+    }
+
+    #[test]
+    fn deserializing_goes_through_new() {
+        use serde::Value;
+        let c = KernelConfig::new(32, 2, 4, 8).unwrap();
+        assert_eq!(KernelConfig::from_value(&c.to_value()).unwrap(), c);
+        // The scalar configuration's object with some fields replaced.
+        let with = |fields: &[(&str, Value)]| {
+            let Value::Object(mut map) = KernelConfig::scalar().to_value() else {
+                unreachable!("a struct serializes as an object")
+            };
+            for (field, v) in fields {
+                map.insert(field.to_string(), v.clone());
+            }
+            Value::Object(map)
+        };
+        let max = Value::UInt(u64::from(u32::MAX));
+        for (bad, why) in [
+            (with(&[("wi_time", Value::UInt(0))]), "wi_time"),
+            (
+                with(&[("wi_time", max), ("el_time", Value::UInt(2))]),
+                "tile_time",
+            ),
+            (with(&[("el_dm", Value::Null)]), "el_dm"),
+            (with(&[("wi_dm", Value::Int(-1))]), "wi_dm"),
+            (Value::Array(vec![Value::UInt(1); 4]), "object"),
+        ] {
+            let err = KernelConfig::from_value(&bad).unwrap_err().to_string();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

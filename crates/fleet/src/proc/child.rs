@@ -7,7 +7,8 @@
 //! runs the shard with a plain in-process [`crate::Scheduler`] session,
 //! writes each dispatcher tick's [`TickBatch`] to stdout as a
 //! [`ShardFrame::Batch`], and finishes with a [`ShardFrame::Ledger`]
-//! (or [`ShardFrame::Fatal`] for a deterministic scheduling error).
+//! (or [`ShardFrame::Fatal`] for a deterministic scheduling error, or
+//! a spec frame that does not decode).
 //!
 //! Chaos injection lives here too: if the effective [`ChaosSpec`] says
 //! `kill_after_frames: n`, the child SIGKILLs itself immediately after
@@ -114,7 +115,8 @@ impl<W: Write> Observer for Framing<W> {
 ///
 /// # Errors
 ///
-/// Returns a [`FleetError`] if the spec cannot be read, the run fails
+/// Returns a [`FleetError`] if the spec cannot be read (after a `Fatal`
+/// frame when it arrived whole but does not decode), the run fails
 /// (after a `Fatal` frame is written), or the pipe broke mid-stream.
 pub fn serve(
     input: impl std::io::Read,
@@ -133,15 +135,25 @@ pub fn serve(
 /// As [`serve`].
 pub fn serve_traced(
     input: impl std::io::Read,
-    output: impl Write,
+    mut output: impl Write,
     chaos_override: Option<ChaosSpec>,
     traced: bool,
 ) -> Result<(), FleetError> {
     let mut reader = FrameReader::new(input);
-    let spec: ShardSpec = reader
-        .read_msg()
-        .map_err(|e| FleetError::new(format!("reading shard spec: {e}")))?
-        .ok_or_else(|| FleetError::new("stream ended before a shard spec arrived"))?;
+    let spec: ShardSpec = match reader.read_msg() {
+        Ok(Some(spec)) => spec,
+        Ok(None) => return Err(FleetError::new("stream ended before a shard spec arrived")),
+        Err(e) => {
+            let fatal = matches!(e, FrameError::Malformed(_));
+            let e = FleetError::new(format!("reading shard spec: {e}"));
+            if fatal {
+                // A whole frame that does not decode (a zero kernel
+                // configuration, say) never will: no retry.
+                let _ = write_msg(&mut output, &ShardFrame::Fatal(e.to_string()));
+            }
+            return Err(e);
+        }
+    };
     let chaos = spec.chaos.or(chaos_override).or_else(chaos_from_env);
     let trace = traced.then(TraceSink::default);
 
@@ -222,6 +234,7 @@ mod tests {
     use crate::admission::GridAdmission;
     use crate::descriptor::ResolvedFleet;
     use crate::fault::FaultPlan;
+    use crate::proc::frame::write_frame;
     use crate::scheduler::SchedulerConfig;
     use crate::shard::{partition, GridFaultPlan, RebalancePolicy};
     use crate::survey::SurveyLoad;
@@ -356,6 +369,25 @@ mod tests {
                 other => panic!("expected a fatal frame, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_zero_kernel_configuration_yields_a_fatal_frame() {
+        // It used to decode, then panic the child in `grid()`'s divide.
+        // The synthetic devices' configurations are all 1 × 1 × 1 × 1.
+        let json = serde_json::to_string(&spec_for_test()).unwrap();
+        let zeroed = json.replace(r#""el_dm":1"#, r#""el_dm":0"#);
+        assert_ne!(zeroed, json);
+        let mut request = Vec::new();
+        write_frame(&mut request, zeroed.as_bytes()).unwrap();
+        let mut response = Vec::new();
+        assert!(serve(request.as_slice(), &mut response, None).is_err());
+        let mut reader = FrameReader::new(response.as_slice());
+        match reader.read_msg::<ShardFrame>().unwrap() {
+            Some(ShardFrame::Fatal(why)) => assert!(why.contains("el_dm"), "{why}"),
+            other => panic!("expected a fatal frame, got {other:?}"),
+        }
+        assert!(reader.read_msg::<ShardFrame>().unwrap().is_none());
     }
 
     #[test]

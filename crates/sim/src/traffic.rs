@@ -44,30 +44,58 @@ pub struct TrafficEstimate {
 
 impl Cell<'_> {
     /// Input cache lines one work-group reads for a `tile_time ×
-    /// tile_dm` tile, summed channel by channel — the only part of the
-    /// traffic estimate that walks the workload, and it depends on the
+    /// tile_dm` tile, summed over the channels — the only part of the
+    /// traffic estimate that reads the workload, and it depends on the
     /// tile's shape alone: configurations sharing a shape share it.
     ///
-    /// For finite gradients every term is an integer-valued `f64` (a
-    /// line count, or a line count times a tile height), so the sum is
-    /// exact.
+    /// A channel's term is non-decreasing in its gradient, so on a
+    /// monotone gradient equal terms sit in runs of adjacent channels:
+    /// the sum adds `term × run length` once per run, finding each run's
+    /// end by galloping, and costs `O(runs · log run)` term evaluations
+    /// instead of one per channel. Any other gradient (NaN included)
+    /// takes one-channel runs, which is the plain channel loop.
+    ///
+    /// Domain: finite gradients whose terms' magnitudes sum to less than
+    /// 2⁵³ (any physical workload, by many orders of magnitude). There
+    /// every term is an integer-valued `f64` — a line count, or a line
+    /// count times a tile height — and no sum or product of them rounds,
+    /// so the result is exact and equals the channel-by-channel sum bit
+    /// for bit, however the channels are grouped. A NaN or −∞ gradient
+    /// still yields the channel-by-channel NaN or −∞.
     pub fn tile_lines(&self, tile_time: u32, tile_dm: u32) -> f64 {
         let line_elems = self.device.cache_line_elems();
         let line = f64::from(line_elems);
         let t = f64::from(tile_time);
         let d = f64::from(tile_dm);
-        let mut lines_per_wg = 0.0;
-        for &g in &self.workload.gradient {
+        let term = |g: f64| {
             if g >= t {
                 // Disjoint windows: D separate unaligned segments.
-                lines_per_wg += d * ((t / line).ceil() + 1.0);
+                d * ((t / line).ceil() + 1.0)
             } else {
                 // Overlapping windows: one segment spanning the union.
                 let span = t + (d - 1.0) * g;
                 let aligned = g <= 0.0 && tile_time.is_multiple_of(line_elems);
                 let misalign = if aligned { 0.0 } else { 1.0 };
-                lines_per_wg += (span / line).ceil() + misalign;
+                (span / line).ceil() + misalign
             }
+        };
+        let gradient = &self.workload.gradient;
+        let mut lines_per_wg = 0.0;
+        let mut at = 0;
+        let mut next = gradient.first().map(|&g| term(g));
+        while let Some(k) = next {
+            // `k` is the term of `gradient[at]`; `next` becomes the term
+            // of the channel after its run.
+            next = gradient.get(at + 1).map(|&g| term(g));
+            let run = if self.monotone && next == Some(k) {
+                let run = run_length(&gradient[at..], |g| term(g) == k);
+                next = gradient.get(at + run).map(|&g| term(g));
+                run
+            } else {
+                1
+            };
+            lines_per_wg += k * run as f64;
+            at += run;
         }
         lines_per_wg
     }
@@ -98,15 +126,31 @@ impl Cell<'_> {
     }
 }
 
+/// The length of the run `rest` opens: how many leading elements `same`
+/// holds for, counting `rest[0]` whatever `same` says of it, so a run is
+/// never empty. `same` must hold on a prefix of `rest` and nowhere after
+/// it. Gallops — probes 1, 2, 4, … past the start — then bisects the
+/// last step: a one-element run costs one probe, a run of `n` about
+/// `2·log₂ n`.
+fn run_length(rest: &[f64], same: impl Fn(f64) -> bool) -> usize {
+    let (mut known, mut probe) = (1, 1);
+    while probe < rest.len() && same(rest[probe]) {
+        known = probe + 1;
+        probe *= 2;
+    }
+    let end = probe.min(rest.len());
+    known + rest[known..end].partition_point(|&g| same(g))
+}
+
 impl TrafficEstimate {
     /// Estimates the traffic of launching `config` on `workload` against
     /// `device`'s memory system: [`Cell::traffic`] on a context built for
     /// this one question.
     ///
-    /// Walks the workload's channels on every call — the context's fold,
-    /// then one pass for a sum that depends only on the tile's shape; a
-    /// sweep builds one [`Cell`] and prices each shape once with
-    /// [`Cell::tile_lines`].
+    /// Reads the workload's channels on every call — the context's fold,
+    /// then the run walk for a sum that depends only on the tile's
+    /// shape; a sweep builds one [`Cell`] and prices each shape once
+    /// with [`Cell::tile_lines`].
     pub fn estimate(device: &DeviceDescriptor, workload: &Workload, config: &KernelConfig) -> Self {
         let cell = Cell::new(device, workload);
         cell.traffic(
@@ -244,6 +288,68 @@ mod tests {
         let c = KernelConfig::new(100, 1, 2, 1).unwrap(); // divides evenly
         let t = TrafficEstimate::estimate(&dev, &w, &c);
         assert_eq!(t.write_bytes, (64 * 20_000 * 4) as f64);
+    }
+
+    /// A workload that is nothing but `gradient`.
+    fn with_gradient(gradient: Vec<f64>) -> Workload {
+        Workload {
+            name: "g".into(),
+            channels: gradient.len(),
+            out_samples: 20_000,
+            trials: 256,
+            gradient,
+            useful_flop: 0,
+            realtime_gflops: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_non_monotone_gradient_sums_what_its_sorted_runs_do() {
+        // 16-element lines, a 16 × 4 tile: two aligned zero channels (1
+        // line each), two overlapping windows (⌈19/16⌉ + 1 and
+        // ⌈23.5/16⌉ + 1 = 3 each), one disjoint channel (4 · (1 + 1)).
+        let dev = amd_hd7970();
+        let sorted = with_gradient(vec![0.0, 0.0, 1.0, 2.5, 40.0]);
+        let shuffled = with_gradient(vec![40.0, 0.0, 2.5, 0.0, 1.0]);
+        let (walked, looped) = (Cell::new(&dev, &sorted), Cell::new(&dev, &shuffled));
+        assert!(walked.monotone && !looped.monotone);
+        assert_eq!(walked.tile_lines(16, 4), 16.0);
+        assert_eq!(looped.tile_lines(16, 4), 16.0);
+        // A real gradient with two channels swapped: the one-channel
+        // loop and the run walk of the original agree bit for bit.
+        let w = apertif(256);
+        let mut swapped = w.clone();
+        swapped.gradient.swap(3, 700);
+        let (walked, looped) = (Cell::new(&dev, &w), Cell::new(&dev, &swapped));
+        assert!(walked.monotone && !looped.monotone);
+        for (t, d) in [(16, 1), (64, 8), (250, 32), (1000, 4)] {
+            assert_eq!(
+                walked.tile_lines(t, d).to_bits(),
+                looped.tile_lines(t, d).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_gradient_returns_nan() {
+        let dev = amd_hd7970();
+        let mut gradients = vec![vec![f64::NAN], vec![f64::NAN; 64]];
+        for at in [0, 1, 511, 1023] {
+            let mut g = apertif(256).gradient;
+            g[at] = f64::NAN;
+            gradients.push(g);
+        }
+        for g in gradients {
+            let w = with_gradient(g);
+            assert!(Cell::new(&dev, &w).tile_lines(64, 8).is_nan());
+        }
+        // Monotone, yet a one-trial tile makes −∞'s term NaN: the walk
+        // still steps past every NaN term one channel at a time.
+        let w = with_gradient(vec![f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0, 1.0]);
+        let cell = Cell::new(&dev, &w);
+        assert!(cell.monotone);
+        assert!(cell.tile_lines(64, 1).is_nan());
+        assert_eq!(cell.tile_lines(64, 2), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -4,10 +4,122 @@
 
 use dedisp_core::{DmGrid, FrequencyBand, KernelConfig};
 use manycore_sim::{
-    all_devices, check_config, Algorithm, BoundKind, CostEstimate, CostModel, Occupancy,
-    TrafficEstimate, Workload,
+    all_devices, check_config, Algorithm, BoundKind, Cell, CostEstimate, CostModel,
+    DeviceDescriptor, Occupancy, TrafficEstimate, Workload,
 };
 use proptest::prelude::*;
+
+/// The oracle for [`Cell::tile_lines`]: the channel-by-channel sum it
+/// replaced, kept here verbatim so a wrong run walk cannot agree with
+/// itself.
+fn channel_loop(device: &DeviceDescriptor, gradient: &[f64], tile_time: u32, tile_dm: u32) -> f64 {
+    let line_elems = device.cache_line_elems();
+    let line = f64::from(line_elems);
+    let t = f64::from(tile_time);
+    let d = f64::from(tile_dm);
+    let mut lines_per_wg = 0.0;
+    for &g in gradient {
+        if g >= t {
+            lines_per_wg += d * ((t / line).ceil() + 1.0);
+        } else {
+            let span = t + (d - 1.0) * g;
+            let aligned = g <= 0.0 && tile_time.is_multiple_of(line_elems);
+            let misalign = if aligned { 0.0 } else { 1.0 };
+            lines_per_wg += (span / line).ceil() + misalign;
+        }
+    }
+    lines_per_wg
+}
+
+/// How a drawn gradient is laid out along the channels.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Sorted: the walk's long runs.
+    Sorted,
+    /// Sorted whole samples: ties and plateaus.
+    Plateaus,
+    /// In draw order: not monotone, one-channel runs.
+    Shuffled,
+    /// All zeros: the 0-DM scenario, one run.
+    Zeros,
+    /// Sorted across zero.
+    Negatives,
+    /// Sorted with −∞ at the low end and +∞ at the high end.
+    Infinite,
+    /// Sorted with one NaN.
+    Nan,
+}
+
+/// 1–1,100 channels, laid out as [`Layout`] says, ascending or
+/// descending. Magnitudes stay below 5,000 samples per step, so every
+/// sum of terms stays far below 2⁵³.
+fn arb_gradient() -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec(0.0f64..1.0, 1..=1_100),
+        prop::sample::select(vec![1.0f64, 4.0, 100.0, 5_000.0]),
+        prop::sample::select(vec![
+            Layout::Sorted,
+            Layout::Plateaus,
+            Layout::Shuffled,
+            Layout::Zeros,
+            Layout::Negatives,
+            Layout::Infinite,
+            Layout::Nan,
+        ]),
+        any::<bool>(),
+        0usize..4,
+    )
+        .prop_map(|(unit, scale, layout, descending, cut)| {
+            let mut g: Vec<f64> = unit.iter().map(|u| u * scale).collect();
+            match layout {
+                Layout::Shuffled => return g,
+                Layout::Plateaus => g.iter_mut().for_each(|v| *v = v.floor()),
+                Layout::Zeros => g.fill(0.0),
+                Layout::Negatives => g.iter_mut().for_each(|v| *v -= scale / 2.0),
+                _ => {}
+            }
+            g.sort_by(f64::total_cmp);
+            let n = g.len();
+            match layout {
+                Layout::Infinite => {
+                    g[..cut.min(n)].fill(f64::NEG_INFINITY);
+                    g[n - cut.min(n)..].fill(f64::INFINITY);
+                }
+                Layout::Nan => g[cut * 331 % n] = f64::NAN,
+                _ => {}
+            }
+            if descending {
+                g.reverse();
+            }
+            g
+        })
+}
+
+/// A tile side: a paper-space product, or a line multiple, or 1.
+fn arb_tile() -> impl Strategy<Value = (u32, u32)> {
+    let time = (
+        prop::sample::select(vec![
+            2u32, 4, 5, 8, 10, 16, 20, 25, 32, 50, 64, 100, 125, 128, 200, 250, 256, 500, 512,
+            1000, 1024,
+        ]),
+        prop::sample::select(vec![1u32, 2, 4, 5, 8, 10, 16, 20, 25, 32]),
+        prop::sample::select(vec![
+            None,
+            Some(1u32),
+            Some(16),
+            Some(32),
+            Some(96),
+            Some(4096),
+        ]),
+    )
+        .prop_map(|(wt, et, other)| other.unwrap_or(wt * et));
+    let dm = (
+        prop::sample::select(vec![1u32, 2, 4, 8, 16, 32]),
+        prop::sample::select(vec![1u32, 2, 4, 8, 16]),
+    )
+        .prop_map(|(wd, ed)| wd * ed);
+    (time, dm)
+}
 
 /// Every field of an estimate, floats as bit patterns.
 fn bits(e: &CostEstimate) -> ([u64; 6], BoundKind) {
@@ -165,6 +277,39 @@ proptest! {
         let first = check_config(&dev, &w, &c);
         let second = check_config(&dev, &w, &c);
         prop_assert_eq!(first, second);
+    }
+
+    #[test]
+    fn tile_lines_equals_the_channel_loop_bit_for_bit(
+        gradient in arb_gradient(),
+        tiles in prop::collection::vec(arb_tile(), 1..8),
+        dev_idx in 0usize..5,
+    ) {
+        let dev = all_devices().swap_remove(dev_idx);
+        let w = Workload {
+            name: "prop".into(),
+            channels: gradient.len(),
+            out_samples: 20_000,
+            trials: 4_096,
+            gradient,
+            useful_flop: 0,
+            realtime_gflops: 0.0,
+        };
+        let cell = Cell::new(&dev, &w);
+        for (t, d) in tiles {
+            let walked = cell.tile_lines(t, d);
+            let looped = channel_loop(&dev, &w.gradient, t, d);
+            if looped.is_nan() {
+                prop_assert!(walked.is_nan(), "{t} x {d}: {walked}, loop NaN");
+            } else {
+                prop_assert_eq!(
+                    walked.to_bits(),
+                    looped.to_bits(),
+                    "{} x {} on {} channels: {} vs loop {}",
+                    t, d, w.channels, walked, looped
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,48 @@ fn key(platform: &str, setup: &str) -> String {
     format!("{platform}\u{1f}{setup}")
 }
 
+/// Why [`TuningDatabase::from_json`] refused a file.
+#[derive(Debug)]
+pub enum DatabaseError {
+    /// Not JSON, or not a database's shape — a configuration that
+    /// [`KernelConfig::new`] rejects included.
+    Json(serde_json::Error),
+    /// A key that is not a platform and a setup name joined by exactly
+    /// one U+001F.
+    Key(String),
+    /// A stored score that is not a finite, positive GFLOP/s.
+    Gflops {
+        /// The entry's key.
+        key: String,
+        /// The entry's instance.
+        trials: usize,
+        /// The score read (non-finite scores are written as `null` and
+        /// read back as NaN).
+        gflops: f64,
+    },
+}
+
+impl std::fmt::Display for DatabaseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DatabaseError::Json(e) => write!(f, "tuning database: {e}"),
+            DatabaseError::Key(key) => {
+                write!(f, "tuning database: key {key:?} is not platform\\u{{1f}}setup")
+            }
+            DatabaseError::Gflops {
+                key,
+                trials,
+                gflops,
+            } => write!(
+                f,
+                "tuning database: {key:?} x{trials} scores {gflops} GFLOP/s, not a finite positive rate"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DatabaseError {}
+
 /// A persistent store of tuned optima.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TuningDatabase {
@@ -43,7 +85,9 @@ impl TuningDatabase {
         Self::default()
     }
 
-    /// Records an optimum for `(platform, setup, trials)`.
+    /// Records an optimum for `(platform, setup, trials)`. Neither name
+    /// may contain U+001F, the key separator: [`Self::from_json`]
+    /// refuses such a key.
     pub fn insert(
         &mut self,
         platform: &str,
@@ -122,19 +166,37 @@ impl TuningDatabase {
         serde_json::to_string_pretty(self).expect("plain maps always serialize")
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON — the artifact a pipeline ships, so every
+    /// entry is checked: a two-part key, a configuration
+    /// [`KernelConfig::new`] accepts, a finite positive score.
     ///
     /// # Errors
     ///
-    /// Returns the serde error for malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Returns the first malformed part as a [`DatabaseError`].
+    pub fn from_json(json: &str) -> Result<Self, DatabaseError> {
+        let db: Self = serde_json::from_str(json).map_err(DatabaseError::Json)?;
+        for (key, instances) in &db.entries {
+            if key.matches('\u{1f}').count() != 1 {
+                return Err(DatabaseError::Key(key.clone()));
+            }
+            for (&trials, entry) in instances {
+                if !(entry.gflops.is_finite() && entry.gflops > 0.0) {
+                    return Err(DatabaseError::Gflops {
+                        key: key.clone(),
+                        trials,
+                        gflops: entry.gflops,
+                    });
+                }
+            }
+        }
+        Ok(db)
     }
 
     /// Iterates `(platform, setup, trials, entry)` over everything
     /// stored, in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, usize, TunedEntry)> + '_ {
         self.entries.iter().flat_map(|(k, m)| {
+            // `insert` writes the separator and `from_json` checks it.
             let (platform, setup) = k.split_once('\u{1f}').expect("keys are two-part");
             m.iter()
                 .map(move |(&trials, &entry)| (platform, setup, trials, entry))
@@ -234,6 +296,75 @@ mod tests {
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(TuningDatabase::from_json("{not json").is_err());
+        assert!(matches!(
+            TuningDatabase::from_json("{not json"),
+            Err(DatabaseError::Json(_))
+        ));
+    }
+
+    /// A one-entry database file with `key`, `config` and `gflops`
+    /// spliced in as raw JSON.
+    fn file(key: &str, config: &str, gflops: &str) -> String {
+        let key = key.replace('\u{1f}', "\\u001f");
+        format!(
+            r#"{{"entries": {{"{key}": {{"64": {{"config": {config}, "gflops": {gflops}}}}}}}}}"#
+        )
+    }
+
+    const CONFIG: &str = r#"{"wi_time": 8, "wi_dm": 2, "el_time": 1, "el_dm": 1}"#;
+
+    #[test]
+    fn a_well_formed_file_loads() {
+        let db = TuningDatabase::from_json(&file("dev\u{1f}setup", CONFIG, "10.5")).unwrap();
+        assert_eq!(db.get("dev", "setup", 64).unwrap().config, cfg(8, 2));
+    }
+
+    #[test]
+    fn a_key_without_a_separator_is_refused() {
+        // It used to load, then panic `iter()` with "keys are two-part".
+        let err = TuningDatabase::from_json(&file("devsetup", CONFIG, "10.5")).unwrap_err();
+        assert!(
+            matches!(&err, DatabaseError::Key(k) if k == "devsetup"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_key_with_two_separators_is_refused() {
+        let key = "dev\u{1f}set\u{1f}up";
+        let err = TuningDatabase::from_json(&file(key, CONFIG, "10.5")).unwrap_err();
+        assert!(matches!(&err, DatabaseError::Key(k) if k == key), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_score_is_refused() {
+        // JSON has no NaN or infinity: a non-finite score is written as
+        // `null`, and an out-of-range literal overflows to infinity.
+        for gflops in ["null", "1e999"] {
+            let err = TuningDatabase::from_json(&file("d\u{1f}s", CONFIG, gflops)).unwrap_err();
+            assert!(
+                matches!(err, DatabaseError::Gflops { trials: 64, gflops, .. } if !gflops.is_finite()),
+                "{gflops}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_positive_score_is_refused() {
+        for gflops in ["0", "-0.0", "-3.5"] {
+            let err = TuningDatabase::from_json(&file("d\u{1f}s", CONFIG, gflops)).unwrap_err();
+            assert!(
+                matches!(err, DatabaseError::Gflops { .. }),
+                "{gflops}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_configuration_is_refused() {
+        let zero = r#"{"wi_time": 0, "wi_dm": 2, "el_time": 1, "el_dm": 1}"#;
+        let err = TuningDatabase::from_json(&file("d\u{1f}s", zero, "10.5")).unwrap_err();
+        assert!(matches!(err, DatabaseError::Json(_)), "{err}");
+        assert!(err.to_string().contains("wi_time"), "{err}");
     }
 }

@@ -54,11 +54,7 @@ impl<'a> HostExecutor<'a> {
         repeats: u32,
     ) -> Self {
         assert!(repeats > 0, "need at least one repetition");
-        let configs = space
-            .raw_configs()
-            .into_iter()
-            .filter(|c| c.validate_for(plan.out_samples(), plan.trials()).is_ok())
-            .collect();
+        let configs = space.collect(|c| c.validate_for(plan.out_samples(), plan.trials()).is_ok());
         Self {
             plan,
             input,

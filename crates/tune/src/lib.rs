@@ -35,7 +35,7 @@ pub mod space;
 pub mod stats;
 pub mod tuner;
 
-pub use db::{TunedEntry, TuningDatabase};
+pub use db::{DatabaseError, TunedEntry, TuningDatabase};
 pub use fixed::{best_fixed_config, FixedComparison};
 pub use host::{HostExecutor, HostKernel};
 pub use report::{InstanceResult, SweepReport};

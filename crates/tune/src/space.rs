@@ -59,21 +59,11 @@ impl ConfigSpace {
         self.wi_time.len() * self.wi_dm.len() * self.el_time.len() * self.el_dm.len()
     }
 
-    /// Enumerates every raw combination (unfiltered).
+    /// Enumerates every raw combination (unfiltered). A combination
+    /// [`KernelConfig::new`] rejects — a zero, or a tile or work-group
+    /// overflowing `u32` — is not a configuration and is skipped.
     pub fn raw_configs(&self) -> Vec<KernelConfig> {
-        let mut out = Vec::with_capacity(self.raw_size());
-        for &wt in &self.wi_time {
-            for &wd in &self.wi_dm {
-                for &et in &self.el_time {
-                    for &ed in &self.el_dm {
-                        out.push(
-                            KernelConfig::new(wt, wd, et, ed).expect("space values are non-zero"),
-                        );
-                    }
-                }
-            }
-        }
-        out
+        self.collect(|_| true)
     }
 
     /// Enumerates the *meaningful* configurations for a (device,
@@ -84,10 +74,27 @@ impl ConfigSpace {
 
     /// [`Self::meaningful`] for a cell whose context already exists.
     pub(crate) fn meaningful_in(&self, cell: &Cell<'_>) -> Vec<KernelConfig> {
-        self.raw_configs()
-            .into_iter()
-            .filter(|c| cell.check(c).is_ok())
-            .collect()
+        self.collect(|c| cell.check(c).is_ok())
+    }
+
+    /// The configurations `keep` accepts, in enumeration order (`wi_time`
+    /// outermost, `el_dm` innermost) — the space's one loop nest, which
+    /// never holds the rejected combinations.
+    pub(crate) fn collect(&self, keep: impl Fn(&KernelConfig) -> bool) -> Vec<KernelConfig> {
+        let mut out = Vec::new();
+        for &wt in &self.wi_time {
+            for &wd in &self.wi_dm {
+                for &et in &self.el_time {
+                    for &ed in &self.el_dm {
+                        match KernelConfig::new(wt, wd, et, ed) {
+                            Ok(config) if keep(&config) => out.push(config),
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -158,6 +165,36 @@ mod tests {
         let tiny = s.meaningful(&amd_hd7970(), &apertif(2));
         assert!(tiny.len() < big.len());
         assert!(tiny.iter().all(|c| c.tile_dm() <= 2));
+    }
+
+    #[test]
+    fn meaningful_is_the_raw_enumeration_filtered_in_order() {
+        let s = ConfigSpace::paper();
+        let (dev, w) = (nvidia_gtx680(), apertif(64));
+        let filtered: Vec<_> = s
+            .raw_configs()
+            .into_iter()
+            .filter(|c| manycore_sim::check_config(&dev, &w, c).is_ok())
+            .collect();
+        assert!(filtered.len() < s.raw_size());
+        assert_eq!(s.meaningful(&dev, &w), filtered);
+    }
+
+    #[test]
+    fn combinations_that_are_not_configurations_are_skipped() {
+        // A zero, and a work-group of 2 × u32::MAX items.
+        let s = ConfigSpace {
+            wi_time: vec![0, 2, u32::MAX],
+            wi_dm: vec![1, 2],
+            el_time: vec![1],
+            el_dm: vec![1],
+        };
+        let shapes: Vec<_> = s
+            .raw_configs()
+            .iter()
+            .map(|c| (c.wi_time(), c.wi_dm()))
+            .collect();
+        assert_eq!(shapes, vec![(2, 1), (2, 2), (u32::MAX, 1)]);
     }
 
     #[test]
