@@ -6,11 +6,13 @@
 //! sufficient for persisting and replaying the synthetic observations
 //! generated by [`crate::signal`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dedisp_core::{DedispError, FrequencyBand, InputBuffer, Result};
 
 /// Magic bytes identifying the encoding.
 const MAGIC: &[u8; 8] = b"DDFBANK1";
+/// Header bytes: the magic, low edge and channel width (`f64`), channel
+/// count (`u64`), sample rate (`u32`) and sample count (`u64`).
+const HEADER: usize = 8 + 8 + 8 + 8 + 4 + 8;
 
 /// A channelized observation: band metadata plus the sample matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,22 +47,20 @@ impl Filterbank {
     }
 
     /// Serializes to the compact binary encoding.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let channels = self.data.channels();
         let samples = self.data.samples();
-        let mut buf = BytesMut::with_capacity(8 + 8 * 4 + channels * samples * 4);
-        buf.put_slice(MAGIC);
-        buf.put_f64_le(self.band.low_mhz());
-        buf.put_f64_le(self.band.channel_width_mhz());
-        buf.put_u64_le(channels as u64);
-        buf.put_u32_le(self.sample_rate);
-        buf.put_u64_le(samples as u64);
-        for ch in 0..channels {
-            for &v in self.data.channel(ch) {
-                buf.put_f32_le(v);
-            }
+        let mut buf = Vec::with_capacity(HEADER + channels * samples * 4);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&self.band.low_mhz().to_le_bytes());
+        buf.extend_from_slice(&self.band.channel_width_mhz().to_le_bytes());
+        buf.extend_from_slice(&(channels as u64).to_le_bytes());
+        buf.extend_from_slice(&self.sample_rate.to_le_bytes());
+        buf.extend_from_slice(&(samples as u64).to_le_bytes());
+        for &v in self.data.as_slice() {
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserializes from the compact binary encoding.
@@ -69,33 +69,33 @@ impl Filterbank {
     ///
     /// Returns an error on a bad magic number, truncated payload, or
     /// invalid metadata.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let fail = |what: &str| DedispError::invalid("filterbank", what.to_string());
-        if bytes.remaining() < 8 + 8 + 8 + 8 + 4 + 8 {
+        if bytes.len() < HEADER {
             return Err(fail("truncated header"));
         }
-        let mut magic = [0u8; 8];
-        bytes.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let (header, payload) = bytes.split_at(HEADER);
+        if &header[..8] != MAGIC {
             return Err(fail("bad magic"));
         }
-        let low = bytes.get_f64_le();
-        let width = bytes.get_f64_le();
-        let channels = bytes.get_u64_le() as usize;
-        let sample_rate = bytes.get_u32_le();
-        let samples = bytes.get_u64_le() as usize;
+        let word = |at: usize| -> [u8; 8] { header[at..at + 8].try_into().expect("in the header") };
+        let low = f64::from_le_bytes(word(8));
+        let width = f64::from_le_bytes(word(16));
+        let channels = u64::from_le_bytes(word(24)) as usize;
+        let sample_rate = u32::from_le_bytes(header[32..36].try_into().expect("in the header"));
+        let samples = u64::from_le_bytes(word(36)) as usize;
         let band = FrequencyBand::new(low, width, channels)?;
         let expected = channels
             .checked_mul(samples)
             .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| fail("sample count overflow"))?;
-        if bytes.remaining() != expected {
+        if payload.len() != expected {
             return Err(fail("payload length mismatch"));
         }
-        let mut data = Vec::with_capacity(channels * samples);
-        for _ in 0..channels * samples {
-            data.push(bytes.get_f32_le());
-        }
+        let data = payload
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("four bytes")))
+            .collect();
         Ok(Self {
             band,
             sample_rate,
@@ -123,7 +123,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let fb = sample_filterbank();
         let bytes = fb.to_bytes();
-        let back = Filterbank::from_bytes(bytes).unwrap();
+        let back = Filterbank::from_bytes(&bytes).unwrap();
         assert_eq!(back, fb);
     }
 
@@ -137,18 +137,17 @@ mod tests {
     #[test]
     fn rejects_bad_magic() {
         let fb = sample_filterbank();
-        let mut raw = fb.to_bytes().to_vec();
+        let mut raw = fb.to_bytes();
         raw[0] = b'X';
-        assert!(Filterbank::from_bytes(Bytes::from(raw)).is_err());
+        assert!(Filterbank::from_bytes(&raw).is_err());
     }
 
     #[test]
     fn rejects_truncation() {
         let fb = sample_filterbank();
         let raw = fb.to_bytes();
-        let truncated = raw.slice(..raw.len() - 1);
-        assert!(Filterbank::from_bytes(truncated).is_err());
-        assert!(Filterbank::from_bytes(raw.slice(..10)).is_err());
+        assert!(Filterbank::from_bytes(&raw[..raw.len() - 1]).is_err());
+        assert!(Filterbank::from_bytes(&raw[..10]).is_err());
     }
 
     #[test]

@@ -86,7 +86,7 @@ proptest! {
         let data = SignalGenerator::new(seed).generate(&plan);
         let fb = Filterbank::new(*plan.band(), plan.sample_rate(), data).unwrap();
         let bytes = fb.to_bytes();
-        let back = Filterbank::from_bytes(bytes).unwrap();
+        let back = Filterbank::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, fb);
     }
 

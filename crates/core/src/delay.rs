@@ -152,6 +152,13 @@ impl DelayTable {
         &self.delays[trial * self.channels..(trial + 1) * self.channels]
     }
 
+    /// Every trial's row, lowest trial first: `trial_row(t)` starts at
+    /// `t × channels`.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[u32] {
+        &self.delays
+    }
+
     /// The largest delay in the table — determines how many extra input
     /// samples (`t − s`) are needed to dedisperse one second of data.
     pub fn max_delay(&self) -> usize {

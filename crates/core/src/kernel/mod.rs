@@ -1,11 +1,12 @@
 //! Dedispersion kernels.
 //!
-//! Three implementations of the same transform, all producing bitwise
-//! identical results (every output element is its channels summed in
-//! ascending order, starting from zero):
+//! One accumulation body and one reference. The body is the tiled loop
+//! nest (register micro-tiles across channel blocks, compiled for the
+//! baseline target and for AVX2); it sums whatever rows its caller
+//! brings, and every kernel but the reference runs it:
 //!
 //! * [`NaiveKernel`] — the sequential reference, a direct transcription of
-//!   Algorithm 1 from the paper. The oracle for all other kernels.
+//!   Algorithm 1 from the paper. The oracle for all other exact kernels.
 //! * [`TiledKernel`] — the paper's many-core algorithm on one thread: the
 //!   problem is decomposed into two-dimensional work-group tiles governed
 //!   by a [`KernelConfig`](crate::KernelConfig). Inside a tile a small
@@ -19,11 +20,14 @@
 //!   consumer without the dm–time plane ever being written.
 //! * [`ParallelKernel`] — the tiled kernel with the DM strips split into
 //!   one contiguous band per worker of a rayon thread pool; the host-side
-//!   analog of launching the OpenCL kernel across compute units.
+//!   analog of launching the OpenCL kernel across compute units, and,
+//!   under the paper's CPU decomposition, the `cpu-baseline` kernel.
+//! * [`SubbandKernel`] — the two-stage *approximate* algorithm of this
+//!   paper's successor pipelines (an extension beyond the paper): both
+//!   stages run the body.
 //!
-//! [`SubbandKernel`] additionally provides the two-stage *approximate*
-//! algorithm used by this paper's successor pipelines (an extension
-//! beyond the paper's exact transform).
+//! The exact kernels are bitwise identical: every output element is its
+//! channels summed in ascending order, starting from zero.
 
 mod naive;
 mod parallel;

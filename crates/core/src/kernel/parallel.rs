@@ -17,7 +17,7 @@ use rayon::prelude::*;
 use crate::buffer::{InputBuffer, OutputBuffer};
 use crate::config::KernelConfig;
 use crate::error::Result;
-use crate::kernel::tiled::{dedisperse_band, sink_band, Isa, Slabs};
+use crate::kernel::tiled::{dedisperse_band, sink_band, Isa, Slabs, Tile};
 use crate::kernel::{Dedisperser, SlabSink};
 use crate::plan::DedispersionPlan;
 
@@ -57,13 +57,14 @@ impl ParallelKernel {
     ) {
         let band = self.band(workers, plan);
         let isa = Isa::detect();
+        let tile = Tile::for_plan(plan, input);
         output
             .as_mut_slice()
             .par_chunks_mut(band * plan.out_samples())
             .enumerate()
             .for_each(|(i, rows)| {
                 let trials = i * band..(i * band + rows.len() / plan.out_samples());
-                dedisperse_band(isa, plan, input, &self.config, trials, Slabs::InPlace(rows));
+                dedisperse_band(isa, tile, &self.config, trials, Slabs::InPlace(rows));
             });
     }
 
@@ -78,10 +79,11 @@ impl ParallelKernel {
     ) {
         let band = self.band(workers, plan);
         let isa = Isa::detect();
+        let tile = Tile::for_plan(plan, input);
         let bands: Vec<usize> = (0..plan.trials()).step_by(band).collect();
         bands.par_iter().for_each(|&lo| {
             let trials = lo..(lo + band).min(plan.trials());
-            sink_band(isa, plan, input, &self.config, trials, sink);
+            sink_band(isa, tile, &self.config, trials, sink);
         });
     }
 }

@@ -17,10 +17,15 @@
 //! subband, stage 1 uses one delay for channels whose true delays
 //! differ by up to the subband's internal smear. [`SubbandKernel`]
 //! exposes both the speedup and the error so the trade-off is
-//! measurable (see `max_smear_samples`).
+//! measurable (see `max_smear_samples`). Both stages are shifted sums
+//! run by the tiled kernel's body, each adding in ascending order.
+
+use std::ops::Range;
 
 use crate::buffer::{InputBuffer, OutputBuffer};
+use crate::config::KernelConfig;
 use crate::error::{DedispError, Result};
+use crate::kernel::tiled::{dedisperse_band, Isa, Slabs, Tile};
 use crate::kernel::Dedisperser;
 use crate::plan::DedispersionPlan;
 
@@ -110,57 +115,75 @@ impl SubbandKernel {
     /// Worst-case approximation shift in samples: the largest difference
     /// between a channel's exact delay and the delay applied to it by
     /// the two-stage scheme, over all (trial, channel) pairs.
-    pub fn max_smear_samples(&self, plan: &DedispersionPlan) -> usize {
-        let channels = plan.channels();
-        let per_sub = channels / self.config.subbands;
+    ///
+    /// # Errors
+    ///
+    /// As [`validate`](Self::validate).
+    pub fn max_smear_samples(&self, plan: &DedispersionPlan) -> Result<usize> {
+        self.validate(plan)?;
+        let per_sub = plan.channels() / self.config.subbands;
         let delays = plan.delays();
-        let max_delay = delays.max_delay();
+        let shifts = self.stage1_shifts(plan);
+        let coarse = (0..plan.trials()).step_by(self.config.dm_stride);
         let mut worst = 0usize;
-        for trial in 0..plan.trials() {
-            let coarse = self.coarse_trial(trial, plan.trials());
-            for ch in 0..channels {
-                let sub = ch / per_sub;
-                let sub_ref = sub * per_sub + per_sub - 1; // top channel of the subband
-                let shift = self.stage1_shift(plan, max_delay, coarse, sub_ref, ch);
-                let applied = shift + delays.delay(trial, sub_ref);
-                let exact = delays.delay(trial, ch);
-                worst = worst.max(applied.abs_diff(exact));
+        for (coarse, row) in coarse.zip(shifts.chunks_exact(plan.channels())) {
+            for trial in self.fine_trials(coarse, plan.trials()) {
+                for (ch, &shift) in row.iter().enumerate() {
+                    let applied = shift as usize + delays.delay(trial, sub_ref(ch, per_sub));
+                    worst = worst.max(applied.abs_diff(delays.delay(trial, ch)));
+                }
             }
         }
-        worst
+        Ok(worst)
     }
 
-    /// The intra-subband shift stage 1 applies for `ch` relative to its
-    /// subband reference at the given coarse trial — capped so that no
-    /// fine trial sharing this coarse trial can read past the plan's
-    /// input buffer (delay-table rounding can otherwise overshoot the
-    /// exact worst-case delay by a sample). `max_delay` is the plan's
-    /// [`DelayTable::max_delay`](crate::DelayTable::max_delay), a scan of
-    /// the whole table that callers do once, not per channel.
-    fn stage1_shift(
-        &self,
-        plan: &DedispersionPlan,
-        max_delay: usize,
-        coarse: usize,
-        sub_ref: usize,
-        ch: usize,
-    ) -> usize {
+    /// The fine trials that share coarse trial `coarse`: it and the
+    /// `dm_stride − 1` after it. Stage 1 rounds every trial *down* to
+    /// its coarse trial, which guarantees the applied delay never
+    /// exceeds the exact one (delay spreads grow with DM), so no channel
+    /// contribution is ever lost; it also makes the approximation error
+    /// monotone in the stride.
+    fn fine_trials(&self, coarse: usize, trials: usize) -> Range<usize> {
+        coarse..(coarse + self.config.dm_stride).min(trials)
+    }
+
+    /// The intra-subband shift stage 1 applies to every channel, one row
+    /// of `channels` per coarse trial: the channel's delay relative to
+    /// its subband's reference, capped so that no fine trial sharing the
+    /// coarse trial can read past the plan's input buffer (delay-table
+    /// rounding can otherwise overshoot the exact worst-case delay by a
+    /// sample).
+    fn stage1_shifts(&self, plan: &DedispersionPlan) -> Vec<u32> {
         let delays = plan.delays();
-        let raw = delays.delay(coarse, ch) - delays.delay(coarse, sub_ref);
-        let trial_hi = (coarse + self.config.dm_stride - 1).min(plan.trials() - 1);
-        let cap = max_delay - delays.delay(trial_hi, sub_ref);
-        raw.min(cap)
+        let max_delay = delays.max_delay();
+        let per_sub = plan.channels() / self.config.subbands;
+        let mut shifts = Vec::new();
+        for coarse in (0..plan.trials()).step_by(self.config.dm_stride) {
+            let trial_hi = self.fine_trials(coarse, plan.trials()).end - 1;
+            shifts.extend((0..plan.channels()).map(|ch| {
+                let sub_ref = sub_ref(ch, per_sub);
+                let raw = delays.delay(coarse, ch) - delays.delay(coarse, sub_ref);
+                raw.min(max_delay - delays.delay(trial_hi, sub_ref)) as u32
+            }));
+        }
+        shifts
     }
+}
 
-    #[inline]
-    fn coarse_trial(&self, trial: usize, _trials: usize) -> usize {
-        // Round *down* to the stride grid. Downward rounding guarantees
-        // the applied delay never exceeds the exact one (delay spreads
-        // grow with DM), so every read stays inside the plan's input
-        // buffer and no channel contribution is ever lost; it also makes
-        // the approximation error monotone in the stride.
-        (trial / self.config.dm_stride) * self.config.dm_stride
-    }
+/// Bytes of stage-1 partial sums held at once. Stage 1 fills a batch of
+/// coarse trials subband by subband, so a subband's channels stay in the
+/// L2 cache for all but the first coarse trial of a batch and the input
+/// is streamed once per batch, not once per coarse trial; stage 2 reads
+/// the batch back from the last-level cache. On a Xeon with 2 MB of L2
+/// per core and a 300 MB L3, budgets of 1–2 MB run the benchmark shapes
+/// barely faster than one coarse trial at a time, 8 and 32 MB equally
+/// fast: 8 MB is the smallest on that plateau (EXPERIMENTS.md, "Subband
+/// batch and tile").
+const PARTIAL_BYTES: usize = 8 << 20;
+
+/// The reference channel of `ch`'s subband: its top channel.
+fn sub_ref(ch: usize, per_sub: usize) -> usize {
+    ch / per_sub * per_sub + per_sub - 1
 }
 
 impl Dedisperser for SubbandKernel {
@@ -178,65 +201,66 @@ impl Dedisperser for SubbandKernel {
         output.check_plan(plan)?;
         self.validate(plan)?;
 
-        let channels = plan.channels();
-        let trials = plan.trials();
-        let out_samples = plan.out_samples();
-        let in_samples = plan.in_samples();
-        let n_sub = self.config.subbands;
+        let (channels, trials) = (plan.channels(), plan.trials());
+        let (in_samples, out_samples) = (plan.in_samples(), plan.out_samples());
+        let (n_sub, stride) = (self.config.subbands, self.config.dm_stride);
         let per_sub = channels / n_sub;
         let delays = plan.delays();
-        let max_delay = delays.max_delay();
+        let shifts = self.stage1_shifts(plan);
+        // Stage 2's delay rows: each trial's delay of every subband's
+        // reference channel.
+        let residuals: Vec<u32> = delays.as_slice()[per_sub - 1..]
+            .iter()
+            .step_by(per_sub)
+            .copied()
+            .collect();
+        // Both stages: time tiles of 512 samples, DM strips of one
+        // micro-tile, so stage 2 sums fine trials in pairs; a band clips
+        // a tile at the end of its rows. Measured faster than strips of
+        // one trial and than the benchmark's (25,4,4,2) (EXPERIMENTS.md).
+        let config = KernelConfig::new(512, 1, 1, 2)?;
+        let isa = Isa::detect();
+        let n_coarse = trials.div_ceil(stride);
+        let batch = (PARTIAL_BYTES / (n_sub * in_samples * size_of::<f32>())).max(1);
+        let mut partial = vec![0.0f32; batch.min(n_coarse) * n_sub * in_samples];
 
-        // Coarse trial indices actually needed by stage 2.
-        let mut coarse_used = vec![false; trials];
-        for trial in 0..trials {
-            coarse_used[self.coarse_trial(trial, trials)] = true;
-        }
-
-        // Stage 1: per (coarse trial, subband), dedisperse the subband's
-        // channels *relative to the subband's own top channel*, keeping
-        // the full input length so stage 2 can still shift.
-        //
-        // Intermediate layout: partial[coarse][sub] is a Vec<f32> of
-        // in_samples (only coarse trials in use are materialized).
-        let mut partial: Vec<Vec<Vec<f32>>> = vec![Vec::new(); trials];
-        for (coarse, used) in coarse_used.iter().enumerate() {
-            if !used {
-                continue;
-            }
-            let mut subs = Vec::with_capacity(n_sub);
-            for sub in 0..n_sub {
-                let sub_ref = sub * per_sub + per_sub - 1;
-                let mut acc = vec![0.0f32; in_samples];
-                for ch in sub * per_sub..(sub + 1) * per_sub {
-                    // Intra-subband shift at the coarse DM, capped so no
-                    // fine trial reads past the input buffer.
-                    let shift = self.stage1_shift(plan, max_delay, coarse, sub_ref, ch);
-                    let src = &input.channel(ch)[shift..];
-                    let n = in_samples - shift;
-                    for (a, s) in acc[..n].iter_mut().zip(&src[..n]) {
-                        *a += *s;
-                    }
+        for k0 in (0..n_coarse).step_by(batch) {
+            let batch = k0..(k0 + batch).min(n_coarse);
+            // Stage 1: every subband's channels dedispersed relative to
+            // its reference channel at each coarse DM. Stage 2 reads the
+            // first `out_samples` of a row plus the largest residual
+            // delay of a fine trial, and the shift cap keeps every
+            // channel's read of those inside the input.
+            for first in (0..channels).step_by(per_sub) {
+                for k in batch.clone() {
+                    let trial_hi = self.fine_trials(k * stride, trials).end - 1;
+                    let len = out_samples + delays.delay(trial_hi, sub_ref(first, per_sub));
+                    let tile = Tile {
+                        data: &input.as_slice()[first * in_samples..],
+                        in_samples,
+                        delays: &shifts[k * channels + first..][..per_sub],
+                        channels: per_sub,
+                        out_samples: len,
+                    };
+                    let row = ((k - k0) * n_sub + first / per_sub) * in_samples;
+                    let row = Slabs::InPlace(&mut partial[row..row + len]);
+                    dedisperse_band(isa, tile, &config, 0..1, row);
                 }
-                subs.push(acc);
             }
-            partial[coarse] = subs;
-        }
-
-        // Stage 2: per fine trial, combine the subband partials shifted
-        // by the exact delay of each subband's reference channel.
-        for trial in 0..trials {
-            let coarse = self.coarse_trial(trial, trials);
-            let subs = &partial[coarse];
-            let series = output.series_mut(trial);
-            series.fill(0.0);
-            for (sub, acc) in subs.iter().enumerate() {
-                let sub_ref = sub * per_sub + per_sub - 1;
-                let shift = delays.delay(trial, sub_ref);
-                let src = &acc[shift..shift + out_samples];
-                for (o, s) in series.iter_mut().zip(src) {
-                    *o += *s;
-                }
+            // Stage 2: every fine trial sums its coarse trial's subband
+            // partials at the exact delay of each reference channel.
+            for k in batch {
+                let fine = self.fine_trials(k * stride, trials);
+                let tile = Tile {
+                    data: &partial[(k - k0) * n_sub * in_samples..],
+                    in_samples,
+                    delays: &residuals[fine.start * n_sub..],
+                    channels: n_sub,
+                    out_samples,
+                };
+                let rows =
+                    &mut output.as_mut_slice()[fine.start * out_samples..fine.end * out_samples];
+                dedisperse_band(isa, tile, &config, 0..fine.len(), Slabs::InPlace(rows));
             }
         }
         Ok(())
@@ -269,14 +293,10 @@ mod tests {
         let mut exact = OutputBuffer::for_plan(&p);
         NaiveKernel.dedisperse(&p, &input, &mut exact).unwrap();
         let kernel = SubbandKernel::new(SubbandConfig::new(16, 1).unwrap());
-        assert_eq!(kernel.max_smear_samples(&p), 0);
+        assert_eq!(kernel.max_smear_samples(&p).unwrap(), 0);
         let mut out = OutputBuffer::for_plan(&p);
         kernel.dedisperse(&p, &input, &mut out).unwrap();
-        assert!(
-            out.max_abs_diff(&exact) < 1e-3,
-            "diff {}",
-            out.max_abs_diff(&exact)
-        );
+        assert!(out.bits_eq(&exact));
     }
 
     #[test]
@@ -285,9 +305,9 @@ mod tests {
         let fine = SubbandKernel::new(SubbandConfig::new(32, 1).unwrap());
         let mid = SubbandKernel::new(SubbandConfig::new(8, 2).unwrap());
         let coarse = SubbandKernel::new(SubbandConfig::new(2, 8).unwrap());
-        let a = fine.max_smear_samples(&p);
-        let b = mid.max_smear_samples(&p);
-        let c = coarse.max_smear_samples(&p);
+        let a = fine.max_smear_samples(&p).unwrap();
+        let b = mid.max_smear_samples(&p).unwrap();
+        let c = coarse.max_smear_samples(&p).unwrap();
         assert!(a <= b && b <= c, "{a} {b} {c}");
         assert!(c > 0);
     }
@@ -313,7 +333,7 @@ mod tests {
         // max_smear_samples of where brute force puts it.
         let p = plan(32, 16, 2_000);
         let kernel = SubbandKernel::new(SubbandConfig::new(8, 4).unwrap());
-        let smear = kernel.max_smear_samples(&p);
+        let smear = kernel.max_smear_samples(&p).unwrap();
 
         let trial = 13;
         let mut input = InputBuffer::for_plan(&p);
@@ -354,6 +374,23 @@ mod tests {
         let input = hash_input(&p);
         let mut out = OutputBuffer::for_plan(&p);
         assert!(kernel.dedisperse(&p, &input, &mut out).is_err());
+    }
+
+    #[test]
+    fn smear_rejects_what_dedisperse_rejects() {
+        // 8 subbands of 31 channels: the last subband's reference would
+        // be channel 31, past the band.
+        let p = plan(31, 8, 300);
+        let kernel = SubbandKernel::new(SubbandConfig::new(8, 2).unwrap());
+        assert!(kernel.max_smear_samples(&p).is_err());
+    }
+
+    #[test]
+    fn smear_rejects_more_subbands_than_channels() {
+        // 64 subbands of 31 channels: zero channels per subband.
+        let p = plan(31, 8, 300);
+        let kernel = SubbandKernel::new(SubbandConfig::new(64, 2).unwrap());
+        assert!(kernel.max_smear_samples(&p).is_err());
     }
 
     #[test]

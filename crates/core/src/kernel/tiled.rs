@@ -25,7 +25,7 @@
 //!   again for every strip.
 //! * **Output is finished a slab at a time.** A *slab* is the run of
 //!   whole DM strips whose output rows fit [`SLAB_BYTES`] of L2
-//!   ([`slab_rows`]: derived from the plan and the tile, not set by
+//!   ([`slab_rows`]: derived from the row length and the tile, not set by
 //!   anyone). Slabs are the outermost loop, so a slab's rows are complete
 //!   — and still cached — before the next slab is begun, which is what
 //!   lets [`Dedisperser::dedisperse_slabs`] hand them to a consumer
@@ -40,6 +40,10 @@
 //! The loop nest is written once ([`band_body`]) and compiled twice on
 //! x86-64: for the baseline target and, selected at run time by
 //! [`Isa::detect`], for AVX2.
+//!
+//! The body reads no plan: its caller brings the rows ([`Tile`]). This
+//! kernel and the parallel one bring the plan's ([`Tile::for_plan`]);
+//! the subband kernel brings a subband's channels, then its partial sums.
 //!
 //! [`NaiveKernel`]: crate::kernel::NaiveKernel
 
@@ -86,8 +90,7 @@ impl Dedisperser for TiledKernel {
             .validate_for(plan.out_samples(), plan.trials())?;
         dedisperse_band(
             Isa::detect(),
-            plan,
-            input,
+            Tile::for_plan(plan, input),
             &self.config,
             0..plan.trials(),
             Slabs::InPlace(output.as_mut_slice()),
@@ -106,8 +109,7 @@ impl Dedisperser for TiledKernel {
             .validate_for(plan.out_samples(), plan.trials())?;
         sink_band(
             Isa::detect(),
-            plan,
-            input,
+            Tile::for_plan(plan, input),
             &self.config,
             0..plan.trials(),
             sink,
@@ -133,11 +135,11 @@ const CHANNEL_BLOCK: usize = 32;
 /// which is why this is a constant.
 const SLAB_BYTES: usize = 1 << 20;
 
-/// Rows per slab: the whole DM strips whose output rows fit
-/// [`SLAB_BYTES`], at least one strip.
-pub(crate) fn slab_rows(plan: &DedispersionPlan, config: &KernelConfig) -> usize {
+/// Rows per slab: the whole DM strips whose output rows of
+/// `out_samples` fit [`SLAB_BYTES`], at least one strip.
+fn slab_rows(out_samples: usize, config: &KernelConfig) -> usize {
     let tile_dm = config.tile_dm() as usize;
-    let fit = SLAB_BYTES / (plan.out_samples() * std::mem::size_of::<f32>());
+    let fit = SLAB_BYTES / (out_samples * std::mem::size_of::<f32>());
     (fit / tile_dm).max(1) * tile_dm
 }
 
@@ -172,73 +174,61 @@ impl Isa {
     }
 }
 
-/// Dedisperses the contiguous band `trials` into `out`, one slab after
-/// another. Every element of every slab is overwritten.
+/// Dedisperses the contiguous band `trials` of `tile`'s delay rows into
+/// `out`, one slab after another. Every element of every slab is
+/// overwritten.
 ///
-/// This is the body shared by [`TiledKernel`] (one band: every trial)
-/// and the parallel kernel (one band per worker), and by
-/// [`Dedisperser::dedisperse`] and [`Dedisperser::dedisperse_slabs`].
+/// This is the body shared by [`TiledKernel`] (one band: every trial),
+/// the parallel kernel (one band per worker) and both stages of the
+/// subband kernel, and by [`Dedisperser::dedisperse`] and
+/// [`Dedisperser::dedisperse_slabs`].
 pub(crate) fn dedisperse_band(
     isa: Isa,
-    plan: &DedispersionPlan,
-    input: &InputBuffer,
+    tile: Tile<'_>,
     config: &KernelConfig,
     trials: Range<usize>,
     out: Slabs<'_>,
 ) {
     match isa {
-        Isa::Portable => band_body::<MICRO_TIME>(plan, input, config, trials, out),
+        Isa::Portable => band_body::<MICRO_TIME>(tile, config, trials, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only ever produced by `Isa::detect`,
         // after `is_x86_feature_detected!("avx2")`.
-        Isa::Avx2 => unsafe { band_avx2(plan, input, config, trials, out) },
+        Isa::Avx2 => unsafe { band_avx2(tile, config, trials, out) },
     }
 }
 
 /// [`dedisperse_band`] into a scratch allocated here, for `sink`.
 pub(crate) fn sink_band(
     isa: Isa,
-    plan: &DedispersionPlan,
-    input: &InputBuffer,
+    tile: Tile<'_>,
     config: &KernelConfig,
     trials: Range<usize>,
     sink: &SlabSink<'_>,
 ) {
-    let rows = slab_rows(plan, config).min(trials.len());
-    let mut scratch = vec![0.0; rows * plan.out_samples()];
+    let rows = slab_rows(tile.out_samples, config).min(trials.len());
+    let mut scratch = vec![0.0; rows * tile.out_samples];
     let out = Slabs::Sink(&mut scratch, sink);
-    dedisperse_band(isa, plan, input, config, trials, out);
+    dedisperse_band(isa, tile, config, trials, out);
 }
 
 /// [`band_body`] compiled with 256-bit lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn band_avx2(
-    plan: &DedispersionPlan,
-    input: &InputBuffer,
-    config: &KernelConfig,
-    trials: Range<usize>,
-    out: Slabs<'_>,
-) {
-    band_body::<{ 2 * MICRO_TIME }>(plan, input, config, trials, out);
+fn band_avx2(tile: Tile<'_>, config: &KernelConfig, trials: Range<usize>, out: Slabs<'_>) {
+    band_body::<{ 2 * MICRO_TIME }>(tile, config, trials, out);
 }
 
 /// The one loop nest, outer half: the slabs of a band.
 #[inline(always)]
 fn band_body<const W: usize>(
-    plan: &DedispersionPlan,
-    input: &InputBuffer,
+    tile: Tile<'_>,
     config: &KernelConfig,
     trials: Range<usize>,
     mut out: Slabs<'_>,
 ) {
-    let out_samples = plan.out_samples();
-    let tile = Tile {
-        data: input.as_slice(),
-        in_samples: input.samples(),
-        out_samples,
-    };
-    let height = slab_rows(plan, config);
+    let out_samples = tile.out_samples;
+    let height = slab_rows(out_samples, config);
     for lo in trials.clone().step_by(height) {
         let len = (height.min(trials.end - lo)) * out_samples;
         let slab = match &mut out {
@@ -253,36 +243,52 @@ fn band_body<const W: usize>(
                 slab
             }
         };
-        tile.slab::<W>(plan, config, lo, slab);
+        tile.slab::<W>(config, lo, slab);
         if let Slabs::Sink(scratch, sink) = &out {
             sink(lo, &scratch[..len]);
         }
     }
 }
 
-/// What every micro-tile of a band reads: the flat input and the two
-/// row pitches.
+/// What every micro-tile of a band reads, brought by its caller.
+///
+/// Output element `(trial, t)` is `Σ_row data[row][t + delays[trial][row]]`
+/// over the first `channels` input rows, in ascending row order. The
+/// caller guarantees every such read lies inside its input row.
 #[derive(Clone, Copy)]
-struct Tile<'a> {
-    data: &'a [f32],
-    in_samples: usize,
-    out_samples: usize,
+pub(crate) struct Tile<'a> {
+    /// The input rows, `in_samples` apart.
+    pub(crate) data: &'a [f32],
+    /// The input row pitch.
+    pub(crate) in_samples: usize,
+    /// The delay rows, one per trial, `channels` shifts each.
+    pub(crate) delays: &'a [u32],
+    /// Input rows summed into every output element.
+    pub(crate) channels: usize,
+    /// Samples per output row.
+    pub(crate) out_samples: usize,
 }
 
-impl Tile<'_> {
+impl<'a> Tile<'a> {
+    /// The plan's rows: every channel of `input` under every trial of
+    /// its delay table.
+    pub(crate) fn for_plan(plan: &'a DedispersionPlan, input: &'a InputBuffer) -> Self {
+        Self {
+            data: input.as_slice(),
+            in_samples: input.samples(),
+            delays: plan.delays().as_slice(),
+            channels: plan.channels(),
+            out_samples: plan.out_samples(),
+        }
+    }
+
     /// The one loop nest, inner half: time tiles, DM strips, channel
     /// blocks and micro-tiles of the slab whose first trial is `trial_lo`
     /// and whose rows are `rows`.
     #[inline(always)]
-    fn slab<const W: usize>(
-        self,
-        plan: &DedispersionPlan,
-        config: &KernelConfig,
-        trial_lo: usize,
-        rows: &mut [f32],
-    ) {
+    fn slab<const W: usize>(self, config: &KernelConfig, trial_lo: usize, rows: &mut [f32]) {
         let out_samples = self.out_samples;
-        let channels = plan.channels();
+        let channels = self.channels;
         let tile_time = config.tile_time() as usize;
         let tile_dm = config.tile_dm() as usize;
         let n_trials = rows.len() / out_samples;
@@ -299,10 +305,10 @@ impl Tile<'_> {
                         let out = &mut rows[tr * out_samples..];
                         let trial = trial_lo + tr;
                         if tr + MICRO_DM <= strip_hi {
-                            self.trials::<MICRO_DM, W>(plan, trial, block.clone(), t0..t1, out);
+                            self.trials::<MICRO_DM, W>(trial, block.clone(), t0..t1, out);
                             tr += MICRO_DM;
                         } else {
-                            self.trials::<1, W>(plan, trial, block.clone(), t0..t1, out);
+                            self.trials::<1, W>(trial, block.clone(), t0..t1, out);
                             tr += 1;
                         }
                     }
@@ -317,7 +323,6 @@ impl Tile<'_> {
     #[inline(always)]
     fn trials<const R: usize, const W: usize>(
         self,
-        plan: &DedispersionPlan,
         trial: usize,
         block: Range<usize>,
         time: Range<usize>,
@@ -325,7 +330,8 @@ impl Tile<'_> {
     ) {
         let mut delays = [&[][..]; R];
         for (r, row) in delays.iter_mut().enumerate() {
-            *row = &plan.delays().trial_row(trial + r)[block.clone()];
+            let first = (trial + r) * self.channels;
+            *row = &self.delays[first..first + self.channels][block.clone()];
         }
         let at = self.micro::<R, W>(&delays, block.start, time.start, time.end, out);
         let at = self.micro::<R, 4>(&delays, block.start, at, time.end, out);
@@ -475,7 +481,8 @@ mod tests {
                 let mut out = OutputBuffer::for_plan(&plan);
                 out.as_mut_slice().fill(f32::NAN);
                 let rows = Slabs::InPlace(out.as_mut_slice());
-                dedisperse_band(isa, &plan, &input, &config, 0..plan.trials(), rows);
+                let tile = Tile::for_plan(&plan, &input);
+                dedisperse_band(isa, tile, &config, 0..plan.trials(), rows);
                 assert!(out.bits_eq(&expected), "{isa:?} under {config}");
             }
         }
@@ -503,28 +510,26 @@ mod tests {
             }
         };
         let out = Slabs::Sink(scratch, &sink);
-        dedisperse_band(isa, plan, input, config, 0..plan.trials(), out);
+        dedisperse_band(
+            isa,
+            Tile::for_plan(plan, input),
+            config,
+            0..plan.trials(),
+            out,
+        );
         seen.into_inner().unwrap()
     }
 
     #[test]
-    fn slab_height_follows_the_plan_and_the_tile() {
-        let shape = |rate: u32, trials: usize| {
-            crate::plan::DedispersionPlan::builder()
-                .band(crate::freq::FrequencyBand::new(140.0, 0.5, 4).unwrap())
-                .dm_grid(crate::dm::DmGrid::new(0.0, 0.01, trials).unwrap())
-                .sample_rate(rate)
-                .build()
-                .unwrap()
-        };
+    fn slab_height_follows_the_row_length_and_the_tile() {
         // The benchmark's tile: strips of 8 trials.
         let tile = KernelConfig::new(25, 4, 4, 2).unwrap();
         // 80 kB rows: 13 fit, one whole strip of them.
-        assert_eq!(slab_rows(&shape(20_000, 16), &tile), 8);
+        assert_eq!(slab_rows(20_000, &tile), 8);
         // 8 kB rows: 131 fit, sixteen whole strips.
-        assert_eq!(slab_rows(&shape(2_000, 16), &tile), 128);
+        assert_eq!(slab_rows(2_000, &tile), 128);
         // 1.2 MB rows: none fits, and a slab is still one strip.
-        assert_eq!(slab_rows(&shape(300_000, 16), &tile), 8);
+        assert_eq!(slab_rows(300_000, &tile), 8);
     }
 
     #[test]
@@ -541,7 +546,7 @@ mod tests {
         let input = hash_input(&plan);
         let expected = reference(&plan, &input);
         let config = KernelConfig::new(16, 5, 3, 1).unwrap();
-        assert_eq!(slab_rows(&plan, &config), 50);
+        assert_eq!(slab_rows(plan.out_samples(), &config), 50);
         for isa in [Isa::Portable, Isa::detect()] {
             // Poisoned before every call: a slab must not depend on what
             // the scratch held.

@@ -1,44 +1,21 @@
 //! The OpenMP + AVX CPU dedispersion analog.
 //!
-//! Structure copied from the paper's description: threads own (trial DM,
-//! time-block) pairs; within a block the channel accumulation runs over
-//! chunks of 8 contiguous samples, which LLVM lowers to 256-bit vector
-//! adds exactly as icc did for the AVX original. No local-memory staging
-//! and no DM tiling: the CPU relies on its cache hierarchy for reuse.
+//! The paper's CPU version has threads compute different trial DMs and
+//! blocks of time samples, eight samples at a time with AVX, with no
+//! local-memory staging and no DM tiling: the CPU relies on its cache
+//! hierarchy for reuse. Here that decomposition is a [`KernelConfig`] —
+//! time tiles of 512 samples, DM tiles of one trial — run by
+//! [`ParallelKernel`], so the sums go through the same loop nest, vector
+//! lanes and all, as every other exact kernel.
 
-use dedisp_core::{Dedisperser, DedispersionPlan, InputBuffer, OutputBuffer, Result};
-use rayon::prelude::*;
+use dedisp_core::{
+    Dedisperser, DedispersionPlan, InputBuffer, KernelConfig, OutputBuffer, ParallelKernel, Result,
+};
 
-/// Samples per vector chunk — AVX holds 8 single-precision lanes.
-pub const VECTOR_WIDTH: usize = 8;
-
-/// The CPU baseline kernel.
-#[derive(Debug, Clone, Copy)]
-pub struct OpenMpAvxKernel {
-    /// Time-block size each task processes (must be a multiple of the
-    /// vector width; default 512).
-    block: usize,
-}
-
-impl Default for OpenMpAvxKernel {
-    fn default() -> Self {
-        Self { block: 512 }
-    }
-}
-
-impl OpenMpAvxKernel {
-    /// Creates a kernel with a custom time-block size, rounded up to the
-    /// vector width.
-    pub fn with_block(block: usize) -> Self {
-        let block = block.max(VECTOR_WIDTH).div_ceil(VECTOR_WIDTH) * VECTOR_WIDTH;
-        Self { block }
-    }
-
-    /// The block size in samples.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-}
+/// The CPU baseline kernel; built with `default()`.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct OpenMpAvxKernel;
 
 impl Dedisperser for OpenMpAvxKernel {
     fn name(&self) -> &'static str {
@@ -51,50 +28,8 @@ impl Dedisperser for OpenMpAvxKernel {
         input: &InputBuffer,
         output: &mut OutputBuffer,
     ) -> Result<()> {
-        input.check_plan(plan)?;
-        output.check_plan(plan)?;
-
-        let out_samples = plan.out_samples();
-        let channels = plan.channels();
-        let delays = plan.delays();
-        let block = self.block;
-
-        // One parallel task per trial; blocks iterate inside so each
-        // thread streams its output row (the OpenMP collapse(2) analog
-        // with contiguous writes).
-        output
-            .as_mut_slice()
-            .par_chunks_mut(out_samples)
-            .enumerate()
-            .for_each(|(trial, series)| {
-                let row = delays.trial_row(trial);
-                let mut t0 = 0;
-                while t0 < out_samples {
-                    let len = block.min(out_samples - t0);
-                    let (vec_len, _tail) = (len / VECTOR_WIDTH * VECTOR_WIDTH, len % VECTOR_WIDTH);
-                    let out_block = &mut series[t0..t0 + len];
-                    out_block.fill(0.0);
-                    for (ch, &shift) in row.iter().enumerate().take(channels) {
-                        let shift = shift as usize;
-                        let src = &input.channel(ch)[t0 + shift..t0 + shift + len];
-                        // 8-wide chunks: the vectorized body.
-                        for (dst8, src8) in out_block[..vec_len]
-                            .chunks_exact_mut(VECTOR_WIDTH)
-                            .zip(src[..vec_len].chunks_exact(VECTOR_WIDTH))
-                        {
-                            for i in 0..VECTOR_WIDTH {
-                                dst8[i] += src8[i];
-                            }
-                        }
-                        // Scalar tail.
-                        for i in vec_len..len {
-                            out_block[i] += src[i];
-                        }
-                    }
-                    t0 += len;
-                }
-            });
-        Ok(())
+        let config = KernelConfig::new(512.min(plan.out_samples()) as u32, 1, 1, 1)?;
+        ParallelKernel::new(config).dedisperse(plan, input, output)
     }
 }
 
@@ -132,18 +67,17 @@ mod tests {
         let input = hash_input(&p);
         let mut expected = OutputBuffer::for_plan(&p);
         NaiveKernel.dedisperse(&p, &input, &mut expected).unwrap();
-        for block in [8, 64, 512, 10_000] {
-            let mut out = OutputBuffer::for_plan(&p);
-            OpenMpAvxKernel::with_block(block)
-                .dedisperse(&p, &input, &mut out)
-                .unwrap();
-            assert_eq!(out.max_abs_diff(&expected), 0.0, "block {block} diverges");
-        }
+        let mut out = OutputBuffer::for_plan(&p);
+        OpenMpAvxKernel::default()
+            .dedisperse(&p, &input, &mut out)
+            .unwrap();
+        assert!(out.bits_eq(&expected));
     }
 
     #[test]
-    fn ragged_sample_counts_use_scalar_tail() {
-        // 203 samples: neither the block nor the vector width divides it.
+    fn ragged_sample_counts_match_reference() {
+        // 203 samples: less than one time tile, and no vector width
+        // divides it.
         let p = DedispersionPlan::builder()
             .band(FrequencyBand::new(140.0, 0.5, 16).unwrap())
             .dm_grid(DmGrid::paper_grid(4).unwrap())
@@ -157,14 +91,7 @@ mod tests {
         OpenMpAvxKernel::default()
             .dedisperse(&p, &input, &mut out)
             .unwrap();
-        assert_eq!(out.max_abs_diff(&expected), 0.0);
-    }
-
-    #[test]
-    fn block_is_rounded_to_vector_width() {
-        assert_eq!(OpenMpAvxKernel::with_block(1).block(), 8);
-        assert_eq!(OpenMpAvxKernel::with_block(9).block(), 16);
-        assert_eq!(OpenMpAvxKernel::with_block(512).block(), 512);
+        assert!(out.bits_eq(&expected));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! This crate provides both halves of that comparator:
 //!
-//! * [`kernel::OpenMpAvxKernel`] — a faithful Rust analog of the CPU
-//!   code: rayon threads over (trial, block) pairs, an 8-wide chunked
-//!   inner loop the compiler auto-vectorizes. It runs for real and is
-//!   benchmarked with Criterion.
+//! * [`kernel::OpenMpAvxKernel`] — the CPU code's decomposition: rayon
+//!   threads over single trials and 512-sample time blocks, no DM
+//!   tiling. It is `dedisp_core::ParallelKernel` under that
+//!   configuration, so it sums through the same vectorized loop nest as
+//!   the many-core kernels and runs for real.
 //! * [`model::xeon_e5_2620`] — the E5-2620 expressed as a
 //!   [`manycore_sim::DeviceDescriptor`], so the same analytic cost model
 //!   that simulates the five accelerators also predicts the CPU baseline

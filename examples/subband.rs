@@ -56,7 +56,9 @@ fn main() {
     for (subbands, stride) in [(32usize, 2usize), (16, 4), (8, 8), (4, 16)] {
         let config = SubbandConfig::new(subbands, stride).expect("valid subband config");
         let kernel = SubbandKernel::new(config);
-        let smear = kernel.max_smear_samples(&plan);
+        let smear = kernel
+            .max_smear_samples(&plan)
+            .expect("subbands divide the channels");
         let mut out = OutputBuffer::for_plan(&plan);
         let start = Instant::now();
         kernel

@@ -205,7 +205,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     let threshold = flags.f64_or("threshold", 6.0)? as f32;
     let in_path = flags.required("in")?;
     let bytes = std::fs::read(in_path).map_err(|e| format!("reading {in_path}: {e}"))?;
-    let fb = Filterbank::from_bytes(bytes.into()).map_err(|e| e.to_string())?;
+    let fb = Filterbank::from_bytes(&bytes).map_err(|e| e.to_string())?;
     let plan = setup.plan(trials).map_err(|e| e.to_string())?;
     fb.data.check_plan(&plan).map_err(|e| {
         format!("{e}; does --setup/--rate/--trials match how the file was generated?")

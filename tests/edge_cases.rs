@@ -105,7 +105,7 @@ fn subband_and_exact_agree_when_smear_is_zero() {
     let exact = dedisp_repro::dedisp_core::kernel::dedisperse(&plan, &input).unwrap();
     for (subbands, stride) in [(4usize, 2usize), (8, 4), (16, 8)] {
         let kernel = SubbandKernel::new(SubbandConfig::new(subbands, stride).unwrap());
-        assert_eq!(kernel.max_smear_samples(&plan), 0);
+        assert_eq!(kernel.max_smear_samples(&plan).unwrap(), 0);
         let mut out = OutputBuffer::for_plan(&plan);
         kernel.dedisperse(&plan, &input, &mut out).unwrap();
         assert!(

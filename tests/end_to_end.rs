@@ -87,7 +87,7 @@ fn filterbank_feeds_the_pipeline() {
     let blob = Filterbank::new(setup.band, setup.sample_rate, data)
         .unwrap()
         .to_bytes();
-    let restored = Filterbank::from_bytes(blob).unwrap();
+    let restored = Filterbank::from_bytes(&blob).unwrap();
     assert_eq!(restored.band.channels(), plan.channels());
 
     let pipeline = StreamingPipeline::spawn(Arc::clone(&plan), PipelineConfig::default());

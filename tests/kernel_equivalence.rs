@@ -1,5 +1,6 @@
 //! Cross-crate kernel equivalence: the CPU baseline, the tiled kernel,
-//! the parallel kernel, and the sequential reference all compute the
+//! the parallel kernel, the subband kernel with one channel per subband
+//! and no DM decimation, and the sequential reference all compute the
 //! identical transform — into an output buffer and slab by slab into a
 //! sink — and the multi-row detection statistics equal the scalar ones
 //! on what they compute.
@@ -12,13 +13,14 @@ use dedisp_repro::dedisp_core::{SubbandConfig, SubbandKernel};
 use dedisp_repro::radioastro::detect::{scan_rows, trial_stat};
 use dedisp_repro::radioastro::{detect_best_trial, ObservationalSetup, SignalGenerator};
 
-fn all_kernels(config: KernelConfig) -> Vec<Box<dyn Dedisperser>> {
+fn all_kernels(config: KernelConfig, plan: &DedispersionPlan) -> Vec<Box<dyn Dedisperser>> {
+    let exact_subband = SubbandConfig::new(plan.channels(), 1).unwrap();
     vec![
         Box::new(NaiveKernel),
         Box::new(TiledKernel::new(config)),
         Box::new(ParallelKernel::new(config)),
         Box::new(OpenMpAvxKernel::default()),
-        Box::new(OpenMpAvxKernel::with_block(64)),
+        Box::new(SubbandKernel::new(exact_subband)),
     ]
 }
 
@@ -61,7 +63,7 @@ fn five_implementations_agree_bitwise() {
         let config = KernelConfig::new(8, 3, 5, 2).unwrap();
 
         let mut outputs = Vec::new();
-        for kernel in all_kernels(config) {
+        for kernel in all_kernels(config, &plan) {
             let mut out = OutputBuffer::for_plan(&plan);
             kernel.dedisperse(&plan, &input, &mut out).unwrap();
             // The default sink path delivers that very plane; the tiled
@@ -180,7 +182,7 @@ fn every_kernel_overwrites_a_poisoned_output() {
     let setup = ObservationalSetup::apertif().scaled(400);
     let plan = setup.plan(12).expect("valid plan");
     let input = SignalGenerator::new(77).generate(&plan);
-    let mut kernels = all_kernels(KernelConfig::new(8, 3, 5, 2).unwrap());
+    let mut kernels = all_kernels(KernelConfig::new(8, 3, 5, 2).unwrap(), &plan);
     let subband = SubbandConfig::new(8, 4).unwrap();
     kernels.push(Box::new(SubbandKernel::new(subband)));
     for kernel in kernels {
