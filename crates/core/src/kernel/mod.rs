@@ -2,15 +2,15 @@
 //!
 //! One accumulation body and one reference. The body is the tiled loop
 //! nest (register micro-tiles across channel blocks, compiled for the
-//! baseline target and for AVX2); it sums whatever rows its caller
+//! baseline target, AVX2 and AVX-512); it sums whatever rows its caller
 //! brings, and every kernel but the reference runs it:
 //!
 //! * [`NaiveKernel`] — the sequential reference, a direct transcription of
 //!   Algorithm 1 from the paper. The oracle for all other exact kernels.
 //! * [`TiledKernel`] — the paper's many-core algorithm on one thread: the
 //!   problem is decomposed into two-dimensional work-group tiles governed
-//!   by a [`KernelConfig`](crate::KernelConfig). Inside a tile a small
-//!   block of trials × samples is accumulated in vector registers across
+//!   by a [`KernelConfig`](crate::KernelConfig). Inside a tile one
+//!   trial's run of samples is accumulated in vector registers across
 //!   a block of channels (the paper's per-work-item accumulators), and
 //!   tiles are visited time-major so that the input a time tile needs is
 //!   read from memory once and served from cache to every trial (the

@@ -214,11 +214,12 @@ impl Dedisperser for SubbandKernel {
             .step_by(per_sub)
             .copied()
             .collect();
-        // Both stages: time tiles of 512 samples, DM strips of one
-        // micro-tile, so stage 2 sums fine trials in pairs; a band clips
-        // a tile at the end of its rows. Measured faster than strips of
-        // one trial and than the benchmark's (25,4,4,2) (EXPERIMENTS.md).
-        let config = KernelConfig::new(512, 1, 1, 2)?;
+        // Both stages: time tiles of 512 samples, one trial at a time —
+        // `OpenMpAvxKernel`'s decomposition; a band clips a tile at the
+        // end of its rows. Measured faster than the benchmark's
+        // (25,4,4,2) and as fast as strips of two trials
+        // (EXPERIMENTS.md, "Subband batch and tile").
+        let config = KernelConfig::new(512, 1, 1, 1)?;
         let isa = Isa::detect();
         let n_coarse = trials.div_ceil(stride);
         let batch = (PARTIAL_BYTES / (n_sub * in_samples * size_of::<f32>())).max(1);

@@ -6,23 +6,29 @@
 //!
 //! * **Accumulators stay in registers.** A work-item keeps its
 //!   `el_time × el_dm` partial sums in registers for the whole channel
-//!   loop. Here a *micro-tile* of [`MICRO_DM`] trials × [`MICRO_TIME`]
-//!   samples (eight vector registers; twice the samples with 256-bit
-//!   lanes) stays in registers while a block of [`CHANNEL_BLOCK`]
-//!   channels is summed into it: one unaligned load per vector add, no
-//!   store in the loop. The partial sums touch the output row only
-//!   between channel blocks. A tail narrower than the micro-tile steps
-//!   down to micro-tiles of 4 and then 1 samples, a strip's odd last
-//!   trial to a one-trial micro-tile — never to a loop of another
-//!   shape.
+//!   loop. Here a *micro-tile* of one trial × `W` samples — eight vector
+//!   registers of the instantiation's width: `W` = [`MICRO_TIME`] = 32
+//!   on the baseline target, 64 with AVX2, 128 with AVX-512 — stays in
+//!   registers while a block of [`CHANNEL_BLOCK`] channels is summed
+//!   into it: one unaligned load per vector add, no store in the loop.
+//!   What a channel costs besides its adds (its delay, the bounds check,
+//!   the pointer step) is paid once per eight adds, whatever the width,
+//!   so the wider the lanes the fewer µops per sample. The partial sums
+//!   touch the output row only between channel blocks.
+//! * **Time tiles are whole micro-tiles.** The configuration's
+//!   `tile_time` is rounded up to a multiple of `W`, so only the last
+//!   time tile of a row, where `out_samples` clips it, steps down to
+//!   micro-tiles of 16, 4 and then 1 samples — never to a loop of another
+//!   shape. The rounding moves only which elements are summed together,
+//!   and each is summed alone in its own lane.
 //! * **A tile's input is fetched once.** Neighbouring trials of a
-//!   micro-tile read overlapping spans of the same channel, so they hit
-//!   the same cache lines; one channel block of one work-group tile fits
-//!   the L1 cache; and inside a slab tiles are visited *time-major* —
-//!   every DM strip of one time tile before the next time tile — so the
-//!   `channels × (tile_time + delay spread)` input of a time tile stays
-//!   in the L2 cache across the slab's trials instead of being streamed
-//!   again for every strip.
+//!   DM strip read overlapping spans of the same channel one after the
+//!   other, so they hit the same cache lines; one channel block of one
+//!   work-group tile fits the L1 cache; and inside a slab tiles are
+//!   visited *time-major* — every DM strip of one time tile before the
+//!   next time tile — so the `channels × (tile_time + delay spread)`
+//!   input of a time tile stays in the L2 cache across the slab's trials
+//!   instead of being streamed again for every strip.
 //! * **Output is finished a slab at a time.** A *slab* is the run of
 //!   whole DM strips whose output rows fit [`SLAB_BYTES`] of L2
 //!   ([`slab_rows`]: derived from the row length and the tile, not set by
@@ -36,10 +42,11 @@
 //!
 //! Every output element is still the sum of its channels in ascending
 //! order, starting from zero, so results equal [`NaiveKernel`]'s bit for
-//! bit; vector lanes only ever add, and lane width cannot change a bit.
-//! The loop nest is written once ([`band_body`]) and compiled twice on
-//! x86-64: for the baseline target and, selected at run time by
-//! [`Isa::detect`], for AVX2.
+//! bit; vector lanes only ever add, and neither lane width nor tile shape
+//! can change a bit. The loop nest is written once ([`band_body`]) and
+//! compiled three times on x86-64: for the baseline target and for AVX2
+//! and AVX-512, the widest the host has selected at run time by
+//! [`Isa::detect`].
 //!
 //! The body reads no plan: its caller brings the rows ([`Tile`]). This
 //! kernel and the parallel one bring the plan's ([`Tile::for_plan`]);
@@ -118,13 +125,11 @@ impl Dedisperser for TiledKernel {
     }
 }
 
-/// Trials per micro-tile.
-const MICRO_DM: usize = 2;
-/// Samples per micro-tile on the baseline target: four 128-bit vectors
-/// per trial, so eight accumulator registers and as many independent add
-/// chains. The AVX2 instantiation keeps the eight registers and doubles
-/// the samples.
-const MICRO_TIME: usize = 16;
+/// Samples per micro-tile on the baseline target: one trial's eight
+/// 128-bit accumulator registers, so eight independent add chains. The
+/// AVX2 and AVX-512 instantiations keep the eight registers and double
+/// and quadruple the samples.
+const MICRO_TIME: usize = 32;
 /// Channels summed in registers before the partial sums are written to
 /// the output row. 32 channels of a `tile_time`-wide span fit the L1
 /// cache, and the spill costs one load and one store per 32 adds.
@@ -161,11 +166,18 @@ pub(crate) enum Isa {
     /// 256-bit lanes.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// 512-bit lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
     /// The widest instantiation this host can run.
     pub(crate) fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Isa::Avx512;
+        }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             return Isa::Avx2;
@@ -192,9 +204,15 @@ pub(crate) fn dedisperse_band(
     match isa {
         Isa::Portable => band_body::<MICRO_TIME>(tile, config, trials, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` is only ever produced by `Isa::detect`,
-        // after `is_x86_feature_detected!("avx2")`.
+        // SAFETY: `Isa::Avx2` is only ever produced after
+        // `is_x86_feature_detected!("avx2")`, by `Isa::detect` (and by
+        // the tests' `host_isas`).
         Isa::Avx2 => unsafe { band_avx2(tile, config, trials, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` is only ever produced after
+        // `is_x86_feature_detected!("avx512f")`, by `Isa::detect` (and by
+        // the tests' `host_isas`).
+        Isa::Avx512 => unsafe { band_avx512(tile, config, trials, out) },
     }
 }
 
@@ -217,6 +235,13 @@ pub(crate) fn sink_band(
 #[target_feature(enable = "avx2")]
 fn band_avx2(tile: Tile<'_>, config: &KernelConfig, trials: Range<usize>, out: Slabs<'_>) {
     band_body::<{ 2 * MICRO_TIME }>(tile, config, trials, out);
+}
+
+/// [`band_body`] compiled with 512-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn band_avx512(tile: Tile<'_>, config: &KernelConfig, trials: Range<usize>, out: Slabs<'_>) {
+    band_body::<{ 4 * MICRO_TIME }>(tile, config, trials, out);
 }
 
 /// The one loop nest, outer half: the slabs of a band.
@@ -285,11 +310,15 @@ impl<'a> Tile<'a> {
     /// The one loop nest, inner half: time tiles, DM strips, channel
     /// blocks and micro-tiles of the slab whose first trial is `trial_lo`
     /// and whose rows are `rows`.
+    ///
+    /// The time tile is the configuration's rounded up to a whole number
+    /// of `W`-sample micro-tiles, so only a row's last time tile has a
+    /// tail.
     #[inline(always)]
     fn slab<const W: usize>(self, config: &KernelConfig, trial_lo: usize, rows: &mut [f32]) {
         let out_samples = self.out_samples;
         let channels = self.channels;
-        let tile_time = config.tile_time() as usize;
+        let tile_time = (config.tile_time() as usize).next_multiple_of(W);
         let tile_dm = config.tile_dm() as usize;
         let n_trials = rows.len() / out_samples;
         debug_assert_eq!(rows.len(), n_trials * out_samples);
@@ -300,84 +329,67 @@ impl<'a> Tile<'a> {
                 let strip_hi = (strip_lo + tile_dm).min(n_trials);
                 for c0 in (0..channels).step_by(CHANNEL_BLOCK) {
                     let block = c0..(c0 + CHANNEL_BLOCK).min(channels);
-                    let mut tr = strip_lo;
-                    while tr < strip_hi {
-                        let out = &mut rows[tr * out_samples..];
-                        let trial = trial_lo + tr;
-                        if tr + MICRO_DM <= strip_hi {
-                            self.trials::<MICRO_DM, W>(trial, block.clone(), t0..t1, out);
-                            tr += MICRO_DM;
-                        } else {
-                            self.trials::<1, W>(trial, block.clone(), t0..t1, out);
-                            tr += 1;
-                        }
+                    for tr in strip_lo..strip_hi {
+                        let out = &mut rows[tr * out_samples..][..out_samples];
+                        self.trial::<W>(trial_lo + tr, block.clone(), t0..t1, out);
                     }
                 }
             }
         }
     }
 
-    /// Sums the channels of `block` into the samples `time` of the `R`
-    /// trials starting at `trial`, whose output rows start at `out`: full
-    /// micro-tiles first, then ever narrower ones for the tail.
+    /// Sums the channels of `block` into the samples `time` of `trial`,
+    /// whose output row is `out`: whole micro-tiles first, then ever
+    /// narrower ones for the tail.
     #[inline(always)]
-    fn trials<const R: usize, const W: usize>(
+    fn trial<const W: usize>(
         self,
         trial: usize,
         block: Range<usize>,
         time: Range<usize>,
         out: &mut [f32],
     ) {
-        let mut delays = [&[][..]; R];
-        for (r, row) in delays.iter_mut().enumerate() {
-            let first = (trial + r) * self.channels;
-            *row = &self.delays[first..first + self.channels][block.clone()];
-        }
-        let at = self.micro::<R, W>(&delays, block.start, time.start, time.end, out);
-        let at = self.micro::<R, 4>(&delays, block.start, at, time.end, out);
-        let at = self.micro::<R, 1>(&delays, block.start, at, time.end, out);
+        let first = trial * self.channels;
+        let delays = &self.delays[first..first + self.channels][block.clone()];
+        let at = self.micro::<W>(delays, block.start, time.start, time.end, out);
+        let at = self.micro::<16>(delays, block.start, at, time.end, out);
+        let at = self.micro::<4>(delays, block.start, at, time.end, out);
+        let at = self.micro::<1>(delays, block.start, at, time.end, out);
         debug_assert_eq!(at, time.end);
     }
 
-    /// Runs `R × W` micro-tiles from sample `at` while a whole one fits
-    /// before `t1`, and returns the first sample not covered.
+    /// Runs `W`-sample micro-tiles from sample `at` while a whole one
+    /// fits before `t1`, and returns the first sample not covered.
     ///
     /// The accumulators are a local array the optimizer keeps in vector
     /// registers across the channel loop; they start from zero on the
     /// first channel block and from the stored partial sums afterwards,
     /// so each element is its channels summed in ascending order.
     #[inline(always)]
-    fn micro<const R: usize, const W: usize>(
+    fn micro<const W: usize>(
         self,
-        delays: &[&[u32]; R],
+        delays: &[u32],
         c0: usize,
         mut at: usize,
         t1: usize,
         out: &mut [f32],
     ) -> usize {
         while at + W <= t1 {
-            let mut acc = [[0.0f32; W]; R];
+            let mut acc = [0.0f32; W];
             if c0 > 0 {
-                for (r, lanes) in acc.iter_mut().enumerate() {
-                    lanes.copy_from_slice(&out[r * self.out_samples + at..][..W]);
-                }
+                acc.copy_from_slice(&out[at..][..W]);
             }
             let block = self.data[c0 * self.in_samples..].chunks_exact(self.in_samples);
-            for (i, channel) in block.take(delays[0].len()).enumerate() {
-                let channel = &channel[at..];
-                for (lanes, shifts) in acc.iter_mut().zip(delays) {
-                    let shift = shifts[i] as usize;
-                    let src: &[f32; W] = channel[shift..shift + W]
-                        .try_into()
-                        .expect("a slice of W elements");
-                    for (a, s) in lanes.iter_mut().zip(src) {
-                        *a += *s;
-                    }
+            for (channel, &shift) in block.zip(delays) {
+                let start = at + shift as usize;
+                let src: &[f32; W] = channel[start..start + W]
+                    .try_into()
+                    .expect("a slice of W elements");
+                for (a, s) in acc.iter_mut().zip(src) {
+                    *a += *s;
                 }
             }
-            for (r, lanes) in acc.iter().enumerate() {
-                out[r * self.out_samples + at..][..W].copy_from_slice(lanes);
-            }
+            out[at..][..W].copy_from_slice(&acc);
             at += W;
         }
         at
@@ -457,33 +469,70 @@ mod tests {
         assert!(out.bits_eq(&expected));
     }
 
+    /// Every instantiation this host can run, narrowest first.
+    fn host_isas() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+        }
+        isas
+    }
+
+    #[test]
+    fn the_host_runs_what_it_detects() {
+        assert_eq!(host_isas().last(), Some(&Isa::detect()));
+    }
+
     #[test]
     fn every_instantiation_equals_the_portable_one() {
-        // 80 channels cross two channel-block boundaries; 203 samples
-        // leave a tail for every micro-tile width; 7 trials under a DM
-        // tile of 3 leave a single-trial micro-tile in every strip.
-        let plan = crate::plan::DedispersionPlan::builder()
-            .band(crate::freq::FrequencyBand::new(140.0, 0.5, 80).unwrap())
-            .dm_grid(crate::dm::DmGrid::new(0.0, 0.5, 7).unwrap())
-            .sample_rate(203)
-            .build()
-            .unwrap();
-        let input = hash_input(&plan);
-        let expected = reference(&plan, &input);
-        for config in [
-            KernelConfig::scalar(),
-            KernelConfig::new(3, 1, 1, 1).unwrap(),
-            KernelConfig::new(25, 3, 3, 1).unwrap(),
-            KernelConfig::new(203, 7, 1, 1).unwrap(),
-        ] {
-            for isa in [Isa::Portable, Isa::detect()] {
-                // Poisoned: the band must overwrite every element.
-                let mut out = OutputBuffer::for_plan(&plan);
-                out.as_mut_slice().fill(f32::NAN);
-                let rows = Slabs::InPlace(out.as_mut_slice());
-                let tile = Tile::for_plan(&plan, &input);
-                dedisperse_band(isa, tile, &config, 0..plan.trials(), rows);
-                assert!(out.bits_eq(&expected), "{isa:?} under {config}");
+        // 80 channels cross two channel-block boundaries. 203 samples
+        // clip the last time tile, rounded up to a micro-tile, and leave
+        // a tail for every micro-tile width; 50 samples are fewer than
+        // one micro-tile of the wider instantiations. Time tiles of 3, 25,
+        // 75 and 100 are multiples of no micro-tile width. 7 trials under
+        // a DM tile of 3 end every band on a strip of one.
+        for samples in [203, 50] {
+            let plan = crate::plan::DedispersionPlan::builder()
+                .band(crate::freq::FrequencyBand::new(140.0, 0.5, 80).unwrap())
+                .dm_grid(crate::dm::DmGrid::new(0.0, 0.5, 7).unwrap())
+                .sample_rate(samples)
+                .build()
+                .unwrap();
+            let input = hash_input(&plan);
+            let expected = reference(&plan, &input);
+            for config in [
+                KernelConfig::scalar(),
+                KernelConfig::new(3, 1, 1, 1).unwrap(),
+                KernelConfig::new(25, 3, 1, 1).unwrap(),
+                KernelConfig::new(25, 3, 3, 1).unwrap(),
+                KernelConfig::new(25, 1, 4, 7).unwrap(),
+                KernelConfig::new(samples, 7, 1, 1).unwrap(),
+            ] {
+                if config
+                    .validate_for(plan.out_samples(), plan.trials())
+                    .is_err()
+                {
+                    continue;
+                }
+                for isa in host_isas() {
+                    // Poisoned: the band must overwrite every element.
+                    let mut out = OutputBuffer::for_plan(&plan);
+                    out.as_mut_slice().fill(f32::NAN);
+                    let rows = Slabs::InPlace(out.as_mut_slice());
+                    let tile = Tile::for_plan(&plan, &input);
+                    dedisperse_band(isa, tile, &config, 0..plan.trials(), rows);
+                    assert!(
+                        out.bits_eq(&expected),
+                        "{isa:?} under {config}, {samples} samples"
+                    );
+                }
             }
         }
     }
@@ -547,7 +596,7 @@ mod tests {
         let expected = reference(&plan, &input);
         let config = KernelConfig::new(16, 5, 3, 1).unwrap();
         assert_eq!(slab_rows(plan.out_samples(), &config), 50);
-        for isa in [Isa::Portable, Isa::detect()] {
+        for isa in host_isas() {
             // Poisoned before every call: a slab must not depend on what
             // the scratch held.
             let mut scratch = vec![f32::NAN; 50 * plan.out_samples()];

@@ -17,7 +17,8 @@
 //! restart path crash-real. The spec's own `chaos` field wins; a
 //! `--chaos-exec`-style override from the child's argv comes second;
 //! the `DEDISP_CHAOS_EXEC` environment variable (for harnesses that
-//! cannot pass custom flags) last.
+//! cannot pass custom flags) last. A value of that variable that is not
+//! a frame count is a `Fatal` error, never a run without chaos.
 
 use super::frame::{write_msg, FrameError, FrameReader};
 use super::protocol::{ChaosSpec, ShardFrame, ShardLedger, ShardSpec};
@@ -26,6 +27,7 @@ use crate::descriptor::FleetError;
 use crate::obs::trace::TraceSink;
 use crate::scheduler::Scheduler;
 use crate::telemetry::Observer;
+use std::ffi::{OsStr, OsString};
 use std::io::Write;
 
 /// Environment variable carrying a `kill_after_frames` chaos count for
@@ -132,12 +134,25 @@ pub fn serve(
 ///
 /// # Errors
 ///
-/// As [`serve`].
+/// As [`serve`], and, after a `Fatal` frame, if [`CHAOS_ENV`] is
+/// consulted and does not hold a frame count.
 pub fn serve_traced(
+    input: impl std::io::Read,
+    output: impl Write,
+    chaos_override: Option<ChaosSpec>,
+    traced: bool,
+) -> Result<(), FleetError> {
+    let chaos_env = std::env::var_os(CHAOS_ENV);
+    serve_with(input, output, chaos_override, traced, chaos_env)
+}
+
+/// [`serve_traced`] with [`CHAOS_ENV`]'s value, if set, passed in.
+fn serve_with(
     input: impl std::io::Read,
     mut output: impl Write,
     chaos_override: Option<ChaosSpec>,
     traced: bool,
+    chaos_env: Option<OsString>,
 ) -> Result<(), FleetError> {
     let mut reader = FrameReader::new(input);
     let spec: ShardSpec = match reader.read_msg() {
@@ -154,7 +169,17 @@ pub fn serve_traced(
             return Err(e);
         }
     };
-    let chaos = spec.chaos.or(chaos_override).or_else(chaos_from_env);
+    let chaos = match spec.chaos.or(chaos_override) {
+        Some(chaos) => Some(chaos),
+        None => match chaos_env.as_deref().map(parse_chaos).transpose() {
+            Ok(chaos) => chaos,
+            Err(e) => {
+                // The same value fails the same way on a restart.
+                let _ = write_msg(&mut output, &ShardFrame::Fatal(e.to_string()));
+                return Err(e);
+            }
+        },
+    };
     let trace = traced.then(TraceSink::default);
 
     let mut framing = Framing {
@@ -211,13 +236,16 @@ pub fn serve_stdio(chaos_override: Option<ChaosSpec>) -> Result<(), FleetError> 
     serve(stdin.lock(), stdout.lock(), chaos_override)
 }
 
-/// Parses [`CHAOS_ENV`] into a chaos spec, if set and well-formed.
-fn chaos_from_env() -> Option<ChaosSpec> {
-    let raw = std::env::var(CHAOS_ENV).ok()?;
-    raw.trim()
-        .parse::<u32>()
-        .ok()
+/// Parses a value of [`CHAOS_ENV`]: a `kill_after_frames` count.
+fn parse_chaos(raw: &OsStr) -> Result<ChaosSpec, FleetError> {
+    raw.to_str()
+        .and_then(|count| count.trim().parse::<u32>().ok())
         .map(|kill_after_frames| ChaosSpec { kill_after_frames })
+        .ok_or_else(|| {
+            FleetError::new(format!(
+                "{CHAOS_ENV}={raw:?} is not a frame count (a non-negative integer)"
+            ))
+        })
 }
 
 /// Whether [`TRACE_ENV`] asks for span sidecars.
@@ -388,6 +416,86 @@ mod tests {
             other => panic!("expected a fatal frame, got {other:?}"),
         }
         assert!(reader.read_msg::<ShardFrame>().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_chaos_count_parses() {
+        for (raw, count) in [("0", 0), ("3", 3), (" 12\n", 12)] {
+            let chaos = parse_chaos(OsStr::new(raw)).unwrap();
+            assert_eq!(chaos.kill_after_frames, count, "{raw:?}");
+        }
+    }
+
+    /// Serves `spec_for_test()` with `raw` as [`CHAOS_ENV`]'s value and
+    /// returns the error and the first frame written.
+    fn served_with_chaos_env(raw: &str) -> (FleetError, Option<ShardFrame>) {
+        let mut request = Vec::new();
+        write_msg(&mut request, &spec_for_test()).unwrap();
+        let mut response = Vec::new();
+        let env = Some(OsString::from(raw));
+        let e = serve_with(request.as_slice(), &mut response, None, false, env).unwrap_err();
+        let frame = FrameReader::new(response.as_slice()).read_msg().unwrap();
+        (e, frame)
+    }
+
+    fn assert_chaos_env_rejected(raw: &str) {
+        let (e, frame) = served_with_chaos_env(raw);
+        let e = e.to_string();
+        assert!(
+            e.contains(CHAOS_ENV) && e.contains(&format!("{raw:?}")),
+            "{e}"
+        );
+        match frame {
+            Some(ShardFrame::Fatal(why)) => assert_eq!(why, e),
+            other => panic!("expected a fatal frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_chaos_count_in_words_is_rejected() {
+        assert_chaos_env_rejected("ten");
+    }
+
+    #[test]
+    fn a_negative_chaos_count_is_rejected() {
+        assert_chaos_env_rejected("-1");
+    }
+
+    #[test]
+    fn a_chaos_count_with_a_suffix_is_rejected() {
+        assert_chaos_env_rejected("3x");
+    }
+
+    #[test]
+    fn an_empty_chaos_count_is_rejected() {
+        assert_chaos_env_rejected("");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_chaos_count_that_is_not_unicode_is_rejected() {
+        use std::os::unix::ffi::OsStringExt;
+        let raw = OsString::from_vec(vec![b'3', 0xff]);
+        assert!(parse_chaos(&raw)
+            .unwrap_err()
+            .to_string()
+            .contains(CHAOS_ENV));
+    }
+
+    #[test]
+    fn the_spec_chaos_wins_over_a_bad_chaos_env() {
+        // The variable is the last resort: when the spec or argv names a
+        // count it is not read, so it cannot fail the run. A count that
+        // is never reached leaves the conversation whole.
+        let mut spec = spec_for_test();
+        spec.chaos = Some(ChaosSpec {
+            kill_after_frames: u32::MAX,
+        });
+        let mut request = Vec::new();
+        write_msg(&mut request, &spec).unwrap();
+        let mut response = Vec::new();
+        let env = Some(OsString::from("ten"));
+        serve_with(request.as_slice(), &mut response, None, false, env).unwrap();
     }
 
     #[test]
