@@ -84,8 +84,9 @@ pub fn trial_stat(trial: usize, series: &[f32]) -> TrialStat {
     }
 }
 
-/// Series [`scan_rows`] advances together: two groups of four `f64`
-/// lanes, enough independent addition chains to hide the adder's latency.
+/// Series [`scan_rows`] advances together: one 512-bit register of
+/// `f64` lanes where the host has AVX-512, two 256-bit ones where it has
+/// AVX2.
 pub const LANES: usize = 8;
 
 /// Samples per block of the arg-max: the maximum *key* of a block is an
@@ -150,6 +151,11 @@ pub fn more_significant(a: TrialStat, b: TrialStat) -> TrialStat {
 type BlockStats = ([f64; LANES], [f64; LANES], [usize; LANES]);
 
 fn block_stats(lanes: &[&[f32]; LANES]) -> BlockStats {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F was detected on the line above.
+        return unsafe { block_stats_avx512(lanes) };
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 was detected on the line above.
@@ -277,26 +283,171 @@ fn fold_transposed(lanes: &[&[f32]; LANES], centre: Option<&[f64; LANES]>) -> [f
     fold_rows(lanes, centre, body, sums)
 }
 
+/// Both sweeps with all eight lanes in one 512-bit register, the first
+/// also finding every lane's peak ([`fold_512`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn block_stats_avx512(lanes: &[&[f32]; LANES]) -> BlockStats {
+    let n = lanes[0].len() as f64;
+    let mut peaks = [0; LANES];
+    let means = fold_512(lanes, None, Some(&mut peaks)).map(|sum| sum / n);
+    let vars = fold_512(lanes, Some(&means), None).map(|sum| sum / n);
+    (means, vars, peaks)
+}
+
+/// [`fold_rows`] from sample 0, eight samples of all eight lanes at a
+/// time: an 8 × 8 transpose turns the lanes' octets into eight vectors
+/// holding one sample of every lane, and each, widened to `f64`, is one
+/// add to the one register of sums, in ascending sample order.
+/// [`fold_rows`] finishes the tail.
+///
+/// Given `peaks`, the sweep also takes the [`total_key`] of every
+/// transposed vector and keeps each lane's greatest per [`PEAK_BLOCK`]
+/// samples, the tail's keys counting to the last block: what
+/// [`arg_max`] computes block by block, with the same rule that the
+/// later of equal block maxima wins. Only the winning block is then
+/// searched for the position.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn fold_512(
+    lanes: &[&[f32]; LANES],
+    centre: Option<&[f64; LANES]>,
+    peaks: Option<&mut [usize; LANES]>,
+) -> [f64; LANES] {
+    use std::arch::x86_64::*;
+
+    let n = lanes[0].len();
+    let body = n - n % 8;
+    let series = lanes.map(|series| &series[..n]);
+    let mid = centre.copied().unwrap_or([0.0; LANES]);
+    let mid = _mm512_setr_pd(
+        mid[0], mid[1], mid[2], mid[3], mid[4], mid[5], mid[6], mid[7],
+    );
+    let mut acc = _mm512_set1_pd(sum_identity());
+    // Each lane's greatest block maximum so far, and its block.
+    let mut top = [(i32::MIN, 0); LANES];
+    let mut fold_block = |max: [i32; LANES], b: usize| {
+        for (top, max) in top.iter_mut().zip(max) {
+            if max >= top.0 {
+                *top = (max, b);
+            }
+        }
+    };
+    let min_key = _mm256_set1_epi32(i32::MIN);
+    let mut block_max = min_key;
+    for i in (0..body).step_by(8) {
+        let mut octets = [_mm256_setzero_ps(); LANES];
+        for (octet, row) in octets.iter_mut().zip(series) {
+            let row = &row[i..i + 8];
+            // SAFETY: `row` is eight readable `f32`s, and the load is the
+            // unaligned one.
+            *octet = unsafe { _mm256_loadu_ps(row.as_ptr()) };
+        }
+        let [r0, r1, r2, r3, r4, r5, r6, r7] = octets;
+        let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+        let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+        let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+        // Samples (0, 4), (1, 5), (2, 6), (3, 7) of lanes 0–3, then 4–7.
+        let low = [
+            _mm256_shuffle_ps::<0x44>(t0, t2),
+            _mm256_shuffle_ps::<0xEE>(t0, t2),
+            _mm256_shuffle_ps::<0x44>(t1, t3),
+            _mm256_shuffle_ps::<0xEE>(t1, t3),
+        ];
+        let high = [
+            _mm256_shuffle_ps::<0x44>(t4, t6),
+            _mm256_shuffle_ps::<0xEE>(t4, t6),
+            _mm256_shuffle_ps::<0x44>(t5, t7),
+            _mm256_shuffle_ps::<0xEE>(t5, t7),
+        ];
+        let samples = [
+            _mm256_permute2f128_ps::<0x20>(low[0], high[0]),
+            _mm256_permute2f128_ps::<0x20>(low[1], high[1]),
+            _mm256_permute2f128_ps::<0x20>(low[2], high[2]),
+            _mm256_permute2f128_ps::<0x20>(low[3], high[3]),
+            _mm256_permute2f128_ps::<0x31>(low[0], high[0]),
+            _mm256_permute2f128_ps::<0x31>(low[1], high[1]),
+            _mm256_permute2f128_ps::<0x31>(low[2], high[2]),
+            _mm256_permute2f128_ps::<0x31>(low[3], high[3]),
+        ];
+        for sample in samples {
+            let v = _mm512_cvtps_pd(sample);
+            let term = if centre.is_some() {
+                let d = _mm512_sub_pd(v, mid);
+                _mm512_mul_pd(d, d)
+            } else {
+                v
+            };
+            acc = _mm512_add_pd(acc, term);
+            if peaks.is_some() {
+                let bits = _mm256_castps_si256(sample);
+                let flip = _mm256_srli_epi32::<1>(_mm256_srai_epi32::<31>(bits));
+                block_max = _mm256_max_epi32(block_max, _mm256_xor_si256(bits, flip));
+            }
+        }
+        if peaks.is_some() && (i + 8) % PEAK_BLOCK == 0 && i + 8 < n {
+            let mut max = [0; LANES];
+            // SAFETY: `max` is eight writable `i32`s, and the store is the
+            // unaligned one.
+            unsafe { _mm256_storeu_si256(max.as_mut_ptr().cast(), block_max) };
+            fold_block(max, i / PEAK_BLOCK);
+            block_max = min_key;
+        }
+    }
+    if let Some(peaks) = peaks {
+        let mut max = [0; LANES];
+        // SAFETY: as above.
+        unsafe { _mm256_storeu_si256(max.as_mut_ptr().cast(), block_max) };
+        for (r, max) in max.iter_mut().enumerate() {
+            *max = series[r][body..]
+                .iter()
+                .map(|&v| total_key(v))
+                .fold(*max, i32::max);
+        }
+        let last = (n - 1) / PEAK_BLOCK;
+        fold_block(max, last);
+        *peaks = std::array::from_fn(|r| last_max_in(series[r], top[r].1, top[r].0));
+    }
+    let mut sums = [0.0; LANES];
+    // SAFETY: `sums` is eight writable `f64`s, and the store is the
+    // unaligned one.
+    unsafe { _mm512_storeu_pd(sums.as_mut_ptr(), acc) };
+    fold_rows(lanes, centre, body, sums)
+}
+
+/// The integer [`f32::total_cmp`] compares for `v`.
+#[inline(always)]
+fn total_key(v: f32) -> i32 {
+    let bits = v.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The position of the last sample of [`PEAK_BLOCK`] `b` of `series`
+/// whose key is `max`.
+#[inline(always)]
+fn last_max_in(series: &[f32], b: usize, max: i32) -> usize {
+    let block = series
+        .chunks(PEAK_BLOCK)
+        .nth(b)
+        .expect("a block of the series");
+    let at = block.iter().rposition(|&v| total_key(v) == max);
+    b * PEAK_BLOCK + at.expect("the block holds its maximum")
+}
+
 /// The position `series.iter().enumerate().max_by(|a, b|
 /// a.1.total_cmp(b.1))` returns: that of the last greatest sample.
 #[inline(always)]
 fn arg_max(series: &[f32]) -> usize {
-    // `total_cmp` compares these integers.
-    let key = |v: f32| {
-        let bits = v.to_bits() as i32;
-        bits ^ (((bits >> 31) as u32) >> 1) as i32
-    };
     let mut top = (i32::MIN, 0);
     for (b, block) in series.chunks(PEAK_BLOCK).enumerate() {
-        let max = block.iter().map(|&v| key(v)).fold(i32::MIN, i32::max);
+        let max = block.iter().map(|&v| total_key(v)).fold(i32::MIN, i32::max);
         if max >= top.0 {
             top = (max, b);
         }
     }
-    let (max, b) = top;
-    let block = series.chunks(PEAK_BLOCK).nth(b).expect("non-empty series");
-    let at = block.iter().rposition(|&v| key(v) == max);
-    b * PEAK_BLOCK + at.expect("the block holds its maximum")
+    last_max_in(series, top.1, top.0)
 }
 
 /// [`trial_stat`] from the mean and variance on.
@@ -408,49 +559,95 @@ mod tests {
         }
     }
 
-    /// `LANES` series of `samples` values in [-0.5, 0.5), each with its
-    /// maximum planted twice.
+    /// `LANES` series of `samples` values, one kind per lane: equal
+    /// maxima either side of a peak-block edge, equal maxima in the tail
+    /// of the eight-sample step, a constant, `-0.0` throughout, `+∞`
+    /// twice with a `-∞`, NaNs of both signs, noise with its maximum
+    /// planted twice, and signed zeros.
     fn lanes_of(samples: usize) -> Vec<Vec<f32>> {
+        let hash = |r: usize, i: usize| {
+            ((r * samples + i) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40
+        };
+        let last = samples - 1;
+        let tail = samples - samples % 8;
         (0..LANES)
             .map(|r| {
-                let mut series: Vec<f32> = (0..samples)
-                    .map(|i| {
-                        let x = ((r * samples + i) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        (x >> 40) as f32 / (1u64 << 24) as f32 - 0.5
-                    })
-                    .collect();
-                series[(r * 7) % samples] = 1.0;
-                series[(r * 13 + samples / 2) % samples] = 1.0;
+                let noise = (0..samples).map(|i| hash(r, i) as f32 / (1u64 << 24) as f32 - 0.5);
+                let mut series: Vec<f32> = noise.collect();
+                let mut plant = |at: &[usize], v: f32| {
+                    for &at in at.iter().filter(|&&at| at < samples) {
+                        series[at] = v;
+                    }
+                };
+                match r {
+                    0 => plant(&[63, 64, 127, 128], 1.0),
+                    1 => plant(&[0, tail.saturating_sub(1), tail, last], 1.0),
+                    2 => series.fill(2.5),
+                    3 => series.fill(-0.0),
+                    4 => {
+                        plant(&[samples / 3, last], f32::INFINITY);
+                        plant(&[samples / 2], f32::NEG_INFINITY);
+                    }
+                    5 => {
+                        plant(&[samples / 4], f32::NAN);
+                        plant(&[samples / 5], -f32::NAN);
+                    }
+                    6 => plant(&[7 % samples, (13 + samples / 2) % samples], 1.0),
+                    _ => {
+                        for (i, v) in series.iter_mut().enumerate() {
+                            *v = if hash(r, i) % 2 == 0 { 0.0 } else { -0.0 };
+                        }
+                    }
+                }
                 series
             })
             .collect()
     }
 
-    #[test]
-    fn both_block_paths_equal_trial_stat_bit_for_bit() {
-        type Path = fn(&[&[f32]; LANES]) -> BlockStats;
-        let paths: [(&str, Path); 2] = [
+    type Path = fn(&[&[f32]; LANES]) -> BlockStats;
+
+    /// Every instantiation this host runs, and the dispatcher.
+    fn host_paths() -> Vec<(&'static str, Path)> {
+        let mut paths: Vec<(&'static str, Path)> = vec![
             ("portable", block_stats_portable),
-            // The widest this host runs: the transposed fold where there
-            // is AVX2.
-            ("detected", block_stats),
+            ("block_stats", block_stats),
         ];
-        // Every tail of the four-sample step and of the peak block.
-        for samples in (1..=70).chain([20_000]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected on the line above.
+                paths.push(("avx2", |lanes| unsafe { block_stats_avx2(lanes) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was detected on the line above.
+                paths.push(("avx512", |lanes| unsafe { block_stats_avx512(lanes) }));
+            }
+        }
+        paths
+    }
+
+    #[test]
+    fn every_host_path_equals_trial_stat_bit_for_bit() {
+        // Bits, except that a NaN equals any NaN: which one an operation
+        // on NaNs yields is not specified.
+        let bits = |s: &TrialStat| {
+            let f = |v: f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+            (s.peak_sample, [s.mean, s.sigma, s.peak_value, s.snr].map(f))
+        };
+        // Every tail of the eight-sample step and of the peak block.
+        for samples in (1..=200).chain([20_000]) {
             let series = lanes_of(samples);
             let lanes: [&[f32]; LANES] = std::array::from_fn(|r| &series[r][..]);
-            for (name, path) in paths {
+            for (name, path) in host_paths() {
                 let (means, vars, peaks) = path(&lanes);
                 for r in 0..LANES {
                     let got = finish(r, lanes[r], means[r], vars[r], peaks[r]);
                     let want = trial_stat(r, lanes[r]);
-                    let bits = |s: &TrialStat| {
-                        (
-                            s.peak_sample,
-                            [s.mean, s.sigma, s.peak_value, s.snr].map(f32::to_bits),
-                        )
-                    };
-                    assert_eq!(bits(&got), bits(&want), "{name}, {samples} samples");
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name}, lane {r}, {samples} samples"
+                    );
                 }
             }
         }

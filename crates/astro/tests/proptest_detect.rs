@@ -36,9 +36,13 @@ enum Flavour {
     Constant(f32),
     /// Infinities and NaNs of both signs among noise.
     NonFinite,
+    /// Noise with one maximum repeated on samples either side of the
+    /// 64-sample blocks' edges and in the last eight, so equal block
+    /// maxima and equal maxima in the tail decide the peak.
+    EdgeRepeats,
 }
 
-const FLAVOURS: [Flavour; 7] = [
+const FLAVOURS: [Flavour; 8] = [
     Flavour::Noise,
     Flavour::Repeats,
     Flavour::Constant(2.5),
@@ -46,6 +50,7 @@ const FLAVOURS: [Flavour; 7] = [
     Flavour::Constant(-0.0),
     Flavour::Constant(f32::INFINITY),
     Flavour::NonFinite,
+    Flavour::EdgeRepeats,
 ];
 
 fn hash(seed: u64, i: usize) -> u64 {
@@ -64,6 +69,7 @@ fn rows(seed: u64, trials: usize, samples: usize, flavour: Flavour) -> Vec<f32> 
     (0..trials * samples)
         .map(|i| {
             let x = hash(seed, i);
+            let at = i % samples;
             match flavour {
                 Flavour::Noise => noise(x),
                 Flavour::Repeats => [-1.0, -0.0, 0.0, 0.5, 3.0][(x % 5) as usize],
@@ -75,6 +81,14 @@ fn rows(seed: u64, trials: usize, samples: usize, flavour: Flavour) -> Vec<f32> 
                     3 => -f32::NAN,
                     _ => noise(x),
                 },
+                Flavour::EdgeRepeats => {
+                    let edge = matches!(at % 64, 0 | 63) || at + 8 >= samples;
+                    if edge && !x.is_multiple_of(3) {
+                        2.0
+                    } else {
+                        noise(x)
+                    }
+                }
             }
         })
         .collect()
@@ -124,8 +138,8 @@ fn check(first_trial: usize, rows: &[f32], samples: usize) -> Result<(), String>
 
 #[test]
 fn every_tail_width_and_every_partial_block() {
-    // Lengths 1..=70 leave every tail of the four-sample step and of the
-    // 64-sample peak block; trial counts 1..=2·LANES+1 leave every
+    // Lengths 1..=70 leave every tail of the four- and eight-sample
+    // steps and of the 64-sample peak block; trial counts 1..=2·LANES+1 leave every
     // number of idle lanes.
     for samples in 1..=70 {
         for trials in 1..=2 * LANES + 1 {
@@ -185,7 +199,7 @@ proptest! {
         samples in 19_990usize..=20_010,
         trials in 1usize..=LANES + 1,
     ) {
-        for flavour in [Flavour::Noise, Flavour::NonFinite] {
+        for flavour in [Flavour::Noise, Flavour::NonFinite, Flavour::EdgeRepeats] {
             let rows = rows(seed, trials, samples, flavour);
             let outcome = check(0, &rows, samples);
             prop_assert!(outcome.is_ok(), "{:?}: {}", flavour, outcome.unwrap_err());

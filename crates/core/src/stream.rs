@@ -68,20 +68,7 @@ impl StreamWindow {
     /// Returns a shape error if the channel count or block length is
     /// wrong.
     pub fn push_second(&mut self, fresh: &[&[f32]]) -> Result<()> {
-        if fresh.len() != self.buffer.channels() {
-            return Err(DedispError::ShapeMismatch {
-                expected: format!("{} channels", self.buffer.channels()),
-                found: format!("{} channels", fresh.len()),
-            });
-        }
-        for (ch, block) in fresh.iter().enumerate() {
-            if block.len() != self.out_samples {
-                return Err(DedispError::ShapeMismatch {
-                    expected: format!("{} samples", self.out_samples),
-                    found: format!("{} samples (channel {ch})", block.len()),
-                });
-            }
-        }
+        check_second(fresh, self.buffer.channels(), self.out_samples)?;
         let width = self.out_samples + self.overlap;
         for (ch, block) in fresh.iter().enumerate() {
             let row = self.buffer.channel_mut(ch);
@@ -106,6 +93,31 @@ impl StreamWindow {
     pub fn window(&self) -> &InputBuffer {
         &self.buffer
     }
+}
+
+/// Checks that `fresh` is one raw second as [`StreamWindow::push_second`]
+/// takes it: `channels` blocks of exactly `out_samples` values each.
+///
+/// # Errors
+///
+/// Returns a shape error naming the wrong channel count or the first
+/// channel whose block has the wrong length.
+pub fn check_second(fresh: &[&[f32]], channels: usize, out_samples: usize) -> Result<()> {
+    if fresh.len() != channels {
+        return Err(DedispError::ShapeMismatch {
+            expected: format!("{channels} channels"),
+            found: format!("{} channels", fresh.len()),
+        });
+    }
+    for (ch, block) in fresh.iter().enumerate() {
+        if block.len() != out_samples {
+            return Err(DedispError::ShapeMismatch {
+                expected: format!("{out_samples} samples"),
+                found: format!("{} samples (channel {ch})", block.len()),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -135,16 +135,20 @@ impl StreamingPipeline {
                 let threshold = config.snr_threshold;
                 thread::spawn(move || {
                     let mut processed = 0u64;
-                    while let Ok(chunk) = rx.recv() {
-                        let Some(best) = best_trial(&kernel, &plan, &chunk.data) else {
+                    while let Ok(Chunk { beam, second, data }) = rx.recv() {
+                        let best = best_trial(&kernel, &plan, &data);
+                        // Freed before the candidate is out: a producer
+                        // waiting on it allocates the next chunk at once.
+                        drop(data);
+                        let Some(best) = best else {
                             // A statistic only: it publishes nothing else.
                             rejected.fetch_add(1, Ordering::Relaxed);
                             continue;
                         };
                         if best.snr >= threshold {
                             let candidate = Candidate {
-                                beam: chunk.beam,
-                                second: chunk.second,
+                                beam,
+                                second,
                                 dm: plan.dm_grid().dm(best.trial),
                                 best,
                             };
