@@ -17,8 +17,6 @@
 //!   the S/N peak must sit at the injected DM.
 //! * [`dmplan`] — DDplan-style trial-grid planning from smearing
 //!   analysis (sampling, intra-channel, pulse width, step).
-//! * [`boxcar`] — matched-filter single-pulse search over width ladders.
-//! * [`rfi`] — interference excision (channel masking, zero-DM clipping).
 //! * [`realtime`] — the real-time constraint of Figures 6–7 and the
 //!   survey sizing arithmetic of Section V-D.
 //! * [`filterbank`] — a minimal channelized-data container format
@@ -27,20 +25,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod boxcar;
 pub mod detect;
 pub mod dmplan;
 pub mod filterbank;
 pub mod realtime;
-pub mod rfi;
 pub mod setup;
 pub mod signal;
 
-pub use boxcar::{scan_output, scan_series, width_ladder, BoxcarHit, BoxcarScan};
 pub use detect::{detect_best_trial, Detection, TrialStat};
 pub use dmplan::{DmPlan, DmPlanner, DmSegment};
 pub use filterbank::Filterbank;
 pub use realtime::{RealtimeCheck, SurveySizing};
-pub use rfi::{clip_samples, mask_channels, ExcisionReport};
 pub use setup::{ObservationalSetup, PAPER_INSTANCES};
 pub use signal::{PulseSpec, SignalGenerator};

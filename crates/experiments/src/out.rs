@@ -1,9 +1,9 @@
 //! Scriptable report output for the experiment binaries.
 //!
 //! Every fleet-layer binary (`fleet`, `grid`, `chaos`, `admission`,
-//! `observe`) accepts `--json <path>` (or `--json=<path>`) and writes
-//! its machine-readable report there, so runs are scriptable without
-//! scraping stdout:
+//! `capture`, `cluster`, `observe`, `algorithms`, `trace`) accepts
+//! `--json <path>` (or `--json=<path>`) and writes its machine-readable
+//! report there, so runs are scriptable without scraping stdout:
 //!
 //! ```text
 //! cargo run --release -p experiments --bin chaos -- --json chaos.json

@@ -22,15 +22,14 @@
 use super::policy::{BackpressurePolicy, CaptureDropCause};
 use crate::descriptor::FleetError;
 use parking_lot::Mutex;
-use radioastro::Filterbank;
 use std::collections::VecDeque;
 
 /// Bytes per stored sample — the `f32` little-endian samples of the
-/// [`Filterbank`] binary framing.
+/// [`radioastro::Filterbank`] binary framing.
 pub const BYTES_PER_SAMPLE: usize = 4;
 
 /// The framing of one captured block: one second of one beam's
-/// channelized data, priced exactly as [`Filterbank`] stores it.
+/// channelized data, priced exactly as [`radioastro::Filterbank`] stores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockFormat {
     /// Frequency channels per block.
@@ -43,15 +42,6 @@ impl BlockFormat {
     /// A format of `channels × samples`.
     pub fn new(channels: usize, samples: usize) -> Self {
         Self { channels, samples }
-    }
-
-    /// The framing of an existing [`Filterbank`] — the capture ring
-    /// and the file format price a second of data identically.
-    pub fn from_filterbank(fb: &Filterbank) -> Self {
-        Self {
-            channels: fb.data.channels(),
-            samples: fb.data.samples(),
-        }
     }
 
     /// Bytes one block occupies in the ring (packed f32 samples, as in

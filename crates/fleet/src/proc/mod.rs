@@ -31,6 +31,5 @@ pub use child::{serve, serve_stdio, serve_traced, CHAOS_ENV, TRACE_ENV};
 pub use frame::{write_frame, write_msg, FrameError, FrameReader};
 pub use protocol::{ChaosSpec, ShardFrame, ShardLedger, ShardSpec};
 pub use supervisor::{
-    run_shard, run_shard_traced, ProcAttempt, ProcConfig, ProcGridLedger, ProcOutcome,
-    ProcShardLedger,
+    run_shard_traced, ProcAttempt, ProcConfig, ProcGridLedger, ProcOutcome, ProcShardLedger,
 };

@@ -2,7 +2,7 @@
 //! keep the grid's telemetry stream exactly as if the shard ran
 //! in-thread.
 //!
-//! [`run_shard`] is the whole contract: hand it a [`ShardSpec`] and a
+//! [`run_shard_traced`] is the whole contract: hand it a [`ShardSpec`] and a
 //! [`ProcConfig`] and it returns the same [`FleetRun`] the in-thread
 //! path would have produced, no matter how many times the child died
 //! on the way there. The machinery underneath:
@@ -260,31 +260,20 @@ enum AttemptEnd {
 /// The returned run is frame-for-frame identical to what the in-thread
 /// path produces from the same spec.
 ///
+/// With a tracing sink the supervisor records its own wall-clock spans
+/// (`frame_decode`, `liveness_wait`, `restart_backoff`), sets
+/// [`super::child::TRACE_ENV`] on the child so it records its phase
+/// spans too, and injects the child's [`ShardFrame::Trace`] sidecars
+/// into the sink — one timeline across parent and re-exec'd children.
+/// Trace frames never count toward frame dedupe or liveness-progress
+/// accounting, so the run's ledgers are byte-identical to an untraced
+/// (`None`) run.
+///
 /// # Errors
 ///
 /// Returns a [`FleetError`] if the child reports a deterministic
 /// scheduling error ([`ShardFrame::Fatal`]), or if the in-thread
 /// degradation path itself fails.
-pub fn run_shard(
-    spec: &ShardSpec,
-    config: &ProcConfig,
-    forward: &mut dyn Observer,
-) -> Result<(FleetRun, ProcShardLedger), FleetError> {
-    run_shard_traced(spec, config, forward, None)
-}
-
-/// [`run_shard`] with a tracing sink: the supervisor records its own
-/// wall-clock spans (`frame_decode`, `liveness_wait`,
-/// `restart_backoff`), sets [`super::child::TRACE_ENV`] on the child
-/// so it records its phase spans too, and injects the child's
-/// [`ShardFrame::Trace`] sidecars into the sink — one timeline across
-/// parent and re-exec'd children. Trace frames never count toward
-/// frame dedupe or liveness-progress accounting, so the run's ledgers
-/// are byte-identical to an untraced [`run_shard`].
-///
-/// # Errors
-///
-/// As [`run_shard`].
 pub fn run_shard_traced(
     spec: &ShardSpec,
     config: &ProcConfig,
@@ -739,7 +728,7 @@ mod tests {
             chaos: None,
         };
         let config = ProcConfig::new("/nonexistent/shard-binary-for-test");
-        let (run, ledger) = run_shard(&spec, &config, &mut NullObserver).unwrap();
+        let (run, ledger) = run_shard_traced(&spec, &config, &mut NullObserver, None).unwrap();
         assert!(ledger.degraded_in_thread);
         assert_eq!(ledger.attempts.len(), 1);
         assert_eq!(ledger.attempts[0].outcome, ProcOutcome::SpawnFailed);

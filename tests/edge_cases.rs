@@ -4,7 +4,7 @@
 use dedisp_repro::autotune::{ConfigSpace, SimExecutor, Tuner};
 use dedisp_repro::dedisp_core::prelude::*;
 use dedisp_repro::manycore_sim::{all_devices, CostModel, Workload};
-use dedisp_repro::radioastro::{clip_samples, mask_channels, ObservationalSetup, SignalGenerator};
+use dedisp_repro::radioastro::{ObservationalSetup, SignalGenerator};
 
 #[test]
 fn one_by_one_problem_works_end_to_end() {
@@ -72,27 +72,6 @@ fn highest_trial_pulse_sits_at_buffer_edge() {
         out.series(last_trial)[last_sample]
     );
     let _ = dm; // documented intent: this is the max-DM trial
-}
-
-#[test]
-fn rfi_cleaning_is_idempotent() {
-    let setup = ObservationalSetup::lofar().scaled(400);
-    let plan = setup.plan(4).unwrap();
-    let mut buf = SignalGenerator::new(21).generate(&plan);
-    for v in buf.channel_mut(5) {
-        *v += 9.0;
-    }
-    for ch in 0..plan.channels() {
-        buf.channel_mut(ch)[37] += 7.0;
-    }
-    let r1 = mask_channels(&mut buf, 5.0);
-    let r2 = clip_samples(&mut buf, 6.0);
-    assert!(!r1.is_clean() || !r2.is_clean());
-    // A second pass finds nothing new.
-    let r3 = mask_channels(&mut buf, 5.0);
-    let r4 = clip_samples(&mut buf, 6.0);
-    assert!(r3.is_clean(), "{:?}", r3.masked_channels);
-    assert!(r4.is_clean(), "{:?}", r4.clipped_samples);
 }
 
 #[test]
