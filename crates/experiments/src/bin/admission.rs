@@ -18,6 +18,7 @@ use dedisp_fleet::{
     Grid, GridAdmission, GridFaultPlan, GridReport, GridRun, ResolvedFleet, SurveyLoad,
     TelemetryEvent,
 };
+use experiments::scaffold::{headline, MEASURED_SECONDS_PER_BEAM};
 use serde::Serialize;
 
 /// The machine-readable artifact `--json` writes: both scenarios,
@@ -34,18 +35,11 @@ struct AdmissionComparison {
     kill_coordinated: GridReport,
 }
 
-/// The paper's measured HD7970 rate (Section V-D).
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
-
 /// Trial DMs per beam (the paper's Apertif instance).
 const TRIALS: usize = 2000;
 
 /// Seconds of observation each scenario simulates.
 const TICKS: usize = 4;
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
 
 fn run(
     shards: &[ResolvedFleet],

@@ -27,11 +27,9 @@ use dedisp_fleet::capture::{
     CaptureLedger, CaptureRun, CaptureSession,
 };
 use dedisp_fleet::{LoadSource, ResolvedFleet, Scheduler};
+use experiments::scaffold::{headline, MEASURED_SECONDS_PER_BEAM};
 use radioastro::SurveySizing;
 use serde::Serialize;
-
-/// The paper's measured HD7970 rate (Section V-D).
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
 
 /// Windows of observation each scenario streams.
 const TICKS: usize = 6;
@@ -53,10 +51,6 @@ struct ScenarioSummary {
     deadline_misses: usize,
     shed_whole: usize,
     total_shed_trials: usize,
-}
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
 }
 
 /// Ingests `pattern` through `config` and schedules the derived load

@@ -12,20 +12,14 @@
 //! fleet returns to zero misses.
 
 use dedisp_fleet::{FaultPlan, FleetRun, HealthState, ResolvedFleet, Scheduler, SurveyLoad};
+use experiments::scaffold::{headline, MEASURED_SECONDS_PER_BEAM};
 use radioastro::SurveySizing;
 
 /// Seconds of observation each scenario simulates.
 const TICKS: usize = 6;
 
-/// The paper's measured HD7970 rate (Section V-D).
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
-
 /// When the chaos window opens (mid-survey, after steady state).
 const ONSET: f64 = 1.5;
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
 
 /// Builds the intensity-`k` chaos plan: the first `k` devices are
 /// impacted, cycling through the four fault kinds so every intensity

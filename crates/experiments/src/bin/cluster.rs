@@ -35,10 +35,13 @@ use dedisp_fleet::obs::{
     self, FlightRecorder, GridFanout, GridRegistry, GridStatusSnapshot, LiveGrid, MetricsRegistry,
     ObsDirectory, ObsServer, ObsState,
 };
-use dedisp_fleet::proc::{serve_stdio, ProcOutcome};
+use dedisp_fleet::proc::ProcOutcome;
 use dedisp_fleet::{
-    ChaosSpec, FleetSpec, Grid, GridFaultPlan, GridObserver, GridReport, GridRun, ProcConfig,
-    ProcGridLedger, ResolvedFleet, ShardBackend, SurveyLoad, TickBatch,
+    FleetSpec, Grid, GridFaultPlan, GridObserver, GridReport, GridRun, ProcGridLedger,
+    ResolvedFleet, ShardBackend, SurveyLoad,
+};
+use experiments::scaffold::{
+    child_config, get_ok, headline, run_child, Throttle, MEASURED_SECONDS_PER_BEAM,
 };
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
@@ -49,10 +52,6 @@ use std::time::Duration;
 
 /// Seconds of observation each scenario simulates.
 const TICKS: usize = 5;
-
-/// The paper's measured HD7970 time for one 2,000-DM beam-second
-/// (Section V-D: "0.106 seconds to dedisperse one second of data").
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
 
 /// Shards in the cluster — one supervised child process each.
 const SHARDS: usize = 4;
@@ -70,33 +69,6 @@ const FLAP_UP_AT: f64 = 3.0;
 /// Per-event pacing for the observed scenario-4 grids, so they span
 /// enough wall clock for the mid-run polls to land mid-run.
 const PACE: Duration = Duration::from_micros(200);
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// The child half: serve one shard conversation over stdio, with an
-/// optional self-`SIGKILL` after `--chaos-exec <n>` batch frames.
-fn run_child(args: &[String]) {
-    let chaos = args
-        .iter()
-        .position(|a| a == "--chaos-exec")
-        .map(|i| ChaosSpec {
-            kill_after_frames: args
-                .get(i + 1)
-                .and_then(|n| n.parse().ok())
-                .expect("--chaos-exec requires a frame count"),
-        });
-    serve_stdio(chaos).expect("child shard conversation failed");
-}
-
-/// The supervisor config: this binary, re-executed as `cluster --child`.
-fn child_config() -> ProcConfig {
-    ProcConfig::current_exe()
-        .expect("cluster binary resolves")
-        .arg("--child")
-        .liveness(Duration::from_secs(30))
-}
 
 /// Asserts a process-backed run is ledger-identical to its in-thread
 /// twin: same merged report, same global beam ledger, same telemetry
@@ -158,26 +130,6 @@ fn summarize_supervision(ledger: &ProcGridLedger) {
             entry.degraded_in_thread
         );
     }
-}
-
-/// A pacing observer (scenario 4): sleeps a sliver of real time per
-/// event so the observed runs stay alive long enough to poll mid-run.
-/// Real-time pacing never touches virtual time, so ledgers are
-/// unchanged.
-struct Throttle;
-
-impl GridObserver for Throttle {
-    fn observe_grid_batch(&self, _shard: Option<usize>, batch: &TickBatch) {
-        for _ in 0..batch.len() {
-            std::thread::sleep(PACE);
-        }
-    }
-}
-
-fn get_ok(addr: SocketAddr, path: &str) -> obs::Fetched {
-    let fetched = obs::get(addr, path).unwrap_or_else(|e| panic!("GET {path} failed: {e}"));
-    assert_eq!(fetched.status, 200, "GET {path} must answer 200");
-    fetched
 }
 
 fn get_404(addr: SocketAddr, path: &str) -> String {
@@ -364,7 +316,7 @@ fn main() {
             .map(|((_, fleets, load), (_, metrics, recorder, live))| {
                 let done = &done;
                 scope.spawn(move || {
-                    let throttle = Throttle;
+                    let throttle = Throttle { pace: PACE };
                     let sinks: [&dyn GridObserver; 4] = [metrics, recorder, live, &throttle];
                     let fanout = GridFanout::new(&sinks);
                     let run = Grid::session(fleets)

@@ -5,19 +5,12 @@
 
 use autotune::{ConfigSpace, TuningDatabase};
 use dedisp_fleet::{FaultPlan, FleetRun, FleetSpec, ResolvedFleet, Scheduler, SurveyLoad};
+use experiments::scaffold::{headline, MEASURED_SECONDS_PER_BEAM};
 use manycore_sim::{amd_hd7970, nvidia_gtx_titan, nvidia_k20};
 use radioastro::SurveySizing;
 
 /// Seconds of observation each scenario simulates.
 const TICKS: usize = 5;
-
-/// The paper's measured HD7970 time for one 2,000-DM beam-second
-/// (Section V-D: "0.106 seconds to dedisperse one second of data").
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
 
 fn summarize(run: &FleetRun) {
     let r = &run.report;

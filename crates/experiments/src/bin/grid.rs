@@ -8,15 +8,12 @@ use autotune::{ConfigSpace, TuningDatabase};
 use dedisp_fleet::{
     FleetSpec, Grid, GridFaultPlan, GridRun, RebalancePolicy, ResolvedFleet, SurveyLoad,
 };
+use experiments::scaffold::{headline, MEASURED_SECONDS_PER_BEAM};
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
 
 /// Seconds of observation each scenario simulates.
 const TICKS: usize = 5;
-
-/// The paper's measured HD7970 time for one 2,000-DM beam-second
-/// (Section V-D: "0.106 seconds to dedisperse one second of data").
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
 
 /// Shards in the grid.
 const SHARDS: usize = 4;
@@ -26,10 +23,6 @@ const DEVICES_PER_SHARD: usize = 13;
 
 /// When the whole of shard 0 dies in the fault scenarios.
 const SHARD_KILL_AT: f64 = 1.5;
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
 
 fn summarize(run: &GridRun) {
     let r = &run.report;

@@ -12,7 +12,7 @@
 //! * `/metrics` parses as Prometheus text exposition format 0.0.4 and
 //!   its counters sum to the ledger;
 //! * `/events` NDJSON round-trips through `TelemetryEvent` and
-//!   replays through the report folds.
+//!   replays through the status fold.
 //!
 //! Finally the same grid is re-run *without* observers and the two
 //! reports are diffed whole: live observation must never perturb
@@ -24,14 +24,10 @@ use dedisp_fleet::obs::{
 };
 use dedisp_fleet::{
     Grid, GridFaultPlan, GridObserver, GridRun, ResolvedFleet, StatusSnapshot, SurveyLoad,
-    TickBatch,
 };
-use std::net::SocketAddr;
+use experiments::scaffold::{get_ok, headline, Throttle, MEASURED_SECONDS_PER_BEAM};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// The paper's measured HD7970 rate (Section V-D).
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
 
 /// Trial DMs per beam (the paper's Apertif instance).
 const TRIALS: usize = 2000;
@@ -48,25 +44,6 @@ const SHARD_DEVICES: [usize; 2] = [3, 2];
 /// Per-event pacing (real time) the throttle observer adds, so the
 /// virtual-time run spans enough wall clock to be polled mid-flight.
 const PACE: Duration = Duration::from_micros(400);
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// A pacing observer: sleeps a sliver of real time per event so the
-/// run — which otherwise finishes in milliseconds of wall clock —
-/// stays alive long enough for the mid-run polls to mean something.
-/// Pacing real time never touches virtual time, so the ledger is
-/// unchanged (asserted below against an unpaced run).
-struct Throttle;
-
-impl GridObserver for Throttle {
-    fn observe_grid_batch(&self, _shard: Option<usize>, batch: &TickBatch) {
-        for _ in 0..batch.len() {
-            std::thread::sleep(PACE);
-        }
-    }
-}
 
 fn shards() -> Vec<ResolvedFleet> {
     SHARD_DEVICES
@@ -93,12 +70,6 @@ fn faults() -> GridFaultPlan {
             dedisp_fleet::FaultEvent::Transient { at: 0.7, count: 2 },
         )
         .with_shard_flap(1, 2.3, 3.4)
-}
-
-fn get_ok(addr: SocketAddr, path: &str) -> obs::Fetched {
-    let fetched = obs::get(addr, path).unwrap_or_else(|e| panic!("GET {path} failed: {e}"));
-    assert_eq!(fetched.status, 200, "GET {path} must answer 200");
-    fetched
 }
 
 /// A minimal exposition-format parser: `name{labels} value` samples,
@@ -160,7 +131,7 @@ fn main() {
 
     // --- run the chaos grid with the stack attached ------------------
     let done = AtomicBool::new(false);
-    let throttle = Throttle;
+    let throttle = Throttle { pace: PACE };
     let sinks: [&dyn GridObserver; 4] = [&metrics, &recorder, &live, &throttle];
     let run: GridRun = std::thread::scope(|scope| {
         let fanout = GridFanout::new(&sinks);

@@ -36,24 +36,19 @@ use dedisp_fleet::obs::{
     self, BurnRate, FlightRecorder, LiveGrid, MetricsRegistry, ObsServer, ObsState, SloConfig,
     SloSnapshot, SloState, SpanKind, TraceSink,
 };
-use dedisp_fleet::proc::{serve_stdio, ProcOutcome};
+use dedisp_fleet::proc::ProcOutcome;
 use dedisp_fleet::{
-    BeamOutcome, BeamRecord, ChaosSpec, FaultPlan, FleetSpec, Grid, GridReport, GridRun,
-    ProcConfig, ProcGridLedger, ResolvedFleet, Scheduler, ShardBackend, SurveyLoad, TelemetryEvent,
-    TickBatch,
+    BeamOutcome, BeamRecord, FaultPlan, FleetSpec, Grid, GridReport, GridRun, ProcGridLedger,
+    ResolvedFleet, Scheduler, ShardBackend, SurveyLoad, TelemetryEvent, TickBatch,
 };
+use experiments::scaffold::{child_config, headline, run_child, MEASURED_SECONDS_PER_BEAM};
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
 use serde::Serialize;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Seconds of observation the §V-D cluster scenario simulates.
 const TICKS: usize = 5;
-
-/// The paper's measured HD7970 time for one 2,000-DM beam-second
-/// (Section V-D: "0.106 seconds to dedisperse one second of data").
-const MEASURED_SECONDS_PER_BEAM: f64 = 0.106;
 
 /// Shards in the cluster scenario — one supervised child each.
 const SHARDS: usize = 4;
@@ -67,35 +62,6 @@ const CHAOS_FRAMES: u32 = 2;
 /// The coverage floor scenario 1 asserts: phase spans must explain
 /// more than this fraction of tick wall time.
 const COVERAGE_FLOOR: f64 = 0.95;
-
-fn headline(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// The child half: serve one shard conversation over stdio, with an
-/// optional self-`SIGKILL` after `--chaos-exec <n>` batch frames.
-/// Tracing in the child is switched by the `DEDISP_TRACE` env var the
-/// supervisor sets — the spec wire format never changes.
-fn run_child(args: &[String]) {
-    let chaos = args
-        .iter()
-        .position(|a| a == "--chaos-exec")
-        .map(|i| ChaosSpec {
-            kill_after_frames: args
-                .get(i + 1)
-                .and_then(|n| n.parse().ok())
-                .expect("--chaos-exec requires a frame count"),
-        });
-    serve_stdio(chaos).expect("child shard conversation failed");
-}
-
-/// The supervisor config: this binary, re-executed as `trace --child`.
-fn child_config() -> ProcConfig {
-    ProcConfig::current_exe()
-        .expect("trace binary resolves")
-        .arg("--child")
-        .liveness(Duration::from_secs(30))
-}
 
 /// `--trace-out <path>` / `--trace-out=<path>`: where to write the
 /// Chrome trace artifact, if anywhere.

@@ -31,6 +31,7 @@ pub mod ablation;
 pub mod figures;
 pub mod out;
 pub mod render;
+pub mod scaffold;
 
 /// Builds the cost-model workload for a (setup, instance) cell.
 pub fn workload_for(setup: &ObservationalSetup, trials: usize, zero_dm: bool) -> Workload {

@@ -92,8 +92,8 @@ impl EventKind {
     /// Number of distinct kinds.
     pub const COUNT: usize = 14;
 
-    /// Every kind, in discriminant order (the same order as the
-    /// metrics layer's `fleet_events_total` label table).
+    /// Every kind, in discriminant order (the metrics layer builds its
+    /// `fleet_events_total` counters from this table).
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::Admission,
         EventKind::Placed,

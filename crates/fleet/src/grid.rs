@@ -367,29 +367,60 @@ impl<'a> GridSession<'a> {
         // The grid's tagged telemetry stream: the partition layer's
         // rebalance decisions first (they predate every placement),
         // then each shard's stream re-keyed to global beam identity.
+        // The merged counters are one status fold over the re-keyed
+        // batches, and the shed ledger their `sheds` columns tagged
+        // with the emitting shard.
         let mut events: Vec<ShardEvent> = prelude
             .iter()
             .map(|event| ShardEvent { shard: None, event })
             .collect();
+        let mut totals = StatusSnapshot::new(0);
+        let mut sheds = Vec::new();
         for (shard, (run, shard_load)) in shard_runs.iter().zip(&shard_loads).enumerate() {
             let globals = shard_load.global_beams();
             for batch in run.log.batches() {
-                events.extend(rekeyed(batch, &globals).iter().map(|event| ShardEvent {
+                let batch = rekeyed(batch, &globals);
+                totals.observe_batch(&batch);
+                sheds.extend(batch.sheds.iter().map(|shed| GridShedRecord {
+                    shard,
+                    index: shed.index,
+                    tick: shed.tick,
+                    beam: shed.beam,
+                    shed_trials: shed.shed_trials,
+                    kept_trials: shed.kept_trials,
+                    reason: shed.reason,
+                }));
+                events.extend(batch.iter().map(|event| ShardEvent {
                     shard: Some(shard),
                     event,
                 }));
             }
         }
+        // Shard streams arrive shard-by-shard; the global ledger is
+        // ordered by global beam index.
+        sheds.sort_by_key(|s| s.index);
 
-        let report = GridReport::build(
-            load,
-            self.policy,
-            self.admission,
-            &shard_runs,
-            &events,
+        let report = GridReport {
+            setup: load.setup().to_string(),
+            trials: load.trials(),
+            ticks: load.ticks(),
+            policy: self.policy,
+            admission: self.admission,
+            admitted,
+            completed: totals.completed,
+            degraded: totals.degraded,
+            deadline_misses: totals.deadline_misses,
+            shed_whole: totals.shed_whole,
+            total_shed_trials: totals.total_shed_trials,
             rehomed,
+            sheds,
             supervisor,
-        )?;
+            shards: shard_runs.iter().map(|r| r.report.clone()).collect(),
+            makespan: shard_runs
+                .iter()
+                .map(|r| r.report.makespan)
+                .fold(0.0, f64::max),
+        };
         drop(merge_span);
         Ok(GridRun {
             report,
@@ -498,8 +529,8 @@ pub struct GridRun {
 
 impl GridRun {
     /// Folds each shard's telemetry stream into a point-in-time
-    /// [`StatusSnapshot`], shard order — the grid-wide payload the
-    /// planned status endpoint would serve.
+    /// [`StatusSnapshot`], shard order — what `/status/shard/<i>`
+    /// serves for each shard.
     pub fn status_snapshots(&self) -> Vec<StatusSnapshot> {
         self.shard_runs.iter().map(FleetRun::status).collect()
     }
@@ -543,90 +574,6 @@ pub struct GridReport {
 }
 
 impl GridReport {
-    /// Builds the merged report as a fold over the grid's tagged
-    /// telemetry stream: beam outcomes drive the counters, shed events
-    /// the itemized ledger, both already re-keyed to global identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FleetError`] if a shed event carries no shard tag —
-    /// the itemized ledger names the owning shard of every shed.
-    fn build(
-        load: &dyn LoadSource,
-        policy: RebalancePolicy,
-        admission: GridAdmission,
-        shard_runs: &[FleetRun],
-        events: &[ShardEvent],
-        rehomed: usize,
-        supervisor: Vec<ShardCondition>,
-    ) -> Result<Self, FleetError> {
-        let mut completed = 0;
-        let mut degraded = 0;
-        let mut deadline_misses = 0;
-        let mut shed_whole = 0;
-        let mut total_shed_trials = 0;
-        let mut sheds = Vec::new();
-        let mut makespan: f64 = 0.0;
-        for tagged in events {
-            match tagged.event {
-                TelemetryEvent::Beam(ref r) => match r.outcome {
-                    BeamOutcome::Completed { finish, .. } => {
-                        completed += 1;
-                        makespan = makespan.max(finish);
-                    }
-                    BeamOutcome::Degraded { finish, .. } => {
-                        degraded += 1;
-                        makespan = makespan.max(finish);
-                    }
-                    BeamOutcome::Missed { finish, .. } => {
-                        deadline_misses += 1;
-                        makespan = makespan.max(finish);
-                    }
-                    BeamOutcome::ShedWhole { at, .. } => {
-                        shed_whole += 1;
-                        makespan = makespan.max(at);
-                    }
-                },
-                TelemetryEvent::Shed(ref shed) => {
-                    total_shed_trials += shed.shed_trials;
-                    sheds.push(GridShedRecord {
-                        shard: tagged
-                            .shard
-                            .ok_or_else(|| FleetError::new("shed event without a shard tag"))?,
-                        index: shed.index,
-                        tick: shed.tick,
-                        beam: shed.beam,
-                        shed_trials: shed.shed_trials,
-                        kept_trials: shed.kept_trials,
-                        reason: shed.reason,
-                    });
-                }
-                _ => {}
-            }
-        }
-        // Shard streams arrive shard-by-shard; the global ledger is
-        // ordered by global beam index.
-        sheds.sort_by_key(|s| s.index);
-        Ok(Self {
-            setup: load.setup().to_string(),
-            trials: load.trials(),
-            ticks: load.ticks(),
-            policy,
-            admission,
-            admitted: load.total_beams(),
-            completed,
-            degraded,
-            deadline_misses,
-            shed_whole,
-            total_shed_trials,
-            rehomed,
-            sheds,
-            supervisor,
-            shards: shard_runs.iter().map(|r| r.report.clone()).collect(),
-            makespan,
-        })
-    }
-
     /// Whether the global ledger is conserved *and* agrees with the
     /// shard ledgers: every admitted beam of the survey ended in
     /// exactly one outcome, each shard's own ledger conserves, and the
@@ -959,37 +906,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn a_shed_without_a_shard_tag_is_an_error_not_a_panic() {
-        use crate::metrics::ShedRecord;
-        let load = SurveyLoad::custom(100, 1, 1);
-        let shed = TelemetryEvent::Shed(ShedRecord {
-            index: 0,
-            tick: 0,
-            beam: 0,
-            shed_trials: 100,
-            kept_trials: 0,
-            reason: ShedReason::NoAliveDevices,
-        });
-        let build = |shard| {
-            GridReport::build(
-                &load,
-                RebalancePolicy::default(),
-                GridAdmission::default(),
-                &[],
-                &[ShardEvent {
-                    shard,
-                    event: shed.clone(),
-                }],
-                0,
-                Vec::new(),
-            )
-        };
-        assert_eq!(build(Some(0)).unwrap().sheds.len(), 1);
-        let err = build(None).unwrap_err();
-        assert!(err.to_string().contains("without a shard tag"));
     }
 
     #[test]

@@ -44,10 +44,10 @@
 //!   deterministic tick boundaries through the one observer seam
 //!   ([`Observer::observe_batch`]; a single event is a batch of one,
 //!   [`TickBatch::of`]), and runs carry the stream as an
-//!   [`EventLog`]. Reports are folds over it, and a
-//!   [`StatusSnapshot`] — serde round-trippable, derivable from any
-//!   stream prefix — gives operators the queryable point-in-time view
-//!   behind the planned status endpoint.
+//!   [`EventLog`]. One fold counts it: a [`StatusSnapshot`] — serde
+//!   round-trippable, derivable from any stream prefix — is the
+//!   point-in-time view `/status` serves, and the reports take their
+//!   outcome and recovery counters from it.
 //! * [`FleetReport`] — per-device utilization, deadline misses, the
 //!   full shed ledger, and the recovery ledger (bounces, retries,
 //!   probes, canaries, [`HealthEvent`] transitions) as a serde artifact.

@@ -17,7 +17,7 @@
 //!   deriving the standard fleet metrics from the stream.
 //! * [`recorder`] — the [`FlightRecorder`]: a bounded ring of the last
 //!   N events per shard, re-keyed to global beam identity, dumpable as
-//!   NDJSON for post-incident replay through the report folds.
+//!   NDJSON for post-incident replay through the status fold.
 //! * [`live`] — [`LiveStatus`] / [`LiveGrid`]: a continuously-folded
 //!   [`crate::StatusSnapshot`] (plus the [`GridStatusSnapshot`]
 //!   aggregate) readable *while the run is in progress*.

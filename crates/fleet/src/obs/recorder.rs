@@ -6,8 +6,8 @@
 //! post-run [`crate::ShardEvent`] stream, recorded events carry
 //! *global* beam identity — the grid's live forwarding re-keys through
 //! the same [`crate::GlobalBeam`] tables before the recorder sees
-//! them — so a dump replays directly through the existing report
-//! folds ([`StatusSnapshot`], [`crate::GridReport`]-style counting).
+//! them — so a dump replays directly through the one stream fold,
+//! [`StatusSnapshot`], whose counters the reports carry.
 //!
 //! Dumps are NDJSON (one [`RecordedEvent`] JSON object per line), the
 //! format `GET /events` serves and [`FlightRecorder::from_ndjson`]

@@ -432,27 +432,6 @@ pub struct RegistryObserver {
     capture_peak: AtomicU64,
 }
 
-/// The `fleet_events_total` label table, in [`EventKind`] discriminant
-/// order — [`RegistryObserver::fold_batch`] indexes the counter vector
-/// by `EventKind::index()`, so this order is load-bearing (pinned by the
-/// `event_kind_labels_match_the_counter_table` test).
-const EVENT_KINDS: [&str; 14] = [
-    "admission",
-    "placed",
-    "beam",
-    "shed",
-    "bounce",
-    "retry",
-    "probe",
-    "health",
-    "rebalance",
-    "capture_arrival",
-    "capture_drop",
-    "capture_degrade",
-    "capture_drain",
-    "algorithm_switch",
-];
-
 impl RegistryObserver {
     /// Wires the standard fleet metrics for a `devices`-device
     /// scheduler into `registry`, unlabelled (single-fleet scope).
@@ -476,9 +455,12 @@ impl RegistryObserver {
             all.extend(extra.iter().map(|&(k, v)| (k.to_string(), v.to_string())));
             all
         };
-        let events = EVENT_KINDS
-            .iter()
-            .map(|&kind| {
+        // One counter per kind, in `EventKind` discriminant order:
+        // `fold_batch` indexes the vector by `EventKind::index()`.
+        let events = EventKind::ALL
+            .map(EventKind::label)
+            .into_iter()
+            .map(|kind| {
                 let labels = with(&[("kind", kind)]);
                 (
                     kind,
@@ -963,16 +945,6 @@ mod tests {
             cumulative,
             vec![(0.5, 1), (1.0, 3), (2.0, 4), (f64::INFINITY, 5)]
         );
-    }
-
-    #[test]
-    fn event_kind_labels_match_the_counter_table() {
-        // `fold_batch` indexes the counter vector by the dense
-        // discriminant; the label table must stay in that exact order.
-        assert_eq!(EVENT_KINDS.len(), EventKind::COUNT);
-        for (i, kind) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(EVENT_KINDS[i], kind.label());
-        }
     }
 
     #[test]

@@ -156,8 +156,9 @@ pub struct FleetRun {
     pub records: Vec<BeamRecord>,
     /// The unified telemetry stream, in emission order, carried in the
     /// batched [`EventLog`] encoding (one sealed [`crate::TickBatch`]
-    /// per dispatcher tick). The report is a fold over exactly these
-    /// events; any prefix folds into a [`StatusSnapshot`].
+    /// per dispatcher tick). The report's counters are the
+    /// [`StatusSnapshot`] folded from exactly these events (see
+    /// [`FleetRun::status`]); any prefix folds the same way.
     pub log: EventLog,
 }
 

@@ -2,12 +2,12 @@
 //!
 //! Every layer of the control plane — dispatcher, shard supervisor,
 //! grid — emits the same [`TelemetryEvent`] enum through the
-//! [`Observer`] trait instead of keeping ad-hoc record vectors. Reports
-//! ([`crate::FleetReport`], [`crate::GridReport`]) are fold-style
-//! consumers of the stream; [`StatusSnapshot`] is another, giving
+//! [`Observer`] trait instead of keeping ad-hoc record vectors.
+//! [`StatusSnapshot`] is the stream's one counting fold: it gives
 //! operators a queryable point-in-time view (per-device health, queue
 //! depths, the shed tier in force) derivable from **any prefix** of the
-//! stream — the in-process precursor to a status endpoint.
+//! stream, and the reports ([`crate::FleetReport`],
+//! [`crate::GridReport`]) take their counters from it.
 //!
 //! Events carry virtual times and are appended at the dispatcher's
 //! deterministic synchronization points, so the stream itself is as
@@ -283,11 +283,13 @@ pub struct DeviceStatus {
 /// A queryable point-in-time view of a running fleet, folded from any
 /// prefix of the telemetry stream.
 ///
-/// This is the payload the ROADMAP's status endpoint will serve: it is
-/// serde round-trippable and every field is derivable from the events
-/// alone (no access to dispatcher internals), so it can be maintained
-/// incrementally by a live [`Observer`] or reconstructed after the fact
-/// with [`StatusSnapshot::from_log`].
+/// This is the payload `/status` serves ([`crate::obs::ObsServer`]),
+/// and the one fold that counts a stream's outcomes and recoveries:
+/// [`crate::FleetReport`] and [`crate::GridReport`] take their counters
+/// from it. It is serde round-trippable and every field is derivable
+/// from the events alone (no access to dispatcher internals), so it can
+/// be maintained incrementally by a live [`Observer`] or reconstructed
+/// after the fact with [`StatusSnapshot::from_log`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
     /// Latest virtual time seen in the stream.
@@ -474,23 +476,12 @@ impl Observer for StatusSnapshot {
             }
         }
         for record in &batch.beams {
+            self.advance_clock(record.outcome.at());
             match record.outcome {
-                BeamOutcome::Completed { finish, .. } => {
-                    self.completed += 1;
-                    self.advance_clock(finish);
-                }
-                BeamOutcome::Degraded { finish, .. } => {
-                    self.degraded += 1;
-                    self.advance_clock(finish);
-                }
-                BeamOutcome::Missed { finish, .. } => {
-                    self.deadline_misses += 1;
-                    self.advance_clock(finish);
-                }
-                BeamOutcome::ShedWhole { at, .. } => {
-                    self.shed_whole += 1;
-                    self.advance_clock(at);
-                }
+                BeamOutcome::Completed { .. } => self.completed += 1,
+                BeamOutcome::Degraded { .. } => self.degraded += 1,
+                BeamOutcome::Missed { .. } => self.deadline_misses += 1,
+                BeamOutcome::ShedWhole { .. } => self.shed_whole += 1,
             }
         }
         for shed in &batch.sheds {

@@ -6,19 +6,36 @@
 //! full serial sink stack, and a two-shard grid under the shared one —
 //! and hold it to the invariants everything downstream trusts:
 //! conservation, observation that never perturbs the report, a live
-//! fold equal to the post-run fold, and a recorder that saw every event.
+//! fold equal to the post-run fold, a recorder that saw every event,
+//! and report counters equal to the dispatcher's own beam ledger, which
+//! the stream fold never touches.
 
 use dedisp_fleet::obs::{
     Fanout, FlightRecorder, GridFanout, GridRegistry, LiveGrid, LiveStatus, MetricsRegistry,
     RegistryObserver,
 };
 use dedisp_fleet::{
-    FaultPlan, Grid, GridFaultPlan, GridObserver, ResolvedFleet, Scheduler, SurveyLoad,
-    TelemetryEvent,
+    BeamOutcome, FaultPlan, Grid, GridFaultPlan, GridObserver, ResolvedFleet, Scheduler,
+    SurveyLoad, TelemetryEvent,
 };
 
 /// Trial DMs per beam: the Apertif survey's.
 const TRIALS: usize = 2_000;
+
+/// Terminal outcomes counted off a beam ledger: completed, degraded,
+/// deadline misses, shed whole.
+fn outcomes(ledger: impl IntoIterator<Item = BeamOutcome>) -> [usize; 4] {
+    let mut counts = [0; 4];
+    for outcome in ledger {
+        counts[match outcome {
+            BeamOutcome::Completed { .. } => 0,
+            BeamOutcome::Degraded { .. } => 1,
+            BeamOutcome::Missed { .. } => 2,
+            BeamOutcome::ShedWhole { .. } => 3,
+        }] += 1;
+    }
+    counts
+}
 
 #[test]
 fn a_session_under_the_full_sink_stack_conserves_and_is_unperturbed() {
@@ -44,6 +61,11 @@ fn a_session_under_the_full_sink_stack_conserves_and_is_unperturbed() {
     assert!(observed.report.bounced > 0, "the kill must be felt");
     assert_eq!(observed.report, plain.report);
     assert_eq!(observed.log, plain.log);
+    let r = &observed.report;
+    assert_eq!(
+        outcomes(observed.records.iter().map(|b| b.outcome)),
+        [r.completed, r.degraded, r.deadline_misses, r.shed_whole]
+    );
     assert_eq!(live.snapshot(), observed.status());
     assert_eq!(recorder.recorded() as usize, observed.log.len());
     assert_eq!(recorder.dropped(), 0);
@@ -78,6 +100,11 @@ fn a_grid_under_the_shared_sink_stack_conserves_and_is_unperturbed() {
     assert!(observed.report.rehomed > 0, "the flap must re-home beams");
     assert_eq!(observed.report, plain.report);
     assert_eq!(observed.events, plain.events);
+    let r = &observed.report;
+    assert_eq!(
+        outcomes(observed.records.iter().map(|b| b.outcome)),
+        [r.completed, r.degraded, r.deadline_misses, r.shed_whole]
+    );
     assert_eq!(recorder.recorded() as usize, observed.events.len());
     assert_eq!(recorder.dropped(), 0);
     for (s, post) in observed.status_snapshots().iter().enumerate() {
