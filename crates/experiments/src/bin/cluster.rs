@@ -11,7 +11,7 @@
 //!    supervision ledger records one clean `Completed` attempt per
 //!    shard.
 //! 2. **Crash-real chaos** — shard 0's child `SIGKILL`s itself mid-run
-//!    (`--chaos-exec 2`: die after framing 2 batches) while shard 2
+//!    (its spec's `ChaosSpec`: die after framing 2 batches) while shard 2
 //!    takes a *simulated* whole-shard flap. The supervisor restarts
 //!    the corpse with backoff, drops the replayed frame prefix, and
 //!    the merged ledger is byte-identical to the in-thread run — the
@@ -26,7 +26,7 @@
 //!    detach is live.
 //!
 //! The child half of the conversation is this same binary re-executed
-//! with `--child` (plus `--chaos-exec <n>` for the self-kill); stdout
+//! with `--child`; the self-kill rides in shard 0's spec. Stdout
 //! prints only deterministic facts so the CI cluster job can byte-diff
 //! two runs.
 
@@ -35,7 +35,7 @@ use dedisp_fleet::obs::{
     self, FlightRecorder, GridFanout, GridRegistry, GridStatusSnapshot, LiveGrid, MetricsRegistry,
     ObsDirectory, ObsServer, ObsState,
 };
-use dedisp_fleet::proc::ProcOutcome;
+use dedisp_fleet::proc::{ChaosSpec, ProcOutcome};
 use dedisp_fleet::{
     FleetSpec, Grid, GridFaultPlan, GridObserver, GridReport, GridRun, ProcGridLedger,
     ResolvedFleet, ShardBackend, SurveyLoad,
@@ -156,9 +156,8 @@ struct ClusterReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--child") {
-        run_child(&args);
+    if std::env::args().skip(1).any(|a| a == "--child") {
+        run_child();
         return;
     }
 
@@ -222,9 +221,11 @@ fn main() {
         Grid::session(&shards)
             .load(&load)
             .faults(&faults)
-            .backend(ShardBackend::Process(child_config().shard_args(
+            .backend(ShardBackend::Process(child_config().chaos(
                 0,
-                ["--chaos-exec".to_string(), CHAOS_FRAMES.to_string()],
+                ChaosSpec {
+                    kill_after_frames: CHAOS_FRAMES,
+                },
             )))
             .run()
             .expect("chaos cluster run completes")

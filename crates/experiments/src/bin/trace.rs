@@ -27,7 +27,7 @@
 //!    same story.
 //!
 //! The child half of the conversation is this same binary re-executed
-//! with `--child` (plus `--chaos-exec <n>` for the self-kill); stdout
+//! with `--child`; the self-kill rides in shard 0's spec. Stdout
 //! prints only deterministic facts so the CI tracing job can byte-diff
 //! two runs. Span *durations* are wall-clock and never printed.
 
@@ -36,7 +36,7 @@ use dedisp_fleet::obs::{
     self, BurnRate, FlightRecorder, LiveGrid, MetricsRegistry, ObsServer, ObsState, SloConfig,
     SloSnapshot, SloState, SpanKind, TraceSink,
 };
-use dedisp_fleet::proc::ProcOutcome;
+use dedisp_fleet::proc::{ChaosSpec, ProcOutcome};
 use dedisp_fleet::{
     BeamOutcome, BeamRecord, FaultPlan, FleetSpec, Grid, GridReport, GridRun, ProcGridLedger,
     ResolvedFleet, Scheduler, ShardBackend, SurveyLoad, TelemetryEvent, TickBatch,
@@ -125,7 +125,7 @@ struct TraceReport {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--child") {
-        run_child(&args);
+        run_child();
         return;
     }
 
@@ -226,9 +226,11 @@ fn main() {
     let proc_run: GridRun = Grid::session(&shards)
         .load(&cluster_load)
         .trace(&grid_sink)
-        .backend(ShardBackend::Process(child_config().shard_args(
+        .backend(ShardBackend::Process(child_config().chaos(
             0,
-            ["--chaos-exec".to_string(), CHAOS_FRAMES.to_string()],
+            ChaosSpec {
+                kill_after_frames: CHAOS_FRAMES,
+            },
         )))
         .run()
         .expect("traced chaos cluster completes");

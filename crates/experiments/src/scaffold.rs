@@ -4,7 +4,7 @@
 
 use dedisp_fleet::obs;
 use dedisp_fleet::proc::serve_stdio;
-use dedisp_fleet::{ChaosSpec, GridObserver, ProcConfig, TickBatch};
+use dedisp_fleet::{GridObserver, ProcConfig, TickBatch};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -45,26 +45,14 @@ pub fn get_ok(addr: SocketAddr, path: &str) -> obs::Fetched {
     fetched
 }
 
-/// The child half: serve one shard conversation over stdio, with an
-/// optional self-`SIGKILL` after `--chaos-exec <n>` batch frames.
-/// Tracing in the child is switched by the `DEDISP_TRACE` env var the
-/// supervisor sets — the spec wire format never changes.
+/// The child half: serve one shard conversation over stdio. Chaos
+/// and tracing arrive inside the spec the supervisor sends.
 ///
 /// # Panics
 ///
-/// Panics if `--chaos-exec` has no frame count or the conversation
-/// fails.
-pub fn run_child(args: &[String]) {
-    let chaos = args
-        .iter()
-        .position(|a| a == "--chaos-exec")
-        .map(|i| ChaosSpec {
-            kill_after_frames: args
-                .get(i + 1)
-                .and_then(|n| n.parse().ok())
-                .expect("--chaos-exec requires a frame count"),
-        });
-    serve_stdio(chaos).expect("child shard conversation failed");
+/// Panics if the conversation fails.
+pub fn run_child() {
+    serve_stdio().expect("child shard conversation failed");
 }
 
 /// The supervisor config: the running binary, re-executed with
@@ -77,5 +65,4 @@ pub fn child_config() -> ProcConfig {
     ProcConfig::current_exe()
         .expect("the running binary resolves")
         .arg("--child")
-        .liveness(Duration::from_secs(30))
 }

@@ -17,16 +17,15 @@
 //!   (shed one tier fleet-wide before any shard sheds two), and hands
 //!   each shard a per-tick admission ceiling.
 //!
-//! The tier arithmetic itself lives in [`TierLadder`]: `shed_tiers`
-//! equal DM tiers per beam, at most `max_shed_tiers` of which may be
-//! shed, never below the floor. Where a beam goes once a level is
+//! The tier arithmetic itself lives in [`TierLadder`]: eight equal DM
+//! tiers per beam, at most four of which may be shed, never below the
+//! floor. Where a beam goes once a level is
 //! ruled is [`crate::placement`]'s one function; the planners here
 //! predict a tick by playing its beams through that same function.
 
 use crate::descriptor::{AlgorithmRate, ResolvedFleet};
 use crate::metrics::ShedReason;
 use crate::placement::place_beam;
-use crate::scheduler::SchedulerConfig;
 use crate::shard::dhondt;
 use manycore_sim::Algorithm;
 use serde::{Deserialize, Serialize};
@@ -35,12 +34,19 @@ use serde::{Deserialize, Serialize};
 /// exact-fit packings are not rejected over float rounding.
 pub(crate) const DEADLINE_EPS: f64 = 1e-9;
 
+/// Equal DM tiers a beam is divided into for shedding; a capture
+/// session's `NarrowDmPlan` ceilings are expressed in the same tiers.
+pub(crate) const SHED_TIERS: usize = 8;
+
+/// Most tiers admission control may shed from one beam.
+const MAX_SHED_TIERS: usize = 4;
+
 /// The shed-tier ladder for one load: the admissible per-beam DM
 /// counts, from full resolution down to the floor.
 ///
-/// A beam of `trials` DMs is divided into `shed_tiers` equal tiers
-/// (the last possibly short); admission may shed at most
-/// `max_shed_tiers` of them, and never sheds a beam to zero trials.
+/// A beam of `trials` DMs is divided into eight equal tiers (the last
+/// possibly short); admission may shed at most four of them, and never
+/// sheds a beam to zero trials.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierLadder {
     trials: usize,
@@ -50,12 +56,17 @@ pub struct TierLadder {
 }
 
 impl TierLadder {
-    /// Builds the ladder for `trials` DMs under `config`'s
-    /// `shed_tiers`/`max_shed_tiers` tunables.
-    pub fn new(trials: usize, config: &SchedulerConfig) -> Self {
-        let tier = trials.div_ceil(config.shed_tiers.max(1));
+    /// Builds the ladder for `trials` DMs.
+    pub fn new(trials: usize) -> Self {
+        Self::with_tiers(trials, SHED_TIERS, MAX_SHED_TIERS)
+    }
+
+    /// The ladder of `shed_tiers` equal tiers, at most `max_shed` of
+    /// them shed.
+    fn with_tiers(trials: usize, shed_tiers: usize, max_shed: usize) -> Self {
+        let tier = trials.div_ceil(shed_tiers);
         let mut kept_options = Vec::new();
-        for shed in 1..=config.max_shed_tiers.min(config.shed_tiers) {
+        for shed in 1..=max_shed.min(shed_tiers) {
             let kept = trials.saturating_sub(shed * tier);
             if kept == 0 {
                 break;
@@ -562,7 +573,7 @@ pub(crate) struct TickPlan {
 }
 
 impl GridPlanner {
-    pub(crate) fn new(shards: &[ResolvedFleet], trials: usize, config: &SchedulerConfig) -> Self {
+    pub(crate) fn new(shards: &[ResolvedFleet], trials: usize) -> Self {
         Self {
             shards: shards
                 .iter()
@@ -573,7 +584,7 @@ impl GridPlanner {
                         .collect()
                 })
                 .collect(),
-            ladder: TierLadder::new(trials, config),
+            ladder: TierLadder::new(trials),
         }
     }
 
@@ -678,19 +689,10 @@ impl GridPlanner {
 mod tests {
     use super::*;
 
-    fn ladder(trials: usize, shed_tiers: usize, max_shed: usize) -> TierLadder {
-        let config = SchedulerConfig {
-            shed_tiers,
-            max_shed_tiers: max_shed,
-            ..SchedulerConfig::default()
-        };
-        TierLadder::new(trials, &config)
-    }
-
     #[test]
     fn ladder_reproduces_the_historical_tier_arithmetic() {
         // 1000 trials, 8 tiers of 125, at most 4 shed: 875/750/625/500.
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         assert_eq!(l.trials(), 1000);
         assert_eq!(l.tier_size(), 125);
         assert_eq!(l.kept_options(), &[875, 750, 625, 500]);
@@ -712,10 +714,10 @@ mod tests {
     #[test]
     fn ladder_handles_uneven_tiers_and_disabled_shedding() {
         // 10 trials over 3 tiers of ceil(10/3)=4: kept 6, then 2.
-        let l = ladder(10, 3, 3);
+        let l = TierLadder::with_tiers(10, 3, 3);
         assert_eq!(l.kept_options(), &[6, 2]);
-        // max_shed_tiers = 0 disables shedding entirely.
-        let none = ladder(1000, 8, 0);
+        // A zero shed budget disables shedding entirely.
+        let none = TierLadder::with_tiers(1000, 8, 0);
         assert!(none.kept_options().is_empty());
         assert_eq!(none.floor(), 1000);
         assert_eq!(none.kept_for(3), 1000);
@@ -731,7 +733,7 @@ mod tests {
 
     #[test]
     fn feasible_beams_counts_healthy_budget_only() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         let devices = [
             dev(0.0, 0.25),
             DeviceCapacity {
@@ -756,7 +758,7 @@ mod tests {
 
     #[test]
     fn greedy_policy_walks_the_ladder_and_clamps_at_the_floor() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         let devices = [dev(0.0, 0.25)];
         let view = view_of(&l, &devices);
         let fits_full = BeamDemand {
@@ -806,7 +808,7 @@ mod tests {
 
     #[test]
     fn algorithm_ladder_matches_greedy_on_single_entry_tables() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         let devices = [dev(0.0, 0.25), dev(0.3, 0.5)];
         let view = view_of(&l, &devices);
         for beams in [0, 1, 4, 5, 100] {
@@ -825,7 +827,7 @@ mod tests {
 
     #[test]
     fn algorithm_ladder_demotes_instead_of_shedding() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         let table = [
             rate(Algorithm::BruteForce, 0.25),
             rate(Algorithm::Subband { factor: 32 }, 0.125),
@@ -851,7 +853,7 @@ mod tests {
 
     #[test]
     fn algorithm_ladder_rejects_non_pareto_demotions() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         // The alternate is *slower* than the primary: demoting can only
         // hurt, so the baseline ruling must come back unchanged.
         let table = [
@@ -873,7 +875,7 @@ mod tests {
 
     #[test]
     fn algorithm_ladder_promotes_once_pressure_passes() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         // Device already demoted to subband; one beam with a generous
         // deadline fits at full fidelity, so the ladder promotes.
         let table = [
@@ -907,7 +909,7 @@ mod tests {
 
     #[test]
     fn algorithm_ladder_takes_multiple_steps_down_one_table() {
-        let l = ladder(1000, 8, 4);
+        let l = TierLadder::new(1000);
         // Neither the primary nor the middle row fits 5 beams at full
         // resolution by the deadline; the bottom row does, so the
         // ladder walks two steps in a single tick.
@@ -1016,7 +1018,7 @@ mod tests {
         load: &SurveyLoad,
         ceilings: &[usize],
     ) -> Vec<PlanCost> {
-        let ladder = TierLadder::new(load.trials(), &SchedulerConfig::default());
+        let ladder = TierLadder::new(load.trials());
         let mut table: Vec<DeviceCapacity<'_>> = fleet
             .devices
             .iter()
@@ -1106,8 +1108,7 @@ mod tests {
                 })
                 .collect();
             let load = SurveyLoad::custom(trials, beams, ticks);
-            let config = SchedulerConfig::default();
-            let mut planner = GridPlanner::new(&shards, trials, &config);
+            let mut planner = GridPlanner::new(&shards, trials);
             let predicted: Vec<PlanCost> = (0..ticks)
                 .map(|tick| {
                     let demand = demand_at(&load, tick);

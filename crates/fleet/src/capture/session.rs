@@ -43,6 +43,7 @@
 use super::arrivals::{Arrival, PacketSource};
 use super::policy::BackpressurePolicy;
 use super::ring::{BlockFormat, CaptureRing, Fidelity};
+use crate::admission::SHED_TIERS;
 use crate::batch::EventLog;
 use crate::descriptor::FleetError;
 use crate::load::LoadSource;
@@ -76,16 +77,13 @@ pub struct CaptureConfig {
     pub drain_max_blocks: usize,
     /// Trial DMs per beam the downstream plan computes.
     pub trials: usize,
-    /// DM tiers in the shed ladder (must match the scheduler's
-    /// `shed_tiers`); `NarrowDmPlan` ceilings are expressed in it.
-    pub ladder_tiers: usize,
 }
 
 impl CaptureConfig {
     /// A config with the scheduler-facing knobs at their defaults:
     /// one-second blocks, a 4-block ring at a 75% watermark,
-    /// `DropOldest`, drain bandwidth of one full wavefront
-    /// (`beams` blocks) per period, and the default 8-tier ladder.
+    /// `DropOldest`, and a drain bandwidth of one full wavefront
+    /// (`beams` blocks) per period.
     pub fn new(beams: usize, format: BlockFormat, trials: usize) -> Self {
         Self {
             beams,
@@ -96,7 +94,6 @@ impl CaptureConfig {
             period_s: 1.0,
             drain_max_blocks: beams.max(1),
             trials,
-            ladder_tiers: 8,
         }
     }
 }
@@ -167,8 +164,8 @@ pub struct CaptureLoad {
 impl CaptureLoad {
     /// Per-tick admission ceilings (kept trials): `trials` for
     /// full-fidelity batches, lower for batches carrying narrowed
-    /// blocks. Pass to [`crate::Session::admission_ceilings`] — or use
-    /// [`crate::Session::capture`], which wires both.
+    /// blocks. [`crate::Session::capture`] wires them, with the load,
+    /// into a session.
     pub fn ceilings(&self) -> &[usize] {
         &self.ceilings
     }
@@ -232,8 +229,8 @@ impl CaptureSession {
     ///
     /// Returns a [`FleetError`] for invalid ring parameters (see
     /// [`CaptureRing::new`]), a non-positive period, zero drain
-    /// bandwidth, zero trials, a ladder without tiers, or a
-    /// `NarrowDmPlan` that sheds the whole ladder.
+    /// bandwidth, zero trials, or a `NarrowDmPlan` that sheds the
+    /// scheduler's whole eight-tier ladder.
     pub fn new(config: CaptureConfig) -> Result<Self, FleetError> {
         if !(config.period_s.is_finite() && config.period_s > 0.0) {
             return Err(FleetError::new("capture period must be positive"));
@@ -248,11 +245,8 @@ impl CaptureSession {
                 "capture load must have at least one trial DM",
             ));
         }
-        if config.ladder_tiers == 0 {
-            return Err(FleetError::new("capture tier ladder must have tiers"));
-        }
         if let BackpressurePolicy::NarrowDmPlan { tiers } = config.policy {
-            if tiers >= config.ladder_tiers {
+            if tiers >= SHED_TIERS {
                 return Err(FleetError::new(
                     "NarrowDmPlan must keep at least one tier of the ladder",
                 ));
@@ -450,8 +444,7 @@ impl CaptureSession {
 fn narrowed_ceiling(config: &CaptureConfig) -> usize {
     match config.policy {
         BackpressurePolicy::NarrowDmPlan { tiers } => {
-            let l = config.ladder_tiers;
-            (config.trials * (l - tiers) / l).max(1)
+            (config.trials * (SHED_TIERS - tiers) / SHED_TIERS).max(1)
         }
         _ => config.trials,
     }
@@ -717,11 +710,6 @@ mod tests {
         })
         .is_err());
         assert!(CaptureSession::new(CaptureConfig { trials: 0, ..base }).is_err());
-        assert!(CaptureSession::new(CaptureConfig {
-            ladder_tiers: 0,
-            ..base
-        })
-        .is_err());
         assert!(CaptureSession::new(CaptureConfig {
             policy: BackpressurePolicy::NarrowDmPlan { tiers: 8 },
             ..base

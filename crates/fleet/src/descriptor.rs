@@ -6,11 +6,14 @@
 //! each distinct platform the optimal kernel configuration for the
 //! survey's (setup, #DMs) instance is looked up — falling back to the
 //! nearest tuned instance re-scored by the cost model, or to a fresh
-//! auto-tuning run when the platform was never tuned at all. The result
+//! auto-tuning run when the platform was never tuned at all. A group may
+//! instead carry a measured rate ([`RateSource::Measured`]). The result
 //! assigns every physical device a sustained GFLOP/s rate and a
-//! seconds-per-beam cost, which is all the scheduler needs.
+//! seconds-per-beam cost, which is all the scheduler needs; a fleet
+//! that also offers alternate algorithms to demote to is built with
+//! [`ResolvedFleet::synthetic_with_algorithms`].
 
-use autotune::{ConfigSpace, SimExecutor, Tuner, TuningDatabase, TuningResult};
+use autotune::{ConfigSpace, SimExecutor, Tuner, TuningDatabase};
 use dedisp_core::KernelConfig;
 use manycore_sim::{Algorithm, CostModel, DeviceDescriptor, Workload};
 use radioastro::{ObservationalSetup, RealtimeCheck};
@@ -47,7 +50,7 @@ impl std::error::Error for FleetError {}
 /// *measured* rate (e.g. from [`autotune::host`]'s wall-clock
 /// executor), everything else falls back to the model via the tuning
 /// database.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateSource {
     /// Resolve the rate from the tuning database / analytic cost model.
     Modeled,
@@ -55,90 +58,7 @@ pub enum RateSource {
     Measured {
         /// Sustained GFLOP/s observed on the device.
         gflops: f64,
-        /// The kernel configuration that achieved it, when known.
-        config: Option<KernelConfig>,
     },
-}
-
-impl RateSource {
-    /// A measured rate with no recorded configuration.
-    pub fn measured(gflops: f64) -> Self {
-        Self::Measured {
-            gflops,
-            config: None,
-        }
-    }
-
-    /// A measured rate taken from a tuning run's optimum — typically a
-    /// [`autotune::HostExecutor`] sweep on the real device. The winning
-    /// configuration rides along and is surfaced in the resolved device
-    /// name (e.g. `"AMD HD7970 #0 [wi=64x4 el=4x8]"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `result` holds no samples (nothing was measured).
-    pub fn from_tuning(result: &TuningResult) -> Self {
-        Self::Measured {
-            gflops: result.best_gflops(),
-            config: Some(result.best_config()),
-        }
-    }
-}
-
-/// A device group's per-algorithm rate table.
-///
-/// Historically a group carried one scalar [`RateSource`]; that is now
-/// the *single-entry* case — a table whose only row is the brute-force
-/// kernel family. Declaring further rows gives the admission planner
-/// algorithms to demote to before it sheds science
-/// (see [`crate::AlgorithmLadder`](crate::AlgorithmLadder)). The first
-/// row is the *primary*: the algorithm devices start on, and the one
-/// whose rate fills the scalar `gflops`/`seconds_per_beam` fields of
-/// [`ResolvedDevice`] — so a single-entry table reproduces the historic
-/// resolution byte-for-byte.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlgorithmRates {
-    entries: Vec<(Algorithm, RateSource)>,
-}
-
-impl AlgorithmRates {
-    /// The single-entry table: brute force at `rate` and nothing else —
-    /// exactly the pre-table behaviour.
-    pub fn single(rate: RateSource) -> Self {
-        Self {
-            entries: vec![(Algorithm::BruteForce, rate)],
-        }
-    }
-
-    /// The single-entry modeled table (the common default).
-    pub fn modeled() -> Self {
-        Self::single(RateSource::Modeled)
-    }
-
-    /// Appends an alternate `(algorithm, rate)` row. Declaration order
-    /// is *fidelity* order: the planner demotes down the table and
-    /// promotes back up it.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm, rate: RateSource) -> Self {
-        self.entries.push((algorithm, rate));
-        self
-    }
-
-    /// The primary row's rate source.
-    pub fn primary(&self) -> &RateSource {
-        &self.entries[0].1
-    }
-
-    /// All rows, primary first.
-    pub fn entries(&self) -> &[(Algorithm, RateSource)] {
-        &self.entries
-    }
-}
-
-impl From<RateSource> for AlgorithmRates {
-    fn from(rate: RateSource) -> Self {
-        Self::single(rate)
-    }
 }
 
 /// A group of `count` identical devices.
@@ -148,8 +68,8 @@ pub struct DeviceGroup {
     pub descriptor: DeviceDescriptor,
     /// How many physical devices of this model the fleet has.
     pub count: usize,
-    /// The group's per-algorithm rate table (single-entry by default).
-    pub rates: AlgorithmRates,
+    /// Where the group's brute-force rate comes from.
+    pub rate: RateSource,
 }
 
 /// A declared (unresolved) fleet: heterogeneous groups of accelerators.
@@ -173,36 +93,7 @@ impl FleetSpec {
     /// resolved from the tuning database / analytic model.
     #[must_use]
     pub fn with_group(self, descriptor: DeviceDescriptor, count: usize) -> Self {
-        self.with_rated_group(descriptor, count, RateSource::Modeled)
-    }
-
-    /// Adds a group of `count` identical devices with an explicit rate
-    /// source, letting one fleet mix measured and modeled platforms.
-    #[must_use]
-    pub fn with_rated_group(
-        self,
-        descriptor: DeviceDescriptor,
-        count: usize,
-        rate: RateSource,
-    ) -> Self {
-        self.with_algorithm_rates(descriptor, count, rate.into())
-    }
-
-    /// Adds a group of `count` identical devices with a full
-    /// per-algorithm rate table.
-    #[must_use]
-    pub fn with_algorithm_rates(
-        mut self,
-        descriptor: DeviceDescriptor,
-        count: usize,
-        rates: AlgorithmRates,
-    ) -> Self {
-        self.groups.push(DeviceGroup {
-            descriptor,
-            count,
-            rates,
-        });
-        self
+        self.push_group(descriptor, count, RateSource::Modeled)
     }
 
     /// Adds a group of `count` identical devices at a measured
@@ -214,7 +105,16 @@ impl FleetSpec {
         count: usize,
         gflops: f64,
     ) -> Self {
-        self.with_rated_group(descriptor, count, RateSource::measured(gflops))
+        self.push_group(descriptor, count, RateSource::Measured { gflops })
+    }
+
+    fn push_group(mut self, descriptor: DeviceDescriptor, count: usize, rate: RateSource) -> Self {
+        self.groups.push(DeviceGroup {
+            descriptor,
+            count,
+            rate,
+        });
+        self
     }
 
     /// The declared groups.
@@ -232,7 +132,8 @@ impl FleetSpec {
     ///
     /// A group declared with a measured [`RateSource`] uses its
     /// measured GFLOP/s directly (the database is neither consulted nor
-    /// extended). Modeled groups resolve per platform, in order of
+    /// extended) under the unit `1 × 1 × 1 × 1` configuration. Modeled
+    /// groups resolve per platform, in order of
     /// preference:
     ///
     /// 1. an exact `(platform, setup, trials)` tuple from `db`;
@@ -244,8 +145,9 @@ impl FleetSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`FleetError`] if the fleet is empty, the setup cannot
-    /// form a workload for `trials`, or no valid configuration exists.
+    /// Returns a [`FleetError`] if the fleet is empty, a measured rate
+    /// is not finite and positive, the setup cannot form a workload for
+    /// `trials`, or no valid configuration exists.
     pub fn resolve(
         &self,
         db: &mut TuningDatabase,
@@ -265,77 +167,34 @@ impl FleetSpec {
 
         let mut devices = Vec::with_capacity(self.device_count());
         for group in &self.groups {
-            let primary = group.rates.primary();
-            // A measured primary that remembers the winning tuned
-            // configuration surfaces it in the device name, so reports
-            // and status views show *which* kernel variant the measured
-            // rate belongs to.
-            let mut variant = None;
-            let (config, gflops) = match primary {
+            let (config, gflops) = match group.rate {
                 RateSource::Modeled => {
                     resolve_platform(db, &group.descriptor, setup, trials, &workload, space)?
                 }
-                RateSource::Measured { gflops, config } => {
-                    if *gflops <= 0.0 {
+                RateSource::Measured { gflops } => {
+                    if !(gflops.is_finite() && gflops > 0.0) {
                         return Err(FleetError::new(format!(
-                            "measured rate for {} must be positive, got {gflops}",
+                            "measured rate for {} must be finite and positive, got {gflops}",
                             group.descriptor.name
                         )));
                     }
-                    let config =
-                        config.unwrap_or_else(|| KernelConfig::new(1, 1, 1, 1).expect("non-zero"));
-                    if config != KernelConfig::new(1, 1, 1, 1).expect("non-zero") {
-                        variant = Some(format!(" [{config}]"));
-                    }
-                    (config, *gflops)
+                    (KernelConfig::new(1, 1, 1, 1).expect("non-zero"), gflops)
                 }
             };
-            let mut rates = vec![AlgorithmRate {
-                algorithm: group.rates.entries()[0].0,
-                seconds_per_beam: check.load_fraction(gflops),
-            }];
-            for (algorithm, rate) in &group.rates.entries()[1..] {
-                let alt_gflops = match rate {
-                    RateSource::Measured { gflops, .. } => {
-                        if *gflops <= 0.0 {
-                            return Err(FleetError::new(format!(
-                                "measured {} rate for {} must be positive, got {gflops}",
-                                algorithm.label(),
-                                group.descriptor.name
-                            )));
-                        }
-                        *gflops
-                    }
-                    RateSource::Modeled => {
-                        let model = CostModel::exact(group.descriptor.clone());
-                        model
-                            .evaluate_algorithm(&workload, &config, *algorithm)
-                            .map_err(|e| {
-                                FleetError::new(format!(
-                                    "cannot model {} on {}: {e:?}",
-                                    algorithm.label(),
-                                    group.descriptor.name
-                                ))
-                            })?
-                            .gflops
-                    }
-                };
-                rates.push(AlgorithmRate {
-                    algorithm: *algorithm,
-                    seconds_per_beam: check.load_fraction(alt_gflops),
-                });
-            }
+            let seconds_per_beam = check.load_fraction(gflops);
             for _ in 0..group.count {
                 let id = devices.len();
-                let suffix = variant.as_deref().unwrap_or("");
                 devices.push(ResolvedDevice {
                     id,
-                    name: format!("{} #{id}{suffix}", group.descriptor.name),
+                    name: format!("{} #{id}", group.descriptor.name),
                     platform: group.descriptor.name.clone(),
                     gflops,
                     config,
-                    seconds_per_beam: check.load_fraction(gflops),
-                    rates: rates.clone(),
+                    seconds_per_beam,
+                    rates: vec![AlgorithmRate {
+                        algorithm: Algorithm::BruteForce,
+                        seconds_per_beam,
+                    }],
                 });
             }
         }
@@ -409,7 +268,9 @@ pub struct ResolvedDevice {
     /// algorithm (`rates[0]`).
     pub seconds_per_beam: f64,
     /// The full per-algorithm rate table, primary first, in fidelity
-    /// order. Single-entry unless the fleet declared alternates.
+    /// order. A resolved [`FleetSpec`] gives each device its one
+    /// brute-force row; alternates come from
+    /// [`ResolvedFleet::synthetic_with_algorithms`].
     pub rates: Vec<AlgorithmRate>,
 }
 
@@ -620,41 +481,20 @@ mod tests {
     }
 
     #[test]
-    fn measured_rate_from_a_tuning_result_keeps_its_config() {
-        let mut db = TuningDatabase::new();
-        let setup = ObservationalSetup::apertif();
-        let space = ConfigSpace::reduced();
-        // Stand in for a real host measurement with a model sweep: what
-        // matters is that the TuningResult's optimum is carried over.
-        let probe = FleetSpec::homogeneous(amd_hd7970(), 1)
-            .resolve(&mut db, &setup, 64, &space)
-            .unwrap();
-        let rate = RateSource::Measured {
-            gflops: probe.devices[0].gflops,
-            config: Some(probe.devices[0].config),
-        };
-        let mut fresh = TuningDatabase::new();
-        let fleet = FleetSpec::new()
-            .with_rated_group(amd_hd7970(), 2, rate)
-            .resolve(&mut fresh, &setup, 64, &space)
-            .unwrap();
-        assert_eq!(fresh.len(), 0, "measured groups never tune");
-        assert_eq!(fleet.devices[0].config, probe.devices[0].config);
-        assert_eq!(fleet.devices[1].gflops, probe.devices[0].gflops);
-    }
-
-    #[test]
     fn non_positive_measured_rate_is_an_error() {
-        let mut db = TuningDatabase::new();
-        let err = FleetSpec::new()
-            .with_measured_group(amd_hd7970(), 1, 0.0)
-            .resolve(
-                &mut db,
-                &ObservationalSetup::apertif(),
-                64,
-                &ConfigSpace::reduced(),
-            );
-        assert!(err.is_err());
+        for gflops in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut db = TuningDatabase::new();
+            let err = FleetSpec::new()
+                .with_measured_group(amd_hd7970(), 1, gflops)
+                .resolve(
+                    &mut db,
+                    &ObservationalSetup::apertif(),
+                    64,
+                    &ConfigSpace::reduced(),
+                )
+                .unwrap_err();
+            assert!(err.to_string().contains("finite and positive"), "{err}");
+        }
     }
 
     #[test]
@@ -667,74 +507,6 @@ mod tests {
             assert_eq!(d.rates[0].algorithm, Algorithm::BruteForce);
             assert_eq!(d.rates[0].seconds_per_beam, d.seconds_per_beam);
         }
-    }
-
-    #[test]
-    fn modeled_alternates_resolve_from_the_algorithm_cost_model() {
-        let mut db = TuningDatabase::new();
-        let setup = ObservationalSetup::apertif();
-        let space = ConfigSpace::reduced();
-        let rates = AlgorithmRates::modeled()
-            .with_algorithm(Algorithm::Subband { factor: 32 }, RateSource::Modeled)
-            .with_algorithm(Algorithm::FourierDomain, RateSource::Modeled);
-        let fleet = FleetSpec::new()
-            .with_algorithm_rates(amd_hd7970(), 1, rates)
-            .resolve(&mut db, &setup, 2000, &space)
-            .unwrap();
-        let d = &fleet.devices[0];
-        assert_eq!(d.rates.len(), 3);
-        assert_eq!(d.rates[0].algorithm, Algorithm::BruteForce);
-        assert_eq!(d.rates[0].seconds_per_beam, d.seconds_per_beam);
-        // At 2,000 trials both alternates undercut brute force.
-        assert!(d.rates[1].seconds_per_beam < d.seconds_per_beam);
-        assert!(d.rates[2].seconds_per_beam < d.seconds_per_beam);
-    }
-
-    #[test]
-    fn measured_alternates_carry_their_declared_rate() {
-        let mut db = TuningDatabase::new();
-        let setup = ObservationalSetup::apertif();
-        let space = ConfigSpace::reduced();
-        let check = radioastro::RealtimeCheck::for_setup(&setup, 2000);
-        let brute = check.required_gflops / 0.106;
-        let sub = check.required_gflops / 0.02;
-        let rates = AlgorithmRates::single(RateSource::measured(brute))
-            .with_algorithm(Algorithm::Subband { factor: 32 }, RateSource::measured(sub));
-        let fleet = FleetSpec::new()
-            .with_algorithm_rates(amd_hd7970(), 1, rates)
-            .resolve(&mut db, &setup, 2000, &space)
-            .unwrap();
-        let d = &fleet.devices[0];
-        assert!((d.seconds_per_beam - 0.106).abs() < 1e-9);
-        assert!((d.rates[1].seconds_per_beam - 0.02).abs() < 1e-9);
-        assert_eq!(db.len(), 0, "measured tables never tune");
-    }
-
-    #[test]
-    fn tuned_measured_rates_surface_their_winning_variant_in_the_name() {
-        let mut db = TuningDatabase::new();
-        let setup = ObservationalSetup::apertif();
-        let space = ConfigSpace::reduced();
-        let probe = FleetSpec::homogeneous(amd_hd7970(), 1)
-            .resolve(&mut db, &setup, 64, &space)
-            .unwrap();
-        let result_rate = RateSource::Measured {
-            gflops: probe.devices[0].gflops,
-            config: Some(probe.devices[0].config),
-        };
-        let mut fresh = TuningDatabase::new();
-        let fleet = FleetSpec::new()
-            .with_rated_group(amd_hd7970(), 1, result_rate)
-            .resolve(&mut fresh, &setup, 64, &space)
-            .unwrap();
-        let expect = format!("AMD HD7970 #0 [{}]", probe.devices[0].config);
-        assert_eq!(fleet.devices[0].name, expect);
-        // Config-less measurements keep the plain name.
-        let plain = FleetSpec::new()
-            .with_measured_group(amd_hd7970(), 1, 100.0)
-            .resolve(&mut fresh, &setup, 64, &space)
-            .unwrap();
-        assert_eq!(plain.devices[0].name, "AMD HD7970 #0");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::load::LoadSource;
 use crate::metrics::{BeamOutcome, FleetReport, ShedReason};
 use crate::obs::trace::{SpanKind, TraceSink};
 use crate::proc::{self, ProcConfig, ProcGridLedger, ShardSpec};
-use crate::scheduler::{FleetRun, Scheduler, SchedulerConfig};
+use crate::scheduler::{FleetRun, Scheduler};
 use crate::shard::{
     partition, GlobalBeam, GridFaultPlan, Partition, RebalancePolicy, ShardCondition,
 };
@@ -56,12 +56,11 @@ impl Grid {
     /// Opens a grid session over `shards`, one scheduler per entry.
     ///
     /// The session must be given a load before it can run; rebalance
-    /// policy, scheduler tunables, and a [`GridFaultPlan`] are
+    /// policy, admission, backend, tracing and a [`GridFaultPlan`] are
     /// optional.
     pub fn session(shards: &[ResolvedFleet]) -> GridSession<'_> {
         GridSession {
             shards,
-            config: SchedulerConfig::default(),
             policy: RebalancePolicy::default(),
             admission: GridAdmission::default(),
             load: None,
@@ -91,7 +90,6 @@ pub enum ShardBackend {
 #[derive(Clone)]
 pub struct GridSession<'a> {
     shards: &'a [ResolvedFleet],
-    config: SchedulerConfig,
     policy: RebalancePolicy,
     admission: GridAdmission,
     load: Option<&'a dyn LoadSource>,
@@ -101,13 +99,6 @@ pub struct GridSession<'a> {
 }
 
 impl<'a> GridSession<'a> {
-    /// Overrides the per-shard scheduler tunables.
-    #[must_use]
-    pub fn config(mut self, config: SchedulerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Sets how beams are routed (and re-homed) across shards.
     #[must_use]
     pub fn policy(mut self, policy: RebalancePolicy) -> Self {
@@ -216,14 +207,7 @@ impl<'a> GridSession<'a> {
             supervisor,
             ceilings,
             rebalances,
-        } = partition(
-            load,
-            shards,
-            self.policy,
-            faults,
-            self.admission,
-            &self.config,
-        );
+        } = partition(load, shards, self.policy, faults, self.admission);
         let plans: Vec<_> = (0..shards.len())
             .map(|s| faults.plan_for(s, shards[s].len()))
             .collect();
@@ -263,7 +247,6 @@ impl<'a> GridSession<'a> {
                 .zip(plans.iter().zip(&ceiling_slices))
                 .enumerate()
                 .map(|(shard, ((fleet, shard_load), (plan, &ceiling)))| {
-                    let config = self.config.clone();
                     scope.spawn(move || {
                         let mut forward = ShardForward {
                             shard,
@@ -272,10 +255,8 @@ impl<'a> GridSession<'a> {
                         };
                         match backend {
                             ShardBackend::InThread => {
-                                let mut session = Scheduler::session(fleet)
-                                    .config(config)
-                                    .load(shard_load)
-                                    .faults(plan);
+                                let mut session =
+                                    Scheduler::session(fleet).load(shard_load).faults(plan);
                                 if let Some(ceiling) = ceiling {
                                     session = session.admission_ceilings(ceiling);
                                 }
@@ -290,9 +271,9 @@ impl<'a> GridSession<'a> {
                                     fleet: fleet.clone(),
                                     load: shard_load.clone(),
                                     plan: plan.clone(),
-                                    config,
                                     ceilings: ceiling.map(<[usize]>::to_vec),
                                     chaos: None,
+                                    trace: false,
                                 };
                                 proc::run_shard_traced(
                                     &spec,

@@ -9,8 +9,8 @@
 //!   of paper devices; each resolves its optimal kernel configuration
 //!   for the survey's (setup, #DMs) instance from a [`autotune::TuningDatabase`],
 //!   falling back to the nearest tuned instance or a fresh tuning run.
-//!   Groups may instead carry a *measured* rate ([`RateSource`]), so one
-//!   fleet mixes benchmarked and modeled platforms.
+//!   Each group carries one [`RateSource`], modeled or *measured*, so
+//!   one fleet mixes benchmarked and modeled platforms.
 //! * [`Scheduler`] — a virtual-time dispatcher placing beam batches by
 //!   cost-model predicted throughput, with admission control against
 //!   the real-time deadline budget; each device is a value it calls and
@@ -136,8 +136,7 @@ pub use capture::{
     CaptureSession, PacketSource,
 };
 pub use descriptor::{
-    AlgorithmRate, AlgorithmRates, DeviceGroup, FleetError, FleetSpec, RateSource, ResolvedDevice,
-    ResolvedFleet,
+    AlgorithmRate, DeviceGroup, FleetError, FleetSpec, RateSource, ResolvedDevice, ResolvedFleet,
 };
 pub use fault::{FaultEvent, FaultPlan};
 pub use grid::{

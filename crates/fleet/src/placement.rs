@@ -82,11 +82,10 @@ pub(crate) fn place_beam(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SchedulerConfig;
 
     /// 1000 trials in 8 tiers of 125, at most 4 shed: 875/750/625/500.
     fn ladder() -> TierLadder {
-        TierLadder::new(1000, &SchedulerConfig::default())
+        TierLadder::new(1000)
     }
 
     fn healthy(_: usize, cap: &DeviceCapacity<'_>) -> bool {

@@ -10,37 +10,22 @@
 //! (or [`ShardFrame::Fatal`] for a deterministic scheduling error, or
 //! a spec frame that does not decode).
 //!
-//! Chaos injection lives here too: if the effective [`ChaosSpec`] says
-//! `kill_after_frames: n`, the child SIGKILLs itself immediately after
-//! its `n`-th batch frame reaches the pipe — a real `kill -9`, not a
-//! simulated flap, which is exactly what makes the supervisor's
-//! restart path crash-real. The spec's own `chaos` field wins; a
-//! `--chaos-exec`-style override from the child's argv comes second;
-//! the `DEDISP_CHAOS_EXEC` environment variable (for harnesses that
-//! cannot pass custom flags) last. A value of that variable that is not
-//! a frame count is a `Fatal` error, never a run without chaos.
+//! The spec is the child's only input: it reads no environment
+//! variable and no argument. Chaos injection lives here too: if the
+//! spec's [`ChaosSpec`] says `kill_after_frames: n`, the child
+//! SIGKILLs itself immediately after its `n`-th batch frame reaches
+//! the pipe — a real `kill -9`, not a simulated flap, which is exactly
+//! what makes the supervisor's restart path crash-real. If the spec
+//! asks for tracing, the child records its phase spans and ships them
+//! as [`ShardFrame::Trace`] sidecars.
 
 use super::frame::{write_msg, FrameError, FrameReader};
 use super::protocol::{ChaosSpec, ShardFrame, ShardLedger, ShardSpec};
 use crate::batch::TickBatch;
 use crate::descriptor::FleetError;
 use crate::obs::trace::TraceSink;
-use crate::scheduler::Scheduler;
 use crate::telemetry::Observer;
-use std::ffi::{OsStr, OsString};
 use std::io::Write;
-
-/// Environment variable carrying a `kill_after_frames` chaos count for
-/// child entry points that cannot receive custom CLI flags (e.g. a
-/// libtest-managed helper test).
-pub const CHAOS_ENV: &str = "DEDISP_CHAOS_EXEC";
-
-/// Environment variable the supervisor sets to ask a child to record
-/// its own phase spans and ship them upstream as
-/// [`ShardFrame::Trace`] sidecar frames. Any non-empty value other
-/// than `0` enables tracing. An env var rather than a spec field so
-/// the [`ShardSpec`] wire format stays unchanged.
-pub const TRACE_ENV: &str = "DEDISP_TRACE";
 
 /// SIGKILLs the current process — the real thing, via `kill -9`.
 /// Aborts as a fallback if the signal somehow fails to land, so a
@@ -112,48 +97,14 @@ impl<W: Write> Observer for Framing<W> {
 }
 
 /// Runs one shard conversation over explicit streams: reads the spec
-/// from `input`, streams frames to `output`. `chaos_override` is the
-/// argv-level chaos source (e.g. a parsed `--chaos-exec n`).
+/// from `input`, streams frames to `output`.
 ///
 /// # Errors
 ///
 /// Returns a [`FleetError`] if the spec cannot be read (after a `Fatal`
 /// frame when it arrived whole but does not decode), the run fails
 /// (after a `Fatal` frame is written), or the pipe broke mid-stream.
-pub fn serve(
-    input: impl std::io::Read,
-    output: impl Write,
-    chaos_override: Option<ChaosSpec>,
-) -> Result<(), FleetError> {
-    serve_traced(input, output, chaos_override, trace_from_env())
-}
-
-/// [`serve`] with tracing decided explicitly instead of from
-/// [`TRACE_ENV`]: when `traced`, the shard session records its phase
-/// spans and ships them upstream as [`ShardFrame::Trace`] sidecars.
-///
-/// # Errors
-///
-/// As [`serve`], and, after a `Fatal` frame, if [`CHAOS_ENV`] is
-/// consulted and does not hold a frame count.
-pub fn serve_traced(
-    input: impl std::io::Read,
-    output: impl Write,
-    chaos_override: Option<ChaosSpec>,
-    traced: bool,
-) -> Result<(), FleetError> {
-    let chaos_env = std::env::var_os(CHAOS_ENV);
-    serve_with(input, output, chaos_override, traced, chaos_env)
-}
-
-/// [`serve_traced`] with [`CHAOS_ENV`]'s value, if set, passed in.
-fn serve_with(
-    input: impl std::io::Read,
-    mut output: impl Write,
-    chaos_override: Option<ChaosSpec>,
-    traced: bool,
-    chaos_env: Option<OsString>,
-) -> Result<(), FleetError> {
+pub fn serve(input: impl std::io::Read, mut output: impl Write) -> Result<(), FleetError> {
     let mut reader = FrameReader::new(input);
     let spec: ShardSpec = match reader.read_msg() {
         Ok(Some(spec)) => spec,
@@ -169,37 +120,15 @@ fn serve_with(
             return Err(e);
         }
     };
-    let chaos = match spec.chaos.or(chaos_override) {
-        Some(chaos) => Some(chaos),
-        None => match chaos_env.as_deref().map(parse_chaos).transpose() {
-            Ok(chaos) => chaos,
-            Err(e) => {
-                // The same value fails the same way on a restart.
-                let _ = write_msg(&mut output, &ShardFrame::Fatal(e.to_string()));
-                return Err(e);
-            }
-        },
-    };
-    let trace = traced.then(TraceSink::default);
-
+    let trace = spec.trace.then(TraceSink::default);
     let mut framing = Framing {
         out: output,
         frames: 0,
-        chaos,
+        chaos: spec.chaos,
         error: None,
         trace: trace.clone(),
     };
-    let mut session = Scheduler::session(&spec.fleet)
-        .config(spec.config.clone())
-        .load(&spec.load)
-        .faults(&spec.plan);
-    if let Some(ceilings) = spec.ceilings.as_deref() {
-        session = session.admission_ceilings(ceilings);
-    }
-    if let Some(sink) = &trace {
-        session = session.trace(sink).trace_shard(spec.shard);
-    }
-    match session.run_with(&mut framing) {
+    match spec.session(trace.as_ref()).run_with(&mut framing) {
         Ok(run) => {
             // The last tick's flush-phase spans land after its batch
             // frame went out; ship them before the ledger closes the
@@ -224,36 +153,15 @@ fn serve_with(
 }
 
 /// Runs one shard conversation over this process's stdin/stdout — the
-/// child entry point. `chaos_override` carries an argv-parsed chaos
-/// count ([`CHAOS_ENV`] is consulted as the last resort).
+/// child entry point.
 ///
 /// # Errors
 ///
 /// As [`serve`].
-pub fn serve_stdio(chaos_override: Option<ChaosSpec>) -> Result<(), FleetError> {
+pub fn serve_stdio() -> Result<(), FleetError> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    serve(stdin.lock(), stdout.lock(), chaos_override)
-}
-
-/// Parses a value of [`CHAOS_ENV`]: a `kill_after_frames` count.
-fn parse_chaos(raw: &OsStr) -> Result<ChaosSpec, FleetError> {
-    raw.to_str()
-        .and_then(|count| count.trim().parse::<u32>().ok())
-        .map(|kill_after_frames| ChaosSpec { kill_after_frames })
-        .ok_or_else(|| {
-            FleetError::new(format!(
-                "{CHAOS_ENV}={raw:?} is not a frame count (a non-negative integer)"
-            ))
-        })
-}
-
-/// Whether [`TRACE_ENV`] asks for span sidecars.
-fn trace_from_env() -> bool {
-    std::env::var(TRACE_ENV).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    serve(stdin.lock(), stdout.lock())
 }
 
 #[cfg(test)]
@@ -263,7 +171,7 @@ mod tests {
     use crate::descriptor::ResolvedFleet;
     use crate::fault::FaultPlan;
     use crate::proc::frame::write_frame;
-    use crate::scheduler::SchedulerConfig;
+    use crate::scheduler::Scheduler;
     use crate::shard::{partition, GridFaultPlan, RebalancePolicy};
     use crate::survey::SurveyLoad;
 
@@ -279,16 +187,15 @@ mod tests {
             RebalancePolicy::default(),
             &GridFaultPlan::none(),
             GridAdmission::default(),
-            &SchedulerConfig::default(),
         );
         ShardSpec {
             shard: 0,
             fleet: shards[0].clone(),
             load: part.shard_loads[0].clone(),
             plan: FaultPlan::none(),
-            config: SchedulerConfig::default(),
             ceilings: None,
             chaos: None,
+            trace: false,
         }
     }
 
@@ -298,7 +205,7 @@ mod tests {
         let mut request = Vec::new();
         write_msg(&mut request, &spec).unwrap();
         let mut response = Vec::new();
-        serve(request.as_slice(), &mut response, None).unwrap();
+        serve(request.as_slice(), &mut response).unwrap();
 
         // Decode the conversation: batches, then exactly one ledger.
         let mut reader = FrameReader::new(response.as_slice());
@@ -325,7 +232,6 @@ mod tests {
         // The conversation carries exactly what the same in-thread
         // session produces: same report, same records, same stream.
         let reference = Scheduler::session(&spec.fleet)
-            .config(spec.config.clone())
             .load(&spec.load)
             .faults(&spec.plan)
             .run()
@@ -342,13 +248,18 @@ mod tests {
     #[test]
     fn traced_serve_ships_sidecars_and_an_identical_ledger() {
         let spec = spec_for_test();
-        let mut request = Vec::new();
-        write_msg(&mut request, &spec).unwrap();
-
-        let mut plain = Vec::new();
-        serve_traced(request.as_slice(), &mut plain, None, false).unwrap();
-        let mut traced = Vec::new();
-        serve_traced(request.as_slice(), &mut traced, None, true).unwrap();
+        let serve_spec = |spec: &ShardSpec| {
+            let mut request = Vec::new();
+            write_msg(&mut request, spec).unwrap();
+            let mut response = Vec::new();
+            serve(request.as_slice(), &mut response).unwrap();
+            response
+        };
+        let plain = serve_spec(&spec);
+        let traced = serve_spec(&ShardSpec {
+            trace: true,
+            ..spec.clone()
+        });
 
         // Stripping the sidecars from the traced conversation leaves
         // exactly the untraced conversation: same batches, same
@@ -388,7 +299,7 @@ mod tests {
             let mut request = Vec::new();
             write_msg(&mut request, &spec).unwrap();
             let mut response = Vec::new();
-            assert!(serve(request.as_slice(), &mut response, None).is_err());
+            assert!(serve(request.as_slice(), &mut response).is_err());
             let mut reader = FrameReader::new(response.as_slice());
             match reader.read_msg::<ShardFrame>().unwrap() {
                 Some(ShardFrame::Fatal(why)) => {
@@ -409,7 +320,7 @@ mod tests {
         let mut request = Vec::new();
         write_frame(&mut request, zeroed.as_bytes()).unwrap();
         let mut response = Vec::new();
-        assert!(serve(request.as_slice(), &mut response, None).is_err());
+        assert!(serve(request.as_slice(), &mut response).is_err());
         let mut reader = FrameReader::new(response.as_slice());
         match reader.read_msg::<ShardFrame>().unwrap() {
             Some(ShardFrame::Fatal(why)) => assert!(why.contains("el_dm"), "{why}"),
@@ -419,89 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn a_chaos_count_parses() {
-        for (raw, count) in [("0", 0), ("3", 3), (" 12\n", 12)] {
-            let chaos = parse_chaos(OsStr::new(raw)).unwrap();
-            assert_eq!(chaos.kill_after_frames, count, "{raw:?}");
-        }
-    }
-
-    /// Serves `spec_for_test()` with `raw` as [`CHAOS_ENV`]'s value and
-    /// returns the error and the first frame written.
-    fn served_with_chaos_env(raw: &str) -> (FleetError, Option<ShardFrame>) {
-        let mut request = Vec::new();
-        write_msg(&mut request, &spec_for_test()).unwrap();
-        let mut response = Vec::new();
-        let env = Some(OsString::from(raw));
-        let e = serve_with(request.as_slice(), &mut response, None, false, env).unwrap_err();
-        let frame = FrameReader::new(response.as_slice()).read_msg().unwrap();
-        (e, frame)
-    }
-
-    fn assert_chaos_env_rejected(raw: &str) {
-        let (e, frame) = served_with_chaos_env(raw);
-        let e = e.to_string();
-        assert!(
-            e.contains(CHAOS_ENV) && e.contains(&format!("{raw:?}")),
-            "{e}"
-        );
-        match frame {
-            Some(ShardFrame::Fatal(why)) => assert_eq!(why, e),
-            other => panic!("expected a fatal frame, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_chaos_count_in_words_is_rejected() {
-        assert_chaos_env_rejected("ten");
-    }
-
-    #[test]
-    fn a_negative_chaos_count_is_rejected() {
-        assert_chaos_env_rejected("-1");
-    }
-
-    #[test]
-    fn a_chaos_count_with_a_suffix_is_rejected() {
-        assert_chaos_env_rejected("3x");
-    }
-
-    #[test]
-    fn an_empty_chaos_count_is_rejected() {
-        assert_chaos_env_rejected("");
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn a_chaos_count_that_is_not_unicode_is_rejected() {
-        use std::os::unix::ffi::OsStringExt;
-        let raw = OsString::from_vec(vec![b'3', 0xff]);
-        assert!(parse_chaos(&raw)
-            .unwrap_err()
-            .to_string()
-            .contains(CHAOS_ENV));
-    }
-
-    #[test]
-    fn the_spec_chaos_wins_over_a_bad_chaos_env() {
-        // The variable is the last resort: when the spec or argv names a
-        // count it is not read, so it cannot fail the run. A count that
-        // is never reached leaves the conversation whole.
-        let mut spec = spec_for_test();
-        spec.chaos = Some(ChaosSpec {
-            kill_after_frames: u32::MAX,
-        });
-        let mut request = Vec::new();
-        write_msg(&mut request, &spec).unwrap();
-        let mut response = Vec::new();
-        let env = Some(OsString::from("ten"));
-        serve_with(request.as_slice(), &mut response, None, false, env).unwrap();
-    }
-
-    #[test]
     fn a_missing_spec_is_a_loud_error() {
         let mut out = Vec::new();
-        assert!(serve(&b""[..], &mut out, None).is_err());
+        assert!(serve(&b""[..], &mut out).is_err());
         assert!(out.is_empty());
     }
 }

@@ -9,13 +9,13 @@
 //! * [`protocol`] — the typed conversation: one [`ShardSpec`] in, a
 //!   stream of [`ShardFrame::Batch`] telemetry out, one terminal
 //!   [`ShardFrame::Ledger`] (or [`ShardFrame::Fatal`]);
-//! * [`child`] — the child entry point ([`serve_stdio`]) plus the
-//!   chaos self-kill that makes crash testing *real* (`kill -9`, not a
-//!   simulated flap);
+//! * [`child`] — the child entry point ([`serve_stdio`]), whose only
+//!   input is its spec, plus the chaos self-kill that makes crash
+//!   testing *real* (`kill -9`, not a simulated flap);
 //! * [`supervisor`] — process ownership: per-frame liveness deadlines,
-//!   bounded restart with exponential backoff, deterministic
-//!   frame-replay dedupe, and graceful degradation to in-thread
-//!   execution.
+//!   bounded restart with exponential backoff, chaos on the first
+//!   attempt only, deterministic frame-replay dedupe, and graceful
+//!   degradation to in-thread execution.
 //!
 //! The seam the rest of the crate sees is
 //! [`crate::grid::ShardBackend`]: `InThread` keeps every existing
@@ -27,7 +27,7 @@ pub mod frame;
 pub mod protocol;
 pub mod supervisor;
 
-pub use child::{serve, serve_stdio, serve_traced, CHAOS_ENV, TRACE_ENV};
+pub use child::{serve, serve_stdio};
 pub use frame::{write_frame, write_msg, FrameError, FrameReader};
 pub use protocol::{ChaosSpec, ShardFrame, ShardLedger, ShardSpec};
 pub use supervisor::{

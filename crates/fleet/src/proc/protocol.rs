@@ -22,8 +22,8 @@ use crate::batch::TickBatch;
 use crate::descriptor::ResolvedFleet;
 use crate::fault::FaultPlan;
 use crate::metrics::{BeamRecord, FleetReport};
-use crate::obs::trace::Span;
-use crate::scheduler::SchedulerConfig;
+use crate::obs::trace::{Span, TraceSink};
+use crate::scheduler::{Scheduler, Session};
 use crate::shard::ShardLoad;
 use serde::{Deserialize, Serialize};
 
@@ -54,13 +54,32 @@ pub struct ShardSpec {
     pub load: ShardLoad,
     /// The shard's device-level fault schedule.
     pub plan: FaultPlan,
-    /// Scheduler tunables, identical across the grid.
-    pub config: SchedulerConfig,
     /// Per-tick admission ceilings from a coordinated grid controller.
     pub ceilings: Option<Vec<usize>>,
     /// Crash injection, if this run is a chaos experiment. Stripped by
     /// the supervisor on restart — a chaos kill fires once.
     pub chaos: Option<ChaosSpec>,
+    /// Whether the child records its phase spans and ships them as
+    /// [`ShardFrame::Trace`] sidecars. Set by a tracing supervisor;
+    /// the batches and the ledger are the same either way.
+    pub trace: bool,
+}
+
+impl ShardSpec {
+    /// The scheduler session this spec describes, its spans (if any)
+    /// tagged with the shard and recorded into `trace`.
+    pub(crate) fn session<'a>(&'a self, trace: Option<&TraceSink>) -> Session<'a> {
+        let mut session = Scheduler::session(&self.fleet)
+            .load(&self.load)
+            .faults(&self.plan);
+        if let Some(ceilings) = self.ceilings.as_deref() {
+            session = session.admission_ceilings(ceilings);
+        }
+        if let Some(sink) = trace {
+            session = session.trace(sink).trace_shard(self.shard);
+        }
+        session
+    }
 }
 
 /// The final ledger a child reports: the shard's own aggregated report
@@ -147,18 +166,17 @@ mod tests {
             RebalancePolicy::default(),
             &GridFaultPlan::none(),
             GridAdmission::default(),
-            &SchedulerConfig::default(),
         );
         let spec = ShardSpec {
             shard: 0,
             fleet: shards[0].clone(),
             load: part.shard_loads[0].clone(),
             plan: FaultPlan::none().with_kill(1, 1.5),
-            config: SchedulerConfig::default(),
             ceilings: Some(vec![100, 75]),
             chaos: Some(ChaosSpec {
                 kill_after_frames: 2,
             }),
+            trace: true,
         };
         let json = serde_json::to_string(&spec).unwrap();
         let back: ShardSpec = serde_json::from_str(&json).unwrap();
@@ -168,5 +186,6 @@ mod tests {
         assert_eq!(back.plan, spec.plan);
         assert_eq!(back.ceilings, spec.ceilings);
         assert_eq!(back.chaos, spec.chaos);
+        assert_eq!(back.trace, spec.trace);
     }
 }

@@ -9,14 +9,14 @@
 //!
 //! * **Liveness deadlines.** A dedicated reader thread decodes frames
 //!   off the child's stdout; the supervisor waits on a channel with a
-//!   per-frame timeout ([`ProcConfig::liveness`]). A shard that stops
-//!   framing within its budget is declared dead and killed — hangs and
-//!   crashes land in the same restart path.
+//!   30 s per-frame timeout. A shard that stops framing within its
+//!   budget is declared dead and killed — hangs and crashes land in
+//!   the same restart path.
 //! * **Restart with bounded exponential backoff.** A dead or hung
-//!   child is re-spawned up to [`ProcConfig::max_restarts`] times,
-//!   sleeping `backoff_base_ms << (attempt - 1)` between attempts.
-//!   Chaos injection and per-shard extra argv are stripped on restart:
-//!   a chaos kill fires once.
+//!   child is re-spawned up to 2 times, sleeping
+//!   `50 ms << (attempt - 1)` between attempts. Chaos injection
+//!   ([`ProcConfig::chaos`]) is stripped on restart: a chaos kill
+//!   fires once.
 //! * **Deduplicated replay.** Because a [`ShardSpec`] is deterministic,
 //!   a restarted child reproduces the identical frame stream; the
 //!   supervisor drops the first `n` batch frames it has already
@@ -36,50 +36,44 @@ use super::protocol::{ChaosSpec, ShardFrame, ShardSpec};
 use crate::batch::EventLog;
 use crate::descriptor::FleetError;
 use crate::obs::trace::{SpanKind, TraceSink};
-use crate::scheduler::{FleetRun, Scheduler};
+use crate::scheduler::FleetRun;
 use crate::telemetry::Observer;
 use serde::{Deserialize, Serialize};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// How to launch and babysit shard child processes.
+/// Per-frame liveness deadline: a child that writes nothing for this
+/// long is declared hung and killed.
+const LIVENESS: Duration = Duration::from_secs(30);
+
+/// Restarts allowed after the first attempt dies or hangs.
+const MAX_RESTARTS: u32 = 2;
+
+/// Backoff before restart `n` is `BACKOFF_BASE_MS << (n - 1)`.
+const BACKOFF_BASE_MS: u64 = 50;
+
+/// How to launch shard child processes.
 #[derive(Debug, Clone)]
 pub struct ProcConfig {
     /// The child executable.
     pub program: std::path::PathBuf,
     /// Arguments every child gets (e.g. `["--child"]`).
     pub args: Vec<String>,
-    /// Extra arguments for specific shards, appended after `args` on
-    /// the **first** attempt only (restart strips them — this is where
-    /// a `--chaos-exec 3` flag rides).
-    pub shard_args: Vec<(usize, Vec<String>)>,
     /// Environment variables set on every child.
     pub envs: Vec<(String, String)>,
     /// Supervisor-injected chaos, per shard, first attempt only.
     pub chaos: Vec<(usize, ChaosSpec)>,
-    /// Per-frame liveness deadline: a child that writes nothing for
-    /// this long is declared hung and killed.
-    pub liveness: Duration,
-    /// Restarts allowed after the first attempt dies or hangs.
-    pub max_restarts: u32,
-    /// Backoff before restart `n` is `backoff_base_ms << (n - 1)`.
-    pub backoff_base_ms: u64,
 }
 
 impl ProcConfig {
-    /// A config launching `program` with no arguments and the default
-    /// policy: 10 s liveness, 2 restarts, 50 ms base backoff.
+    /// A config launching `program` with no arguments.
     pub fn new(program: impl Into<std::path::PathBuf>) -> Self {
         Self {
             program: program.into(),
             args: Vec::new(),
-            shard_args: Vec::new(),
             envs: Vec::new(),
             chaos: Vec::new(),
-            liveness: Duration::from_secs(10),
-            max_restarts: 2,
-            backoff_base_ms: 50,
         }
     }
 
@@ -102,18 +96,6 @@ impl ProcConfig {
         self
     }
 
-    /// Appends first-attempt-only extra arguments for one shard.
-    #[must_use]
-    pub fn shard_args<I, S>(mut self, shard: usize, args: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.shard_args
-            .push((shard, args.into_iter().map(Into::into).collect()));
-        self
-    }
-
     /// Sets an environment variable on every child.
     #[must_use]
     pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
@@ -128,46 +110,17 @@ impl ProcConfig {
         self
     }
 
-    /// Sets the per-frame liveness deadline.
-    #[must_use]
-    pub fn liveness(mut self, deadline: Duration) -> Self {
-        self.liveness = deadline;
-        self
-    }
-
-    /// Sets the restart budget.
-    #[must_use]
-    pub fn max_restarts(mut self, restarts: u32) -> Self {
-        self.max_restarts = restarts;
-        self
-    }
-
-    /// Sets the base backoff in milliseconds.
-    #[must_use]
-    pub fn backoff_base_ms(mut self, ms: u64) -> Self {
-        self.backoff_base_ms = ms;
-        self
-    }
-
     fn chaos_for(&self, shard: usize) -> Option<ChaosSpec> {
         self.chaos
             .iter()
             .find(|(s, _)| *s == shard)
             .map(|(_, c)| *c)
     }
+}
 
-    fn extra_args_for(&self, shard: usize) -> &[String] {
-        self.shard_args
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .map_or(&[], |(_, a)| a.as_slice())
-    }
-
-    /// The backoff slept before restart number `restart` (1-based).
-    fn backoff_ms(&self, restart: u32) -> u64 {
-        self.backoff_base_ms
-            .saturating_mul(1_u64.wrapping_shl(restart.saturating_sub(1)))
-    }
+/// The backoff slept before restart number `restart` (1-based).
+fn backoff_ms(restart: u32) -> u64 {
+    BACKOFF_BASE_MS.saturating_mul(1_u64.wrapping_shl(restart.saturating_sub(1)))
 }
 
 /// How one child attempt ended.
@@ -261,9 +214,9 @@ enum AttemptEnd {
 /// path produces from the same spec.
 ///
 /// With a tracing sink the supervisor records its own wall-clock spans
-/// (`frame_decode`, `liveness_wait`, `restart_backoff`), sets
-/// [`super::child::TRACE_ENV`] on the child so it records its phase
-/// spans too, and injects the child's [`ShardFrame::Trace`] sidecars
+/// (`frame_decode`, `liveness_wait`, `restart_backoff`), sets the
+/// spec's `trace` flag so the child records its phase spans too, and
+/// injects the child's [`ShardFrame::Trace`] sidecars
 /// into the sink — one timeline across parent and re-exec'd children.
 /// Trace frames never count toward frame dedupe or liveness-progress
 /// accounting, so the run's ledgers are byte-identical to an untraced
@@ -294,32 +247,25 @@ pub fn run_shard_traced(
     // child's `FleetRun::log` identically.
     let mut log = EventLog::new();
 
-    let max_attempts = config.max_restarts.saturating_add(1);
+    let max_attempts = MAX_RESTARTS + 1;
     for attempt in 1..=max_attempts {
-        // Chaos and per-shard argv ride the first attempt only: the
-        // whole point of a restart is to re-run the spec *without* the
-        // self-inflicted kill.
-        let first = attempt == 1;
-        let mut attempt_spec = spec.clone();
-        attempt_spec.chaos = if first {
-            attempt_spec.chaos.or_else(|| config.chaos_for(spec.shard))
-        } else {
-            None
+        // Chaos rides the first attempt only: the whole point of a
+        // restart is to re-run the spec *without* the self-inflicted
+        // kill.
+        let attempt_spec = ShardSpec {
+            chaos: if attempt == 1 {
+                spec.chaos.or_else(|| config.chaos_for(spec.shard))
+            } else {
+                None
+            },
+            trace: trace.is_some(),
+            ..spec.clone()
         };
 
         let mut command = Command::new(&config.program);
         command.args(&config.args);
-        if first {
-            command.args(config.extra_args_for(spec.shard));
-        }
         for (key, value) in &config.envs {
             command.env(key, value);
-        }
-        if trace.is_some() {
-            // Ask the child for span sidecars; the spec wire format
-            // stays untouched, so traced and untraced supervisors
-            // speak the identical protocol.
-            command.env(super::child::TRACE_ENV, "1");
         }
         command
             .stdin(Stdio::piped())
@@ -341,15 +287,7 @@ pub fn run_shard_traced(
             }
         };
 
-        match supervise_attempt(
-            child,
-            &attempt_spec,
-            config,
-            forward,
-            &mut ledger,
-            &mut log,
-            trace,
-        ) {
+        match supervise_attempt(child, &attempt_spec, forward, &mut ledger, &mut log, trace) {
             Ok(AttemptEnd::Ledger(shard_ledger)) => {
                 ledger.attempts.push(ProcAttempt {
                     attempt,
@@ -378,7 +316,6 @@ pub fn run_shard_traced(
             Ok(AttemptEnd::Died { after_frames }) => {
                 record_retry(
                     &mut ledger,
-                    config,
                     attempt,
                     max_attempts,
                     ProcOutcome::Died { after_frames },
@@ -389,7 +326,6 @@ pub fn run_shard_traced(
             Ok(AttemptEnd::TimedOut { after_frames }) => {
                 record_retry(
                     &mut ledger,
-                    config,
                     attempt,
                     max_attempts,
                     ProcOutcome::TimedOut { after_frames },
@@ -408,7 +344,6 @@ pub fn run_shard_traced(
 /// Records a failed attempt and sleeps its backoff if a retry follows.
 fn record_retry(
     ledger: &mut ProcShardLedger,
-    config: &ProcConfig,
     attempt: u32,
     max_attempts: u32,
     outcome: ProcOutcome,
@@ -416,7 +351,7 @@ fn record_retry(
     shard: usize,
 ) {
     let will_retry = attempt < max_attempts;
-    let backoff_ms = will_retry.then(|| config.backoff_ms(attempt));
+    let backoff_ms = will_retry.then(|| backoff_ms(attempt));
     ledger.attempts.push(ProcAttempt {
         attempt,
         outcome,
@@ -434,11 +369,9 @@ fn record_retry(
 /// Supervises one spawned child to its end: writes the spec, decodes
 /// frames under the liveness deadline, forwards fresh batches, dedupes
 /// replayed ones.
-#[allow(clippy::too_many_arguments)]
 fn supervise_attempt(
     mut child: Child,
     spec: &ShardSpec,
-    config: &ProcConfig,
     forward: &mut dyn Observer,
     ledger: &mut ProcShardLedger,
     log: &mut EventLog,
@@ -504,7 +437,7 @@ fn supervise_attempt(
             break AttemptEnd::Died { after_frames: 0 };
         }
         let wait_span = trace.map(|t| t.start(SpanKind::LivenessWait, Some(spec.shard), seen));
-        let received = rx.recv_timeout(config.liveness);
+        let received = rx.recv_timeout(LIVENESS);
         drop(wait_span);
         match received {
             Ok(Ok(ShardFrame::Batch(batch))) => {
@@ -585,19 +518,9 @@ fn degrade_in_thread(
         deduped: 0,
         forwarded: 0,
     };
-    let mut session = Scheduler::session(&spec.fleet)
-        .config(spec.config.clone())
-        .load(&spec.load)
-        .faults(&spec.plan);
-    if let Some(ceilings) = spec.ceilings.as_deref() {
-        session = session.admission_ceilings(ceilings);
-    }
-    if let Some(sink) = trace {
-        session = session.trace(sink).trace_shard(spec.shard);
-    }
     // The in-thread run's own log is complete and authoritative, so
     // the partially reconstructed one is dropped.
-    let run = session.run_with(&mut dedup)?;
+    let run = spec.session(trace).run_with(&mut dedup)?;
     ledger.deduped_frames += dedup.deduped;
     ledger.frames_forwarded += dedup.forwarded;
     Ok((run, ledger))
@@ -631,30 +554,24 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_restart() {
-        let config = ProcConfig::new("true").backoff_base_ms(50);
-        assert_eq!(config.backoff_ms(1), 50);
-        assert_eq!(config.backoff_ms(2), 100);
-        assert_eq!(config.backoff_ms(3), 200);
+        assert_eq!(backoff_ms(1), 50);
+        assert_eq!(backoff_ms(2), 100);
+        assert_eq!(backoff_ms(3), 200);
     }
 
     #[test]
     fn builders_compose() {
         let config = ProcConfig::new("shard-bin")
             .arg("--child")
-            .shard_args(0, ["--chaos-exec", "3"])
             .env("RUST_LOG", "warn")
             .chaos(
                 1,
                 ChaosSpec {
                     kill_after_frames: 2,
                 },
-            )
-            .liveness(Duration::from_secs(3))
-            .max_restarts(5)
-            .backoff_base_ms(10);
+            );
         assert_eq!(config.args, vec!["--child"]);
-        assert_eq!(config.extra_args_for(0), ["--chaos-exec", "3"]);
-        assert!(config.extra_args_for(1).is_empty());
+        assert_eq!(config.envs, vec![("RUST_LOG".into(), "warn".into())]);
         assert_eq!(
             config.chaos_for(1),
             Some(ChaosSpec {
@@ -662,8 +579,6 @@ mod tests {
             })
         );
         assert_eq!(config.chaos_for(0), None);
-        assert_eq!(config.liveness, Duration::from_secs(3));
-        assert_eq!(config.max_restarts, 5);
     }
 
     #[test]
@@ -700,7 +615,7 @@ mod tests {
         use crate::admission::GridAdmission;
         use crate::descriptor::ResolvedFleet;
         use crate::fault::FaultPlan;
-        use crate::scheduler::SchedulerConfig;
+        use crate::scheduler::Scheduler;
         use crate::shard::{partition, GridFaultPlan, RebalancePolicy};
         use crate::survey::SurveyLoad;
         use crate::telemetry::NullObserver;
@@ -716,16 +631,15 @@ mod tests {
             RebalancePolicy::default(),
             &GridFaultPlan::none(),
             GridAdmission::default(),
-            &SchedulerConfig::default(),
         );
         let spec = ShardSpec {
             shard: 0,
             fleet: shards[0].clone(),
             load: part.shard_loads[0].clone(),
             plan: FaultPlan::none(),
-            config: SchedulerConfig::default(),
             ceilings: None,
             chaos: None,
+            trace: false,
         };
         let config = ProcConfig::new("/nonexistent/shard-binary-for-test");
         let (run, ledger) = run_shard_traced(&spec, &config, &mut NullObserver, None).unwrap();

@@ -43,9 +43,9 @@
 //! under further pressure (e.g. re-placed orphans) shed extra tiers on
 //! their own; every shed is recorded. A beam that cannot fit even at
 //! maximum shed runs anyway, at full resolution, and is reported as a
-//! deadline miss. A grid-scope controller may additionally impose
-//! per-tick admission *ceilings* ([`Session::admission_ceilings`]); the
-//! dispatcher admits at the lower of its own level and the ceiling.
+//! deadline miss. A grid-scope planner or a capture run may
+//! additionally impose per-tick admission *ceilings*; the dispatcher
+//! admits at the lower of its own level and the ceiling.
 //!
 //! Every observable fact of a run — admission rulings, placements,
 //! bounces, retries, probes, health transitions, terminal outcomes —
@@ -106,16 +106,11 @@ use crate::placement::{place_beam, Placement};
 use crate::survey::BeamJob;
 use crate::telemetry::{NullObserver, Observer, StatusSnapshot, TelemetryEvent};
 use manycore_sim::Algorithm;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Tunables for the scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The scheduler's retry tunables.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
-    /// Number of equal DM tiers a beam is divided into for shedding.
-    pub shed_tiers: usize,
-    /// Most tiers admission control may shed from one beam.
-    pub max_shed_tiers: usize,
     /// Most times one beam may be re-placed after bouncing before it
     /// is shed whole ([`ShedReason::RetryBudgetExhausted`]).
     pub retry_budget: usize,
@@ -123,28 +118,26 @@ pub struct SchedulerConfig {
     /// the `k`-th (k ≥ 2) waits `retry_backoff_s × 2^(k-2)` virtual
     /// seconds. Zero (the default) keeps every retry immediate.
     pub retry_backoff_s: f64,
-    /// Consecutive late completions before a device turns `Suspect`.
-    pub late_suspect_after: usize,
-    /// Initial quarantine re-probe backoff, virtual seconds; doubles
-    /// after every failed probe.
-    pub probe_backoff_s: f64,
-    /// Ceiling on the quarantine re-probe backoff.
-    pub probe_backoff_cap_s: f64,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            shed_tiers: 8,
-            max_shed_tiers: 4,
             retry_budget: 16,
             retry_backoff_s: 0.0,
-            late_suspect_after: 2,
-            probe_backoff_s: 0.25,
-            probe_backoff_cap_s: 4.0,
         }
     }
 }
+
+/// Consecutive late completions before a device turns `Suspect`.
+const LATE_SUSPECT_AFTER: usize = 2;
+
+/// Initial quarantine re-probe backoff, virtual seconds; doubles after
+/// every failed probe.
+const PROBE_BACKOFF_S: f64 = 0.25;
+
+/// Ceiling on the quarantine re-probe backoff, virtual seconds.
+const PROBE_BACKOFF_CAP_S: f64 = 4.0;
 
 /// The result of a run: the exportable report plus the full ledger and
 /// the telemetry stream the report was folded from.
@@ -283,8 +276,7 @@ impl<'a> Session<'a> {
     /// policy's level and the ceiling, snapped to the tier ladder.
     /// Ticks beyond the slice are unconstrained. This is how a
     /// grid-scope controller threads its coordinated plan into a shard.
-    #[must_use]
-    pub fn admission_ceilings(mut self, ceilings: &'a [usize]) -> Self {
+    pub(crate) fn admission_ceilings(mut self, ceilings: &'a [usize]) -> Self {
         self.ceilings = Some(ceilings);
         self
     }
@@ -553,9 +545,6 @@ struct Dispatcher<'s> {
     canary_in_flight: Vec<bool>,
     retry_budget: usize,
     retry_backoff_s: f64,
-    late_suspect_after: usize,
-    probe_backoff_s: f64,
-    probe_backoff_cap_s: f64,
 }
 
 impl<'s> Dispatcher<'s> {
@@ -579,7 +568,7 @@ impl<'s> Dispatcher<'s> {
             records: vec![None; load.total_beams()],
             accounted: 0,
             trials,
-            ladder: TierLadder::new(trials, config),
+            ladder: TierLadder::new(trials),
             policy: session.policy,
             ceilings: session.ceilings,
             batch: TickBatch::new(),
@@ -591,13 +580,10 @@ impl<'s> Dispatcher<'s> {
             late_strikes: vec![0; n],
             probe_pending: vec![false; n],
             probe_at: vec![0.0; n],
-            probe_backoff: vec![config.probe_backoff_s; n],
+            probe_backoff: vec![PROBE_BACKOFF_S; n],
             canary_in_flight: vec![false; n],
             retry_budget: config.retry_budget,
             retry_backoff_s: config.retry_backoff_s,
-            late_suspect_after: config.late_suspect_after.max(1),
-            probe_backoff_s: config.probe_backoff_s,
-            probe_backoff_cap_s: config.probe_backoff_cap_s,
         }
     }
 
@@ -845,8 +831,7 @@ impl<'s> Dispatcher<'s> {
     /// doubles the backoff (capped).
     fn defer_probe(&mut self, device: usize, now: f64) {
         self.probe_at[device] = now + self.probe_backoff[device];
-        self.probe_backoff[device] =
-            (self.probe_backoff[device] * 2.0).min(self.probe_backoff_cap_s);
+        self.probe_backoff[device] = (self.probe_backoff[device] * 2.0).min(PROBE_BACKOFF_CAP_S);
     }
 
     fn handle(&mut self, event: Event) {
@@ -879,12 +864,12 @@ impl<'s> Dispatcher<'s> {
                             actual_finish,
                         );
                         self.late_strikes[d] = 0;
-                        self.probe_backoff[d] = self.probe_backoff_s;
+                        self.probe_backoff[d] = PROBE_BACKOFF_S;
                     }
                 } else if late {
                     self.late_strikes[d] += 1;
                     if self.health[d] == HealthState::Healthy
-                        && self.late_strikes[d] >= self.late_suspect_after
+                        && self.late_strikes[d] >= LATE_SUSPECT_AFTER
                     {
                         self.transition(
                             d,
@@ -893,7 +878,7 @@ impl<'s> Dispatcher<'s> {
                             actual_finish,
                         );
                         self.probe_at[d] = actual_finish;
-                        self.probe_backoff[d] = self.probe_backoff_s;
+                        self.probe_backoff[d] = PROBE_BACKOFF_S;
                     }
                 } else {
                     self.late_strikes[d] = 0;
@@ -942,7 +927,7 @@ impl<'s> Dispatcher<'s> {
                     self.transition(d, HealthState::Suspect, HealthCause::Bounce, at);
                     self.late_strikes[d] = 0;
                     self.probe_at[d] = at;
-                    self.probe_backoff[d] = self.probe_backoff_s;
+                    self.probe_backoff[d] = PROBE_BACKOFF_S;
                 }
                 // Recover: the beam re-enters placement at the moment the
                 // failure was detected (plus backoff from the second retry
@@ -1382,26 +1367,6 @@ mod tests {
         assert_eq!(dev.beams_done, 4);
         assert!((dev.busy_s - 2.0).abs() < 1e-9);
         assert!(dev.utilization > 0.9);
-    }
-
-    #[test]
-    fn session_config_overrides_tunables() {
-        // Forbid shedding entirely: the same overload that degrades
-        // under the default config must now miss.
-        let fleet = ResolvedFleet::synthetic(1000, &[0.25]);
-        let load = SurveyLoad::custom(1000, 5, 1);
-        let strict = SchedulerConfig {
-            max_shed_tiers: 0,
-            ..SchedulerConfig::default()
-        };
-        let run = Scheduler::session(&fleet)
-            .config(strict)
-            .load(&load)
-            .run()
-            .unwrap();
-        assert!(run.report.conservation_ok());
-        assert_eq!(run.report.degraded, 0);
-        assert!(run.report.deadline_misses > 0);
     }
 
     #[test]

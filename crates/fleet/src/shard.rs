@@ -24,7 +24,6 @@ use crate::admission::{GridAdmission, GridPlanner};
 use crate::descriptor::ResolvedFleet;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::load::LoadSource;
-use crate::scheduler::SchedulerConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -299,7 +298,6 @@ pub(crate) fn partition(
     policy: RebalancePolicy,
     faults: &GridFaultPlan,
     admission: GridAdmission,
-    config: &SchedulerConfig,
 ) -> Partition {
     let n = shards.len();
     let weights: Vec<usize> = shards.iter().map(|s| s.beams_capacity()).collect();
@@ -326,7 +324,7 @@ pub(crate) fn partition(
         .collect();
     let mut planner = match admission {
         GridAdmission::PerShard => None,
-        GridAdmission::Coordinated => Some(GridPlanner::new(shards, load.trials(), config)),
+        GridAdmission::Coordinated => Some(GridPlanner::new(shards, load.trials())),
     };
     let mut ceilings: Option<Vec<Vec<usize>>> = planner
         .as_ref()
@@ -468,22 +466,15 @@ mod tests {
             .collect()
     }
 
-    /// `partition` under per-shard admission with default tunables —
-    /// the historical call shape every routing test exercises.
+    /// `partition` under per-shard admission — the historical call
+    /// shape every routing test exercises.
     fn per_shard_partition(
         load: &dyn LoadSource,
         shards: &[ResolvedFleet],
         policy: RebalancePolicy,
         faults: &GridFaultPlan,
     ) -> Partition {
-        partition(
-            load,
-            shards,
-            policy,
-            faults,
-            GridAdmission::PerShard,
-            &SchedulerConfig::default(),
-        )
+        partition(load, shards, policy, faults, GridAdmission::PerShard)
     }
 
     #[test]
@@ -613,7 +604,6 @@ mod tests {
             RebalancePolicy::StaticHash,
             &GridFaultPlan::none(),
             GridAdmission::Coordinated,
-            &SchedulerConfig::default(),
         );
         let ceilings = part.ceilings.as_ref().expect("coordinated mode plans");
         assert_eq!(ceilings.len(), 2);
@@ -637,7 +627,6 @@ mod tests {
             RebalancePolicy::StaticHash,
             &GridFaultPlan::none(),
             GridAdmission::Coordinated,
-            &SchedulerConfig::default(),
         );
         // One shard: every candidate ties, ties go to the baseline, and
         // the baseline's ceiling is the full-resolution sentinel.

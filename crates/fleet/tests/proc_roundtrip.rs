@@ -12,7 +12,6 @@
 
 use dedisp_fleet::proc::{serve_stdio, ChaosSpec, ProcConfig, ProcOutcome};
 use dedisp_fleet::{Grid, GridFaultPlan, GridRun, ResolvedFleet, ShardBackend, SurveyLoad};
-use std::time::Duration;
 
 /// The child entry point, disguised as an ignored test. Runs one shard
 /// conversation over stdio when `DEDISP_PROC_CHILD` is set; a no-op
@@ -23,7 +22,7 @@ fn proc_child_serve() {
     if std::env::var("DEDISP_PROC_CHILD").is_err() {
         return;
     }
-    serve_stdio(None).expect("child shard conversation failed");
+    serve_stdio().expect("child shard conversation failed");
 }
 
 /// A supervisor config re-executing this test binary as the child.
@@ -35,7 +34,6 @@ fn child_config() -> ProcConfig {
         .arg("--ignored")
         .arg("--nocapture")
         .env("DEDISP_PROC_CHILD", "1")
-        .liveness(Duration::from_secs(30))
 }
 
 fn assert_same_run(proc_run: &GridRun, thread_run: &GridRun) {

@@ -16,9 +16,15 @@
 //!    never panics and never lets the full original sequence decode
 //!    silently; everything decoded before the error is still an exact
 //!    prefix of the truth.
+//! 4. **A truncated spec is loud** — the [`ShardSpec`] frame is a
+//!    child's only input. Cut short anywhere, [`serve`] fails and
+//!    writes nothing but, at most, one `Fatal` frame; whole, it streams
+//!    exactly the batches and ledger of the same session run in-thread.
 
-use dedisp_fleet::proc::{write_msg, FrameReader, ShardFrame};
-use dedisp_fleet::{TelemetryEvent, TickBatch};
+use dedisp_fleet::proc::{serve, write_msg, ChaosSpec, FrameReader, ShardFrame, ShardSpec};
+use dedisp_fleet::{
+    EventLog, FaultPlan, ResolvedFleet, Scheduler, ShardLoad, TelemetryEvent, TickBatch,
+};
 use proptest::prelude::*;
 
 /// Raw material for one generated event:
@@ -112,6 +118,61 @@ fn decode(bytes: &[u8]) -> (Vec<TickBatch>, bool) {
     }
 }
 
+/// A shard spec over `spb.len()` synthetic devices and `beams.len()`
+/// one-second ticks. The load is written in its wire form, as a
+/// supervisor would send it. A chaos count, when drawn, lies past the
+/// last batch frame (a run frames at most one batch per tick), so it
+/// rides the spec without firing.
+fn spec(spb: &[f64], trials: usize, beams: &[usize], chaos: Option<u32>, trace: bool) -> ShardSpec {
+    let mut index = 0usize;
+    let ticks: Vec<String> = beams
+        .iter()
+        .enumerate()
+        .map(|(tick, &n)| {
+            let globals: Vec<String> = (0..n)
+                .map(|beam| {
+                    index += 1;
+                    format!(r#"{{"index":{},"tick":{tick},"beam":{beam}}}"#, index - 1)
+                })
+                .collect();
+            format!(
+                r#"{{"release":{:?},"deadline":{:?},"beams":[{}]}}"#,
+                tick as f64,
+                tick as f64 + 1.0,
+                globals.join(",")
+            )
+        })
+        .collect();
+    let load: ShardLoad = serde_json::from_str(&format!(
+        r#"{{"setup":"synthetic","trials":{trials},"ticks":[{}]}}"#,
+        ticks.join(",")
+    ))
+    .expect("a well-formed shard load");
+    ShardSpec {
+        shard: 0,
+        fleet: ResolvedFleet::synthetic(trials, spb),
+        load,
+        plan: FaultPlan::none(),
+        ceilings: None,
+        chaos: chaos.map(|n| ChaosSpec {
+            kill_after_frames: beams.len() as u32 + 1 + n,
+        }),
+        trace,
+    }
+}
+
+/// Serves `request` and returns the result with the decoded reply.
+fn served(request: &[u8]) -> (Result<(), String>, Vec<ShardFrame>) {
+    let mut response = Vec::new();
+    let result = serve(request, &mut response).map_err(|e| e.to_string());
+    let mut reader = FrameReader::new(response.as_slice());
+    let mut frames = Vec::new();
+    while let Some(frame) = reader.read_msg::<ShardFrame>().expect("whole reply frames") {
+        frames.push(frame);
+    }
+    (result, frames)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -201,5 +262,54 @@ proptest! {
         // And nothing invented: the decoded prefix is still the truth.
         prop_assert!(back.len() <= stream.len());
         prop_assert_eq!(&back[..], &stream[..back.len()]);
+    }
+
+    /// Property 4: a spec cut at no bytes, inside its length header, or
+    /// one byte short fails loudly with at most one `Fatal` frame; the
+    /// whole spec streams the in-thread run's batches and ledger, with
+    /// trace sidecars exactly when the spec asks for them.
+    #[test]
+    fn a_truncated_spec_is_loud_and_a_whole_one_runs_in_thread(
+        spb in prop::collection::vec(0.05f64..0.6, 1..=4),
+        trials in 8usize..400,
+        beams in prop::collection::vec(1usize..6, 1..=3),
+        chaos in (any::<bool>(), 0u32..1_000),
+        trace in any::<bool>(),
+        header_cut in 5usize..8,
+    ) {
+        let spec = spec(&spb, trials, &beams, chaos.0.then_some(chaos.1), trace);
+        let mut request = Vec::new();
+        write_msg(&mut request, &spec).expect("encode");
+
+        for cut in [0, header_cut, request.len() - 1] {
+            let (result, frames) = served(&request[..cut]);
+            prop_assert!(result.is_err(), "a spec cut at {cut} bytes was served");
+            prop_assert!(frames.len() <= 1);
+            prop_assert!(frames.iter().all(|f| matches!(f, ShardFrame::Fatal(_))));
+        }
+
+        let (result, frames) = served(&request);
+        prop_assert_eq!(result, Ok(()));
+        let reference = Scheduler::session(&spec.fleet)
+            .load(&spec.load)
+            .faults(&spec.plan)
+            .run()
+            .expect("the in-thread run");
+        let mut log = EventLog::new();
+        let mut ledger = None;
+        let mut sidecars = false;
+        for frame in frames {
+            match frame {
+                ShardFrame::Batch(batch) => log.push_batch(batch),
+                ShardFrame::Trace(_) => sidecars = true,
+                ShardFrame::Ledger(l) => ledger = Some(l),
+                ShardFrame::Fatal(why) => prop_assert!(false, "fatal: {why}"),
+            }
+        }
+        let ledger = ledger.expect("the conversation ends with a ledger");
+        prop_assert_eq!(log, reference.log);
+        prop_assert_eq!(ledger.report, reference.report);
+        prop_assert_eq!(ledger.records, reference.records);
+        prop_assert_eq!(sidecars, trace);
     }
 }
