@@ -6,16 +6,19 @@
 //! (the reason the DM space cannot be pruned — paper, Section II), so the
 //! per-trial significance peaks sharply at the true DM.
 //!
-//! [`trial_stat`] is the definition: one series, `f64` sums in ascending
-//! sample order, the last of equal maxima. [`scan_rows`] computes the
-//! same statistics — the same bits — for [`LANES`] series at once. A
-//! single series' sum is one chain of dependent additions and cannot be
-//! reordered without moving bits, but the chains of *different* series
-//! are independent, so the lanes of the multi-row fold are trials, each
-//! still adding its own samples in ascending order; products and sums
-//! stay separate operations (no fused multiply-add); and the arg-max is
-//! an order-free maximum over [`f32::total_cmp`] keys that keeps
-//! [`Iterator::max_by`]'s tie rule, the last maximum.
+//! [`trial_stat`] is the definition and the only code that computes
+//! statistics; [`best_of_rows`] and [`detect_best_trial`] fold it over
+//! rows. Its two `f64` sums, of the samples and of their squared
+//! deviations from the mean, are each 64 interleaved partial sums: sample
+//! `i` goes to partial `i % 64`, every partial adds its samples in
+//! ascending order from [`Iterator::sum`]'s own starting value, and one
+//! fixed pairwise tree combines the partials. Products and sums stay
+//! separate operations (no fused multiply-add), and the peak is the last
+//! of equal maxima under [`f32::total_cmp`], as [`Iterator::max_by`]
+//! finds it. The body is safe code the compiler vectorises, compiled for
+//! the build's baseline, for AVX2 and for AVX-512; vectorising never
+//! reorders the additions within a partial, so every instantiation
+//! yields the same bits.
 
 use dedisp_core::OutputBuffer;
 use serde::{Deserialize, Serialize};
@@ -53,88 +56,38 @@ impl Detection {
     }
 }
 
-/// Computes detection statistics for one series.
-pub fn trial_stat(trial: usize, series: &[f32]) -> TrialStat {
-    assert!(!series.is_empty(), "series must be non-empty");
-    let n = series.len() as f64;
-    let mean = series.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let var = series
-        .iter()
-        .map(|&v| (v as f64 - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    let sigma = var.sqrt();
-    let (peak_sample, &peak_value) = series
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("non-empty series");
-    let snr = if sigma > 0.0 {
-        ((peak_value as f64 - mean) / sigma) as f32
-    } else {
-        0.0
-    };
-    TrialStat {
-        trial,
-        mean: mean as f32,
-        sigma: sigma as f32,
-        peak_sample,
-        peak_value,
-        snr,
-    }
-}
+/// Partial sums per sum, a constant of the definition: 64 fill eight
+/// 512-bit registers, so a sweep is eight chains of adds instead of one.
+const PARTIALS: usize = 64;
 
-/// Series [`scan_rows`] advances together: one 512-bit register of
-/// `f64` lanes where the host has AVX-512, two 256-bit ones where it has
-/// AVX2.
-pub const LANES: usize = 8;
-
-/// Samples per block of the arg-max: the maximum *key* of a block is an
-/// order-free reduction the compiler vectorizes, and only the winning
-/// block is searched for the position.
+/// Samples per block of [`arg_max`], whose maximum key per block is an
+/// order-free reduction the compiler vectorizes.
 const PEAK_BLOCK: usize = 64;
 
-/// Calls `each` with the statistics of every series in `rows`
-/// (`n × samples`, trial-major, the first being trial `first_trial`), in
-/// ascending trial order. Each [`TrialStat`] equals [`trial_stat`]'s for
-/// that series bit for bit.
+/// Computes detection statistics for one series.
 ///
 /// # Panics
 ///
-/// Panics if `samples` is zero or `rows` is not a whole number of series.
-pub fn scan_rows(
-    first_trial: usize,
-    rows: &[f32],
-    samples: usize,
-    mut each: impl FnMut(TrialStat),
-) {
-    assert!(samples > 0, "series must be non-empty");
-    assert_eq!(rows.len() % samples, 0, "rows must be whole series");
-    for (b, block) in rows.chunks(LANES * samples).enumerate() {
-        let held = block.len() / samples;
-        // A short last block repeats its last series in the idle lanes.
-        let lanes: [&[f32]; LANES] =
-            std::array::from_fn(|r| &block[r.min(held - 1) * samples..][..samples]);
-        let (means, vars, peaks) = block_stats(&lanes);
-        for r in 0..held {
-            let trial = first_trial + b * LANES + r;
-            each(finish(trial, lanes[r], means[r], vars[r], peaks[r]));
-        }
-    }
+/// Panics if `series` is empty.
+pub fn trial_stat(trial: usize, series: &[f32]) -> TrialStat {
+    Isa::detect().stat(trial, series)
 }
 
-/// The most significant series of `rows` (as in [`scan_rows`]); of equals,
-/// the last.
+/// The most significant series of `rows` (`n × samples`, trial-major, the
+/// first being trial `first_trial`); of equals, the last. Its statistics
+/// are [`trial_stat`]'s for that series.
 ///
 /// # Panics
 ///
-/// As [`scan_rows`], and if `rows` is empty.
+/// Panics if `samples` is zero, if `rows` is not a whole number of series,
+/// or if it is empty.
 pub fn best_of_rows(first_trial: usize, rows: &[f32], samples: usize) -> TrialStat {
-    let mut best = None;
-    scan_rows(first_trial, rows, samples, |stat| {
-        best = Some(best.map_or(stat, |best| more_significant(best, stat)));
-    });
-    best.expect("rows must contain a series")
+    let isa = Isa::detect();
+    series_of(rows, samples)
+        .enumerate()
+        .map(|(r, series)| isa.stat(first_trial + r, series))
+        .reduce(more_significant)
+        .expect("rows must contain a series")
 }
 
 /// The one of two trials' statistics that [`detect_best_trial`] prefers:
@@ -147,312 +100,102 @@ pub fn more_significant(a: TrialStat, b: TrialStat) -> TrialStat {
     }
 }
 
-/// Mean, variance and peak position of each lane.
-type BlockStats = ([f64; LANES], [f64; LANES], [usize; LANES]);
-
-fn block_stats(lanes: &[&[f32]; LANES]) -> BlockStats {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: AVX-512F was detected on the line above.
-        return unsafe { block_stats_avx512(lanes) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected on the line above.
-        return unsafe { block_stats_avx2(lanes) };
-    }
-    block_stats_portable(lanes)
-}
-
-fn block_stats_portable(lanes: &[&[f32]; LANES]) -> BlockStats {
-    block_body(lanes, |centre| {
-        fold_rows(lanes, centre, 0, [sum_identity(); LANES])
-    })
-}
-
-/// [`block_body`] compiled with 256-bit lanes around [`fold_transposed`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn block_stats_avx2(lanes: &[&[f32]; LANES]) -> BlockStats {
-    block_body(lanes, |centre| fold_transposed(lanes, centre))
-}
-
-/// The two sweeps [`trial_stat`] makes, for every lane at once: `fold`
-/// sums the samples themselves when given no centre and their squared
-/// deviations from `centre` otherwise.
-#[inline(always)]
-fn block_body(
-    lanes: &[&[f32]; LANES],
-    fold: impl Fn(Option<&[f64; LANES]>) -> [f64; LANES],
-) -> BlockStats {
-    let n = lanes[0].len() as f64;
-    let means = fold(None).map(|sum| sum / n);
-    let vars = fold(Some(&means)).map(|sum| sum / n);
-    (means, vars, lanes.map(arg_max))
-}
-
-/// What `Iterator::sum::<f64>()` starts from (`-0.0` or `0.0`, depending
-/// on the toolchain): a series of `-0.0` must sum to what it sums to in
-/// [`trial_stat`].
-fn sum_identity() -> f64 {
-    std::iter::empty::<f64>().sum()
-}
-
-/// The interleaved fold: adds samples `from..` of every lane to `acc`,
-/// each lane in ascending sample order. Samples are the outer loop so
-/// that consecutive additions belong to different lanes' chains.
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn fold_rows(
-    lanes: &[&[f32]; LANES],
-    centre: Option<&[f64; LANES]>,
-    from: usize,
-    mut acc: [f64; LANES],
-) -> [f64; LANES] {
-    let n = lanes[0].len();
-    let lanes = lanes.map(|series| &series[..n]);
-    for i in from..n {
-        for r in 0..LANES {
-            let v = f64::from(lanes[r][i]);
-            acc[r] += match centre {
-                Some(centre) => {
-                    let d = v - centre[r];
-                    d * d
-                }
-                None => v,
-            };
-        }
-    }
-    acc
-}
-
-/// [`fold_rows`] from sample 0, four samples of four lanes at a time: a
-/// 4 × 4 transpose turns four series' quads into four vectors holding
-/// one sample of each series, so every vector add advances four series'
-/// chains by one sample. The order of additions within a series, and so
-/// every bit, is that of [`fold_rows`], which also finishes the tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn fold_transposed(lanes: &[&[f32]; LANES], centre: Option<&[f64; LANES]>) -> [f64; LANES] {
-    use std::arch::x86_64::*;
-
-    let n = lanes[0].len();
-    let body = n - n % 4;
-    let series = lanes.map(|series| &series[..n]);
-    let mid = centre.copied().unwrap_or([0.0; LANES]);
-    let mid: [__m256d; LANES / 4] = std::array::from_fn(|g| {
-        _mm256_setr_pd(mid[4 * g], mid[4 * g + 1], mid[4 * g + 2], mid[4 * g + 3])
-    });
-    let mut acc = [_mm256_set1_pd(sum_identity()); LANES / 4];
-    for i in (0..body).step_by(4) {
-        for (g, acc) in acc.iter_mut().enumerate() {
-            let quad = |r: usize| {
-                let q = &series[4 * g + r][i..i + 4];
-                _mm_setr_ps(q[0], q[1], q[2], q[3])
-            };
-            let (r0, r1, r2, r3) = (quad(0), quad(1), quad(2), quad(3));
-            let (lo01, lo23) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
-            let (hi01, hi23) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
-            for sample in [
-                _mm_movelh_ps(lo01, lo23),
-                _mm_movehl_ps(lo23, lo01),
-                _mm_movelh_ps(hi01, hi23),
-                _mm_movehl_ps(hi23, hi01),
-            ] {
-                let v = _mm256_cvtps_pd(sample);
-                let term = if centre.is_some() {
-                    let d = _mm256_sub_pd(v, mid[g]);
-                    _mm256_mul_pd(d, d)
-                } else {
-                    v
-                };
-                *acc = _mm256_add_pd(*acc, term);
-            }
-        }
-    }
-    let mut sums = [0.0; LANES];
-    for (g, acc) in acc.iter().enumerate() {
-        let quad: &mut [f64; 4] = (&mut sums[4 * g..][..4])
-            .try_into()
-            .expect("a slice of four");
-        // SAFETY: `quad` is four writable `f64`s, and the store is the
-        // unaligned one.
-        unsafe { _mm256_storeu_pd(quad.as_mut_ptr(), *acc) };
-    }
-    fold_rows(lanes, centre, body, sums)
-}
-
-/// Both sweeps with all eight lanes in one 512-bit register, the first
-/// also finding every lane's peak ([`fold_512`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn block_stats_avx512(lanes: &[&[f32]; LANES]) -> BlockStats {
-    let n = lanes[0].len() as f64;
-    let mut peaks = [0; LANES];
-    let means = fold_512(lanes, None, Some(&mut peaks)).map(|sum| sum / n);
-    let vars = fold_512(lanes, Some(&means), None).map(|sum| sum / n);
-    (means, vars, peaks)
-}
-
-/// [`fold_rows`] from sample 0, eight samples of all eight lanes at a
-/// time: an 8 × 8 transpose turns the lanes' octets into eight vectors
-/// holding one sample of every lane, and each, widened to `f64`, is one
-/// add to the one register of sums, in ascending sample order.
-/// [`fold_rows`] finishes the tail.
+/// Scans every trial of a dedispersed output and returns the per-trial
+/// statistics ([`trial_stat`]'s) plus the most significant trial.
 ///
-/// Given `peaks`, the sweep also takes the [`total_key`] of every
-/// transposed vector and keeps each lane's greatest per [`PEAK_BLOCK`]
-/// samples, the tail's keys counting to the last block: what
-/// [`arg_max`] computes block by block, with the same rule that the
-/// later of equal block maxima wins. Only the winning block is then
-/// searched for the position.
+/// # Panics
+///
+/// Panics if the output has no trials or zero-length series.
+pub fn detect_best_trial(output: &OutputBuffer) -> Detection {
+    assert!(output.trials() > 0, "output must contain trials");
+    let isa = Isa::detect();
+    let trials: Vec<TrialStat> = series_of(output.as_slice(), output.samples())
+        .enumerate()
+        .map(|(trial, series)| isa.stat(trial, series))
+        .collect();
+    let best_trial = trials
+        .iter()
+        .max_by(|a, b| a.snr.total_cmp(&b.snr))
+        .expect("non-empty")
+        .trial;
+    Detection { trials, best_trial }
+}
+
+/// The series of `rows`, `samples` values each.
+fn series_of(rows: &[f32], samples: usize) -> std::slice::ChunksExact<'_, f32> {
+    assert!(samples > 0, "series must be non-empty");
+    assert_eq!(rows.len() % samples, 0, "rows must be whole series");
+    rows.chunks_exact(samples)
+}
+
+/// The instruction sets [`stat_body`] is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The build's baseline target.
+    Portable,
+    /// 256-bit lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// 512-bit lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// The widest instantiation this host can run.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Isa::Avx512;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+
+    /// [`trial_stat`] under this instruction set.
+    fn stat(self, trial: usize, series: &[f32]) -> TrialStat {
+        match self {
+            Isa::Portable => stat_body(trial, series),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` is only ever produced after
+            // `is_x86_feature_detected!("avx2")`, by `Isa::detect` (and by
+            // the tests' `host_isas`).
+            Isa::Avx2 => unsafe { stat_avx2(trial, series) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx512` is only ever produced after
+            // `is_x86_feature_detected!("avx512f")`, by `Isa::detect` (and by
+            // the tests' `host_isas`).
+            Isa::Avx512 => unsafe { stat_avx512(trial, series) },
+        }
+    }
+}
+
+/// [`stat_body`] compiled with 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn stat_avx2(trial: usize, series: &[f32]) -> TrialStat {
+    stat_body(trial, series)
+}
+
+/// [`stat_body`] compiled with 512-bit lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[inline]
-fn fold_512(
-    lanes: &[&[f32]; LANES],
-    centre: Option<&[f64; LANES]>,
-    peaks: Option<&mut [usize; LANES]>,
-) -> [f64; LANES] {
-    use std::arch::x86_64::*;
-
-    let n = lanes[0].len();
-    let body = n - n % 8;
-    let series = lanes.map(|series| &series[..n]);
-    let mid = centre.copied().unwrap_or([0.0; LANES]);
-    let mid = _mm512_setr_pd(
-        mid[0], mid[1], mid[2], mid[3], mid[4], mid[5], mid[6], mid[7],
-    );
-    let mut acc = _mm512_set1_pd(sum_identity());
-    // Each lane's greatest block maximum so far, and its block.
-    let mut top = [(i32::MIN, 0); LANES];
-    let mut fold_block = |max: [i32; LANES], b: usize| {
-        for (top, max) in top.iter_mut().zip(max) {
-            if max >= top.0 {
-                *top = (max, b);
-            }
-        }
-    };
-    let min_key = _mm256_set1_epi32(i32::MIN);
-    let mut block_max = min_key;
-    for i in (0..body).step_by(8) {
-        let mut octets = [_mm256_setzero_ps(); LANES];
-        for (octet, row) in octets.iter_mut().zip(series) {
-            let row = &row[i..i + 8];
-            // SAFETY: `row` is eight readable `f32`s, and the load is the
-            // unaligned one.
-            *octet = unsafe { _mm256_loadu_ps(row.as_ptr()) };
-        }
-        let [r0, r1, r2, r3, r4, r5, r6, r7] = octets;
-        let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
-        let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
-        let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
-        let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
-        // Samples (0, 4), (1, 5), (2, 6), (3, 7) of lanes 0–3, then 4–7.
-        let low = [
-            _mm256_shuffle_ps::<0x44>(t0, t2),
-            _mm256_shuffle_ps::<0xEE>(t0, t2),
-            _mm256_shuffle_ps::<0x44>(t1, t3),
-            _mm256_shuffle_ps::<0xEE>(t1, t3),
-        ];
-        let high = [
-            _mm256_shuffle_ps::<0x44>(t4, t6),
-            _mm256_shuffle_ps::<0xEE>(t4, t6),
-            _mm256_shuffle_ps::<0x44>(t5, t7),
-            _mm256_shuffle_ps::<0xEE>(t5, t7),
-        ];
-        let samples = [
-            _mm256_permute2f128_ps::<0x20>(low[0], high[0]),
-            _mm256_permute2f128_ps::<0x20>(low[1], high[1]),
-            _mm256_permute2f128_ps::<0x20>(low[2], high[2]),
-            _mm256_permute2f128_ps::<0x20>(low[3], high[3]),
-            _mm256_permute2f128_ps::<0x31>(low[0], high[0]),
-            _mm256_permute2f128_ps::<0x31>(low[1], high[1]),
-            _mm256_permute2f128_ps::<0x31>(low[2], high[2]),
-            _mm256_permute2f128_ps::<0x31>(low[3], high[3]),
-        ];
-        for sample in samples {
-            let v = _mm512_cvtps_pd(sample);
-            let term = if centre.is_some() {
-                let d = _mm512_sub_pd(v, mid);
-                _mm512_mul_pd(d, d)
-            } else {
-                v
-            };
-            acc = _mm512_add_pd(acc, term);
-            if peaks.is_some() {
-                let bits = _mm256_castps_si256(sample);
-                let flip = _mm256_srli_epi32::<1>(_mm256_srai_epi32::<31>(bits));
-                block_max = _mm256_max_epi32(block_max, _mm256_xor_si256(bits, flip));
-            }
-        }
-        if peaks.is_some() && (i + 8) % PEAK_BLOCK == 0 && i + 8 < n {
-            let mut max = [0; LANES];
-            // SAFETY: `max` is eight writable `i32`s, and the store is the
-            // unaligned one.
-            unsafe { _mm256_storeu_si256(max.as_mut_ptr().cast(), block_max) };
-            fold_block(max, i / PEAK_BLOCK);
-            block_max = min_key;
-        }
-    }
-    if let Some(peaks) = peaks {
-        let mut max = [0; LANES];
-        // SAFETY: as above.
-        unsafe { _mm256_storeu_si256(max.as_mut_ptr().cast(), block_max) };
-        for (r, max) in max.iter_mut().enumerate() {
-            *max = series[r][body..]
-                .iter()
-                .map(|&v| total_key(v))
-                .fold(*max, i32::max);
-        }
-        let last = (n - 1) / PEAK_BLOCK;
-        fold_block(max, last);
-        *peaks = std::array::from_fn(|r| last_max_in(series[r], top[r].1, top[r].0));
-    }
-    let mut sums = [0.0; LANES];
-    // SAFETY: `sums` is eight writable `f64`s, and the store is the
-    // unaligned one.
-    unsafe { _mm512_storeu_pd(sums.as_mut_ptr(), acc) };
-    fold_rows(lanes, centre, body, sums)
+fn stat_avx512(trial: usize, series: &[f32]) -> TrialStat {
+    stat_body(trial, series)
 }
 
-/// The integer [`f32::total_cmp`] compares for `v`.
+/// The definition: three sweeps over `series`, for the sum, the squared
+/// deviations and the peak.
 #[inline(always)]
-fn total_key(v: f32) -> i32 {
-    let bits = v.to_bits() as i32;
-    bits ^ (((bits >> 31) as u32) >> 1) as i32
-}
-
-/// The position of the last sample of [`PEAK_BLOCK`] `b` of `series`
-/// whose key is `max`.
-#[inline(always)]
-fn last_max_in(series: &[f32], b: usize, max: i32) -> usize {
-    let block = series
-        .chunks(PEAK_BLOCK)
-        .nth(b)
-        .expect("a block of the series");
-    let at = block.iter().rposition(|&v| total_key(v) == max);
-    b * PEAK_BLOCK + at.expect("the block holds its maximum")
-}
-
-/// The position `series.iter().enumerate().max_by(|a, b|
-/// a.1.total_cmp(b.1))` returns: that of the last greatest sample.
-#[inline(always)]
-fn arg_max(series: &[f32]) -> usize {
-    let mut top = (i32::MIN, 0);
-    for (b, block) in series.chunks(PEAK_BLOCK).enumerate() {
-        let max = block.iter().map(|&v| total_key(v)).fold(i32::MIN, i32::max);
-        if max >= top.0 {
-            top = (max, b);
-        }
-    }
-    last_max_in(series, top.1, top.0)
-}
-
-/// [`trial_stat`] from the mean and variance on.
-fn finish(trial: usize, series: &[f32], mean: f64, var: f64, peak_sample: usize) -> TrialStat {
-    let sigma = var.sqrt();
+fn stat_body(trial: usize, series: &[f32]) -> TrialStat {
+    assert!(!series.is_empty(), "series must be non-empty");
+    let n = series.len() as f64;
+    let mean = sum(series) / n;
+    let sigma = (squared_deviations(series, mean) / n).sqrt();
+    let peak_sample = arg_max(series);
     let peak_value = series[peak_sample];
     let snr = if sigma > 0.0 {
         ((peak_value as f64 - mean) / sigma) as f32
@@ -469,24 +212,89 @@ fn finish(trial: usize, series: &[f32], mean: f64, var: f64, peak_sample: usize)
     }
 }
 
-/// Scans every trial of a dedispersed output and returns the per-trial
-/// statistics plus the most significant trial.
-///
-/// # Panics
-///
-/// Panics if the output has no trials or zero-length series.
-pub fn detect_best_trial(output: &OutputBuffer) -> Detection {
-    assert!(output.trials() > 0, "output must contain trials");
-    let mut trials = Vec::with_capacity(output.trials());
-    scan_rows(0, output.as_slice(), output.samples(), |stat| {
-        trials.push(stat)
-    });
-    let best_trial = trials
-        .iter()
-        .max_by(|a, b| a.snr.total_cmp(&b.snr))
-        .expect("non-empty")
-        .trial;
-    Detection { trials, best_trial }
+/// What `Iterator::sum::<f64>()` starts from (`-0.0` or `0.0`, depending
+/// on the toolchain), and so what every partial starts from: a series of
+/// `-0.0` must have the mean `-0.0` that a plain sum gives it.
+fn sum_identity() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// The sum of `series`: partial `i % PARTIALS` adds sample `i`, in
+/// ascending order, and [`tree`] combines the partials.
+#[inline(always)]
+fn sum(series: &[f32]) -> f64 {
+    let mut partials = [sum_identity(); PARTIALS];
+    let (body, tail) = series.as_chunks::<PARTIALS>();
+    for chunk in body {
+        for (partial, &v) in partials.iter_mut().zip(chunk) {
+            *partial += f64::from(v);
+        }
+    }
+    for (partial, &v) in partials.iter_mut().zip(tail) {
+        *partial += f64::from(v);
+    }
+    tree(partials)
+}
+
+/// [`sum`] of the squared deviations from `mean`, each a subtract, then a
+/// multiply, then an add. A second plain loop rather than [`sum`] taking
+/// the term as a closure: one inside a `#[target_feature]` function is
+/// not inlined into it, which measured as losing most of the speed.
+#[inline(always)]
+fn squared_deviations(series: &[f32], mean: f64) -> f64 {
+    let mut partials = [sum_identity(); PARTIALS];
+    let (body, tail) = series.as_chunks::<PARTIALS>();
+    for chunk in body {
+        for (partial, &v) in partials.iter_mut().zip(chunk) {
+            let d = f64::from(v) - mean;
+            *partial += d * d;
+        }
+    }
+    for (partial, &v) in partials.iter_mut().zip(tail) {
+        let d = f64::from(v) - mean;
+        *partial += d * d;
+    }
+    tree(partials)
+}
+
+/// The fixed pairwise tree: the upper half of the partials is added lane
+/// by lane to the lower half until one partial is left.
+#[inline(always)]
+fn tree(mut partials: [f64; PARTIALS]) -> f64 {
+    let mut width = PARTIALS;
+    while width > 1 {
+        width /= 2;
+        let (low, high) = partials.split_at_mut(width);
+        for (low, high) in low.iter_mut().zip(&high[..width]) {
+            *low += *high;
+        }
+    }
+    partials[0]
+}
+
+/// The integer [`f32::total_cmp`] compares for `v`.
+#[inline(always)]
+fn total_key(v: f32) -> i32 {
+    let bits = v.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The position of the last greatest sample, as `max_by(total_cmp)` finds
+/// it: the last block whose maximum key is not below the best so far
+/// wins, and only it is searched, from its end.
+#[inline(always)]
+fn arg_max(series: &[f32]) -> usize {
+    let mut top = (i32::MIN, 0);
+    for (b, block) in series.chunks(PEAK_BLOCK).enumerate() {
+        let max = block.iter().map(|&v| total_key(v)).fold(i32::MIN, i32::max);
+        if max >= top.0 {
+            top = (max, b);
+        }
+    }
+    let (max, b) = top;
+    let block = &series[b * PEAK_BLOCK..series.len().min((b + 1) * PEAK_BLOCK)];
+    let at = block.iter().rposition(|&v| total_key(v) == max);
+    b * PEAK_BLOCK + at.expect("the block holds its maximum")
 }
 
 #[cfg(test)]
@@ -559,18 +367,66 @@ mod tests {
         }
     }
 
-    /// `LANES` series of `samples` values, one kind per lane: equal
-    /// maxima either side of a peak-block edge, equal maxima in the tail
-    /// of the eight-sample step, a constant, `-0.0` throughout, `+∞`
-    /// twice with a `-∞`, NaNs of both signs, noise with its maximum
-    /// planted twice, and signed zeros.
-    fn lanes_of(samples: usize) -> Vec<Vec<f32>> {
+    /// The definition as plain scalar loops, sharing no code with the
+    /// module: partial `i % 64` adds sample `i`, then the upper half of
+    /// the partials is added to the lower until one is left.
+    fn reference(trial: usize, series: &[f32]) -> TrialStat {
+        let n = series.len() as f64;
+        let tree = |mut p: [f64; 64]| {
+            let mut width = 64;
+            while width > 1 {
+                width /= 2;
+                for k in 0..width {
+                    p[k] += p[k + width];
+                }
+            }
+            p[0]
+        };
+        let mut p = [std::iter::empty::<f64>().sum::<f64>(); 64];
+        for (i, &v) in series.iter().enumerate() {
+            p[i % 64] += v as f64;
+        }
+        let mean = tree(p) / n;
+        let mut p = [std::iter::empty::<f64>().sum::<f64>(); 64];
+        for (i, &v) in series.iter().enumerate() {
+            let d = v as f64 - mean;
+            p[i % 64] += d * d;
+        }
+        let sigma = (tree(p) / n).sqrt();
+        let (peak_sample, &peak_value) = series
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .expect("non-empty series");
+        let snr = if sigma > 0.0 {
+            ((peak_value as f64 - mean) / sigma) as f32
+        } else {
+            0.0
+        };
+        TrialStat {
+            trial,
+            mean: mean as f32,
+            sigma: sigma as f32,
+            peak_sample,
+            peak_value,
+            snr,
+        }
+    }
+
+    /// Nine series of `samples` values, one kind each: equal maxima
+    /// either side of a 64-sample edge, equal maxima in the last partial
+    /// round, a constant, `-0.0` throughout, `+∞` twice with a `-∞`, NaNs
+    /// of both signs, noise with its maximum planted twice, signed zeros,
+    /// and `+2^53`/`-2^53` pairs among noise, whose mean moves with any
+    /// change to which partial a sample joins or to the order the
+    /// partials combine in.
+    fn kinds_of(samples: usize) -> Vec<Vec<f32>> {
         let hash = |r: usize, i: usize| {
             ((r * samples + i) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40
         };
         let last = samples - 1;
-        let tail = samples - samples % 8;
-        (0..LANES)
+        let tail = samples - samples % 64;
+        (0..9)
             .map(|r| {
                 let noise = (0..samples).map(|i| hash(r, i) as f32 / (1u64 << 24) as f32 - 0.5);
                 let mut series: Vec<f32> = noise.collect();
@@ -593,6 +449,18 @@ mod tests {
                         plant(&[samples / 5], -f32::NAN);
                     }
                     6 => plant(&[7 % samples, (13 + samples / 2) % samples], 1.0),
+                    7 => {
+                        // Pairs that cancel, so the noise they absorbed
+                        // decides the sum.
+                        let big = 2f32.powi(53);
+                        for (j, pair) in series.chunks_exact_mut(2).enumerate() {
+                            match hash(r, j) % 6 {
+                                0 => pair.copy_from_slice(&[big, -big]),
+                                3 => pair.copy_from_slice(&[-big, big]),
+                                _ => {}
+                            }
+                        }
+                    }
                     _ => {
                         for (i, v) in series.iter_mut().enumerate() {
                             *v = if hash(r, i) % 2 == 0 { 0.0 } else { -0.0 };
@@ -604,50 +472,42 @@ mod tests {
             .collect()
     }
 
-    type Path = fn(&[&[f32]; LANES]) -> BlockStats;
-
-    /// Every instantiation this host runs, and the dispatcher.
-    fn host_paths() -> Vec<(&'static str, Path)> {
-        let mut paths: Vec<(&'static str, Path)> = vec![
-            ("portable", block_stats_portable),
-            ("block_stats", block_stats),
-        ];
+    /// Every instantiation this host runs.
+    fn host_isas() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa::Portable];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was detected on the line above.
-                paths.push(("avx2", |lanes| unsafe { block_stats_avx2(lanes) }));
+                isas.push(Isa::Avx2);
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F was detected on the line above.
-                paths.push(("avx512", |lanes| unsafe { block_stats_avx512(lanes) }));
+                isas.push(Isa::Avx512);
             }
         }
-        paths
+        isas
     }
 
     #[test]
-    fn every_host_path_equals_trial_stat_bit_for_bit() {
+    fn detect_picks_the_widest_host_isa() {
+        assert_eq!(host_isas().last(), Some(&Isa::detect()));
+    }
+
+    #[test]
+    fn every_host_isa_equals_the_reference_bit_for_bit() {
         // Bits, except that a NaN equals any NaN: which one an operation
         // on NaNs yields is not specified.
         let bits = |s: &TrialStat| {
             let f = |v: f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
             (s.peak_sample, [s.mean, s.sigma, s.peak_value, s.snr].map(f))
         };
-        // Every tail of the eight-sample step and of the peak block.
+        // Every tail of the partials' round and of the peak block.
         for samples in (1..=200).chain([20_000]) {
-            let series = lanes_of(samples);
-            let lanes: [&[f32]; LANES] = std::array::from_fn(|r| &series[r][..]);
-            for (name, path) in host_paths() {
-                let (means, vars, peaks) = path(&lanes);
-                for r in 0..LANES {
-                    let got = finish(r, lanes[r], means[r], vars[r], peaks[r]);
-                    let want = trial_stat(r, lanes[r]);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{name}, lane {r}, {samples} samples"
-                    );
+            for (r, series) in kinds_of(samples).iter().enumerate() {
+                let want = bits(&reference(r, series));
+                for isa in host_isas() {
+                    let got = bits(&isa.stat(r, series));
+                    assert_eq!(got, want, "{isa:?}, kind {r}, {samples} samples");
                 }
             }
         }
@@ -657,12 +517,12 @@ mod tests {
     fn of_identical_trials_the_later_is_best() {
         let mut series = vec![0.0f32; 50];
         series[20] = 4.0;
-        let mut output = OutputBuffer::zeroed(LANES + 2, 50);
+        let mut output = OutputBuffer::zeroed(10, 50);
         for trial in 0..output.trials() {
             output.series_mut(trial).copy_from_slice(&series);
         }
-        assert_eq!(detect_best_trial(&output).best_trial, LANES + 1);
-        assert_eq!(best_of_rows(0, output.as_slice(), 50).trial, LANES + 1);
+        assert_eq!(detect_best_trial(&output).best_trial, 9);
+        assert_eq!(best_of_rows(0, output.as_slice(), 50).trial, 9);
         // In whatever order slabs are folded.
         let (a, b) = (trial_stat(3, &series), trial_stat(8, &series));
         assert_eq!(more_significant(a, b).trial, 8);

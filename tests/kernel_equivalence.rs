@@ -2,16 +2,16 @@
 //! the parallel kernel, the subband kernel with one channel per subband
 //! and no DM decimation, and the sequential reference all compute the
 //! identical transform — into an output buffer and slab by slab into a
-//! sink — and the multi-row detection statistics equal the scalar ones
-//! on what they compute.
+//! sink — and the detection statistics on what they compute equal a
+//! test-local copy of their definition.
 
 use std::sync::Mutex;
 
 use dedisp_repro::cpu_baseline::OpenMpAvxKernel;
 use dedisp_repro::dedisp_core::prelude::*;
 use dedisp_repro::dedisp_core::{SubbandConfig, SubbandKernel};
-use dedisp_repro::radioastro::detect::{scan_rows, trial_stat};
-use dedisp_repro::radioastro::{detect_best_trial, ObservationalSetup, SignalGenerator};
+use dedisp_repro::radioastro::detect::best_of_rows;
+use dedisp_repro::radioastro::{detect_best_trial, ObservationalSetup, SignalGenerator, TrialStat};
 
 fn all_kernels(config: KernelConfig, plan: &DedispersionPlan) -> Vec<Box<dyn Dedisperser>> {
     let exact_subband = SubbandConfig::new(plan.channels(), 1).unwrap();
@@ -140,37 +140,124 @@ fn benchmark_shapes() -> Vec<(ObservationalSetup, InputBuffer, OutputBuffer)> {
     .collect()
 }
 
+/// An `f64` sum of `term` of every sample of a series.
+type Sum = fn(&[f32], &dyn Fn(f64) -> f64) -> f64;
+
+/// The definition of the detection sums: partial `i % 64` adds sample
+/// `i`'s term, from the value `Iterator::sum` starts at, then the upper
+/// half of the partials is added to the lower until one is left.
+fn partials(series: &[f32], term: &dyn Fn(f64) -> f64) -> f64 {
+    let mut p = [std::iter::empty::<f64>().sum::<f64>(); 64];
+    for (i, &v) in series.iter().enumerate() {
+        p[i % 64] += term(v as f64);
+    }
+    let mut width = 64;
+    while width > 1 {
+        width /= 2;
+        for k in 0..width {
+            p[k] += p[k + width];
+        }
+    }
+    p[0]
+}
+
+/// The sums as they were defined before they were 64-way: one chain of
+/// adds in ascending sample order.
+fn sequential(series: &[f32], term: &dyn Fn(f64) -> f64) -> f64 {
+    series.iter().map(|&v| term(v as f64)).sum()
+}
+
+/// The statistics of one series, with `sum` for the mean and variance.
+fn stat_with(sum: Sum, trial: usize, series: &[f32]) -> TrialStat {
+    let n = series.len() as f64;
+    let mean = sum(series, &|v| v) / n;
+    let sigma = (sum(series, &|v| (v - mean) * (v - mean)) / n).sqrt();
+    let (peak_sample, &peak_value) = series
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .expect("non-empty series");
+    let snr = if sigma > 0.0 {
+        ((peak_value as f64 - mean) / sigma) as f32
+    } else {
+        0.0
+    };
+    TrialStat {
+        trial,
+        mean: mean as f32,
+        sigma: sigma as f32,
+        peak_sample,
+        peak_value,
+        snr,
+    }
+}
+
 #[test]
 fn detection_on_the_benchmark_shapes_equals_the_scalar_statistics() {
     // What the benchmark compares `Candidate`s with is `detect_best_trial`
-    // on `NaiveKernel`'s plane: the multi-row routine behind it must
-    // report, for each of these series, the bits `trial_stat` does.
+    // on `NaiveKernel`'s plane, and what the pipeline reports is
+    // `best_of_rows` on slabs of it: both must report, for each of these
+    // series, the bits of the definition written as scalar loops.
+    let bits = |s: &TrialStat| {
+        (
+            s.trial,
+            s.peak_sample,
+            [s.mean, s.sigma, s.peak_value, s.snr].map(f32::to_bits),
+        )
+    };
     for (setup, _, reference) in benchmark_shapes() {
-        let scalar: Vec<_> = (0..reference.trials())
-            .map(|t| trial_stat(t, reference.series(t)))
+        let samples = reference.samples();
+        let want: Vec<_> = (0..reference.trials())
+            .map(|t| stat_with(partials, t, reference.series(t)))
             .collect();
-        let bits = |s: &dedisp_repro::radioastro::TrialStat| {
-            (
-                s.trial,
-                s.peak_sample,
-                [s.mean, s.sigma, s.peak_value, s.snr].map(f32::to_bits),
-            )
-        };
-        let mut rows = Vec::new();
-        scan_rows(0, reference.as_slice(), reference.samples(), |s| {
-            rows.push(bits(&s))
-        });
-        let scalar_bits: Vec<_> = scalar.iter().map(bits).collect();
-        assert_eq!(rows, scalar_bits, "{}", setup.name);
-
+        let want_bits: Vec<_> = want.iter().map(bits).collect();
         let detection = detect_best_trial(&reference);
         let detected: Vec<_> = detection.trials.iter().map(bits).collect();
-        assert_eq!(detected, scalar_bits, "{}", setup.name);
-        let best = scalar
+        assert_eq!(detected, want_bits, "{}", setup.name);
+        let best = want
             .iter()
             .max_by(|a, b| a.snr.total_cmp(&b.snr))
             .expect("twenty trials");
         assert_eq!(detection.best_trial, best.trial, "{}", setup.name);
+        let slab = 8 * samples;
+        for (s, rows) in reference.as_slice().chunks(slab).enumerate() {
+            let got = best_of_rows(8 * s, rows, samples);
+            let want = want[8 * s..][..rows.len() / samples]
+                .iter()
+                .max_by(|a, b| a.snr.total_cmp(&b.snr))
+                .expect("a slab of trials");
+            assert_eq!(bits(&got), bits(want), "{}, slab {s}", setup.name);
+        }
+
+        // Reassociating an `f64` sum moves it by about 1e-14 relative,
+        // far below an `f32` ulp, so the sequential statistic still
+        // agrees: trial and peak exactly, mean, sigma and snr to the bit
+        // but for the odd rounding boundary, which may move one ulp.
+        let (mut off, mut worst) = (0, 0);
+        for (t, new) in want.iter().enumerate() {
+            let old = stat_with(sequential, t, reference.series(t));
+            assert_eq!(
+                (old.trial, old.peak_sample, old.peak_value.to_bits()),
+                (new.trial, new.peak_sample, new.peak_value.to_bits()),
+                "{}, trial {t}",
+                setup.name
+            );
+            for (a, b) in [
+                (old.mean, new.mean),
+                (old.sigma, new.sigma),
+                (old.snr, new.snr),
+            ] {
+                let ulps = (i64::from(a.to_bits()) - i64::from(b.to_bits())).unsigned_abs();
+                off += usize::from(ulps > 0);
+                worst = worst.max(ulps);
+            }
+        }
+        assert!(
+            worst <= 1,
+            "{}: {off} of {} fields differ from the sequential statistic, by up to {worst} ulps",
+            setup.name,
+            3 * want.len()
+        );
     }
 }
 
