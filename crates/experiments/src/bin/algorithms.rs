@@ -3,9 +3,9 @@
 //! §V-D sizes the Apertif survey for brute-force dedispersion only: a
 //! device that falls behind has exactly one lever, shedding trailing
 //! DM tiers. The algorithm-aware rate plane adds a second lever — run
-//! the same beams through a cheaper algorithm (two-stage subband, or
-//! Fourier-domain dedispersion) at a bounded, *documented* accuracy
-//! cost instead of silently discarding the top of the DM range.
+//! the same beams through a cheaper algorithm (two-stage subband) at a
+//! bounded, *documented* accuracy cost instead of silently discarding
+//! the top of the DM range.
 //!
 //! This binary puts both policies on the same bursty over-capacity
 //! load: calm ticks the brute-force fleet absorbs at full resolution,

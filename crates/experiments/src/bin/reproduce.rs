@@ -34,8 +34,7 @@ fn main() {
     let db = data.tuning_database();
     let path = std::env::var("DEDISP_TUNED_DB")
         .unwrap_or_else(|_| "tuned_configurations.json".to_string());
-    match std::fs::write(&path, db.to_json()) {
-        Ok(()) => eprintln!("wrote {} tuned tuples to {path}", db.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    // A lost artifact must be loud (see `experiments::out`).
+    std::fs::write(&path, db.to_json()).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    eprintln!("wrote {} tuned tuples to {path}", db.len());
 }

@@ -1,24 +1,18 @@
 //! # experiments — the paper's evaluation, regenerated
 //!
-//! One binary per table/figure of *Sclocco et al., IPDPS 2014*; this
-//! library holds the shared harness: building workloads from
-//! observational setups, running full tuning sweeps over the five
-//! modeled accelerators, and rendering gnuplot-style series tables.
+//! The harness binaries of *Sclocco et al., IPDPS 2014*; this library
+//! holds what they share: building workloads from observational setups,
+//! running full tuning sweeps over the five modeled accelerators, and
+//! rendering gnuplot-style series tables.
 //!
 //! | Binary      | Reproduces |
 //! |-------------|------------|
-//! | `table1`    | Table I (device characteristics) |
-//! | `fig02_03`  | Tuned work-items per work-group vs #DMs |
-//! | `fig04_05`  | Tuned registers per work-item vs #DMs |
-//! | `fig06_07`  | Tuned performance + real-time line |
-//! | `fig08_09`  | SNR of the optimum |
-//! | `fig10`     | Performance histogram (HD7970, Apertif) |
-//! | `fig11_12`  | 0-DM perfect-reuse performance |
-//! | `fig13_14`  | Speedup over the best fixed configuration |
-//! | `fig15_16`  | Speedup over the CPU implementation |
-//! | `sizing`    | Section V-D Apertif deployment sizing |
+//! | `reproduce` | Table I, Figures 2–16, the Section V-D sizing and the PCIe transfer analysis, in paper order, each under its own `#` heading |
 //! | `ablation`  | Model-mechanism ablation study (DESIGN.md §5) |
-//! | `reproduce` | Everything above, in order |
+//!
+//! The fleet-layer binaries are listed in [`out`]. `tests/golden.rs`
+//! pins the output of both binaries above and of the six fleet-layer
+//! ones that run in virtual time.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

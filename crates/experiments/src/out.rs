@@ -9,8 +9,8 @@
 //! cargo run --release -p experiments --bin chaos -- --json chaos.json
 //! ```
 //!
-//! The stdout text output is unchanged either way (the CI determinism
-//! job diffs it byte-for-byte), apart from a one-line note naming the
+//! The stdout text output is unchanged either way (`tests/golden.rs`
+//! pins it byte for byte), apart from a one-line note naming the
 //! written file.
 
 use serde::Serialize;

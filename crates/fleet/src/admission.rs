@@ -916,7 +916,7 @@ mod tests {
         let table = [
             rate(Algorithm::BruteForce, 0.5),
             rate(Algorithm::Subband { factor: 32 }, 0.3),
-            rate(Algorithm::FourierDomain, 0.125),
+            rate(Algorithm::Subband { factor: 64 }, 0.125),
         ];
         let devices = [dev(0.0, 0.5).with_rates(Algorithm::BruteForce, &table)];
         let view = view_of(&l, &devices);
@@ -929,7 +929,7 @@ mod tests {
             AlgorithmLadder.decide(&demand, &view),
             AdmissionDecision::Admit {
                 shed_tiers: 0,
-                switches: vec![(0, Algorithm::FourierDomain)],
+                switches: vec![(0, Algorithm::Subband { factor: 64 })],
             },
             "the switch list carries only the final algorithm per device"
         );
@@ -1066,10 +1066,10 @@ mod tests {
         ) {
             let tables: Vec<[(Algorithm, f64); 3]> = rows
                 .iter()
-                .map(|&(spb, sub, fdd)| [
+                .map(|&(spb, sub, coarser)| [
                     (Algorithm::BruteForce, spb),
                     (Algorithm::Subband { factor: 32 }, spb * sub),
-                    (Algorithm::FourierDomain, spb * sub * fdd),
+                    (Algorithm::Subband { factor: 64 }, spb * sub * coarser),
                 ])
                 .collect();
             let tables: Vec<&[(Algorithm, f64)]> = tables.iter().map(|t| &t[..]).collect();

@@ -12,13 +12,9 @@
 //!   trials — `⌈d/factor⌉·s·c + d·s·n_sub` flop for `n_sub` subbands.
 //!   Cheaper than brute force once `factor` exceeds ~`1`, at a bounded
 //!   smearing error (see `SubbandKernel::max_smear_samples`).
-//! * **Fourier-domain** (FDD, Bassa et al., arXiv:2110.03482):
-//!   dedispersion as phase rotation in the spectral domain. The `c`
-//!   forward FFTs are paid once and *amortized across all trials*;
-//!   each trial then costs an inverse FFT plus a phase-ramp
-//!   accumulation — `K_fft·(c + d)·s·log₂s + K_phase·d·s` flop. The
-//!   fixed FFT term makes FDD expensive at small `d` and very cheap
-//!   per-trial at survey-scale `d`.
+//!
+//! Only families with a kernel in the tree are modeled, so every rate
+//! the cost model prices can be checked against one that runs.
 //!
 //! [`Algorithm::flop`] is the per-algorithm arithmetic volume;
 //! [`CostModel::evaluate_algorithm`](crate::CostModel::evaluate_algorithm)
@@ -30,14 +26,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::workload::Workload;
-
-/// Flop per FFT butterfly stage point, forward or inverse (complex
-/// multiply-add counted as real operations, radix-2 accounting).
-pub const FFT_FLOP_PER_POINT: f64 = 2.5;
-
-/// Flop per output point for the FDD phase-ramp rotation and
-/// accumulation (complex rotate + add).
-pub const PHASE_FLOP_PER_POINT: f64 = 4.0;
 
 /// The canonical subband count the cost model assumes: one subband per
 /// channel up to 32, matching the `SubbandConfig` shapes the kernels
@@ -62,15 +50,12 @@ pub enum Algorithm {
         /// brute-force cost plus the recombination term.
         factor: u32,
     },
-    /// Fourier-domain dedispersion: channel FFTs amortized across all
-    /// trials, per-trial phase rotation + inverse FFT.
-    FourierDomain,
 }
 
 impl Algorithm {
     /// Every family label, in declaration order — the label vocabulary
     /// of the `fleet_algorithm_assignments` metric family.
-    pub const LABELS: [&'static str; 3] = ["brute-force", "subband", "fourier-domain"];
+    pub const LABELS: [&'static str; 2] = ["brute-force", "subband"];
 
     /// Stable lowercase label (parameter-free: every `Subband { .. }`
     /// maps to `"subband"`).
@@ -78,7 +63,6 @@ impl Algorithm {
         match self {
             Algorithm::BruteForce => Self::LABELS[0],
             Algorithm::Subband { .. } => Self::LABELS[1],
-            Algorithm::FourierDomain => Self::LABELS[2],
         }
     }
 
@@ -95,10 +79,6 @@ impl Algorithm {
                 let coarse = trials.div_ceil(stride) as f64;
                 let n_sub = channels.min(MAX_SUBBANDS) as f64;
                 coarse * s * c + d * s * n_sub
-            }
-            Algorithm::FourierDomain => {
-                let log_s = s.max(2.0).log2();
-                FFT_FLOP_PER_POINT * (c + d) * s * log_s + PHASE_FLOP_PER_POINT * d * s
             }
         }
     }
@@ -119,7 +99,7 @@ impl Algorithm {
     }
 
     /// Whether the algorithm computes the exact brute-force answer
-    /// (subband and FDD trade bounded error for the cheaper bound).
+    /// (subband trades bounded error for the cheaper bound).
     pub fn is_exact(&self) -> bool {
         matches!(self, Algorithm::BruteForce)
     }
@@ -170,41 +150,23 @@ mod tests {
     }
 
     #[test]
-    fn subband_and_fdd_undercut_brute_force_at_survey_scale() {
+    fn subband_undercuts_brute_force_at_survey_scale() {
         let w = apertif(2000);
         let sub = Algorithm::Subband { factor: 32 }.work_ratio(&w);
-        let fdd = Algorithm::FourierDomain.work_ratio(&w);
         assert!(sub < 0.2, "subband ratio {sub}");
-        assert!(fdd < 0.2, "fdd ratio {fdd}");
-    }
-
-    #[test]
-    fn fdd_is_expensive_at_small_dm_counts() {
-        // The fixed forward-FFT term dominates when few trials share
-        // it: below a few dozen DMs, FDD does *more* work than brute
-        // force — the asymmetry the planner's ladder exists to exploit.
-        let small = apertif(8);
-        let large = apertif(4096);
-        assert!(Algorithm::FourierDomain.work_ratio(&small) > 1.0);
-        assert!(Algorithm::FourierDomain.work_ratio(&large) < 0.1);
     }
 
     #[test]
     fn labels_and_display_are_stable() {
         assert_eq!(Algorithm::BruteForce.label(), "brute-force");
         assert_eq!(Algorithm::Subband { factor: 16 }.label(), "subband");
-        assert_eq!(Algorithm::FourierDomain.label(), "fourier-domain");
         assert_eq!(Algorithm::Subband { factor: 16 }.to_string(), "subband/16");
         assert_eq!(Algorithm::default(), Algorithm::BruteForce);
     }
 
     #[test]
     fn serde_round_trip() {
-        for alg in [
-            Algorithm::BruteForce,
-            Algorithm::Subband { factor: 32 },
-            Algorithm::FourierDomain,
-        ] {
+        for alg in [Algorithm::BruteForce, Algorithm::Subband { factor: 32 }] {
             let json = serde_json::to_string(&alg).unwrap();
             let back: Algorithm = serde_json::from_str(&json).unwrap();
             assert_eq!(alg, back);

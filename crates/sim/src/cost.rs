@@ -411,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn cheaper_algorithms_raise_the_effective_rate_at_survey_scale() {
+    fn subband_raises_the_effective_rate_at_survey_scale() {
         let model = CostModel::exact(amd_hd7970());
         let w = apertif(2000);
         let c = KernelConfig::new(64, 4, 4, 8).unwrap();
@@ -419,21 +419,8 @@ mod tests {
         let sub = model
             .evaluate_algorithm(&w, &c, Algorithm::Subband { factor: 32 })
             .unwrap();
-        let fdd = model
-            .evaluate_algorithm(&w, &c, Algorithm::FourierDomain)
-            .unwrap();
         assert!(sub.time_s < brute.time_s);
-        assert!(fdd.time_s < brute.time_s);
         assert!(sub.gflops > brute.gflops);
-        assert!(fdd.gflops > brute.gflops);
-        // At 8 trials the FFT term dominates and FDD loses to brute force.
-        let small = apertif(8);
-        let c_small = KernelConfig::new(64, 4, 2, 2).unwrap();
-        let b = model.evaluate(&small, &c_small).unwrap();
-        let f = model
-            .evaluate_algorithm(&small, &c_small, Algorithm::FourierDomain)
-            .unwrap();
-        assert!(f.time_s > b.time_s);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod traffic;
 pub mod transfer;
 pub mod workload;
 
-pub use algorithm::{Algorithm, FFT_FLOP_PER_POINT, MAX_SUBBANDS, PHASE_FLOP_PER_POINT};
+pub use algorithm::{Algorithm, MAX_SUBBANDS};
 pub use cell::Cell;
 pub use constraints::{check_config, ConfigViolation};
 pub use cost::{BoundKind, CostEstimate, CostModel};

@@ -332,11 +332,7 @@ proptest! {
             let one_call = model.evaluate(&w, c);
             let in_cell = cell.evaluate(c);
             prop_assert_eq!(in_cell.as_ref().map(bits), one_call.as_ref().map(bits));
-            for algorithm in [
-                Algorithm::BruteForce,
-                Algorithm::Subband { factor },
-                Algorithm::FourierDomain,
-            ] {
+            for algorithm in [Algorithm::BruteForce, Algorithm::Subband { factor }] {
                 let one_call = model.evaluate_algorithm(&w, c, algorithm);
                 let in_cell = cell.evaluate_algorithm(c, algorithm);
                 prop_assert_eq!(in_cell.as_ref().map(bits), one_call.as_ref().map(bits));
